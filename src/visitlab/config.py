@@ -88,9 +88,9 @@ def _as_fraction(value, path: str) -> Fraction:
             return Fraction(value.strip())
         if isinstance(value, (int, float)):
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         pass
-    _fail(path, f"expected a number or rational string, got {value!r}")
+    _fail(path, f"expected a finite number or rational string, got {value!r}")
 
 
 def _as_float(value, path: str) -> float:
@@ -229,6 +229,8 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
     if samples < 1:
         _fail("experiment.samples", "need at least one trajectory")
     seed = _as_int(exp.get("seed", 0), "experiment.seed")
+    if seed < 0:
+        _fail("experiment.seed", "seed must be nonnegative")
     tolerance = _as_float(exp.get("tolerance", 0.03), "experiment.tolerance")
     if tolerance <= 0:
         _fail("experiment.tolerance", "tolerance must be positive")

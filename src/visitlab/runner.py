@@ -156,6 +156,8 @@ def _simulate_block(args):
                 ind, window_f, window_k, cap=cap, start_index=start + off
             )
             stats_acc = st if stats_acc is None else stats_acc.merge(st)
+        # free this chunk's arrays before the next chunk is sampled
+        del paths, ind
     w_all = w_parts[0]
     for part in w_parts[1:]:
         w_all = w_all.merge(part)

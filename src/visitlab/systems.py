@@ -327,22 +327,56 @@ def sample_markov(spec: FiniteMarkovSpec, n: int, rng, init: int | None = None):
 def sample_markov_batch(spec: FiniteMarkovSpec, n: int, rngs) -> np.ndarray:
     """Stationary paths for many trajectories, one generator per row.
 
-    Row i consumes rngs[i] exactly like :func:`sample_markov` (n uniforms),
-    so a batch row equals the corresponding solo path.
+    Returns a C-contiguous ``(rows, n)`` int64 array.  Row i consumes
+    rngs[i] exactly like :func:`sample_markov` (n uniforms), so a batch row
+    equals the corresponding solo path.
+    """
+    return _step_columns(rngs, n, markov_stationary(spec), spec.matrix)
+
+
+# Chains with at most this many states step through one 1-D gather per
+# cumulative threshold column; larger ones gather whole cumulative rows (the
+# two cost the same at about 20-28 states).
+_THRESHOLD_STATES = 24
+
+
+def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Inverse-CDF stepping of one chain per row; C-contiguous ``(rows, n)``.
+
+    Row i draws its n uniforms from rngs[i]: the first picks the start from
+    the ``stationary`` law, each later one steps from state s to the number
+    of cumulative thresholds ``cum[s]`` at or below it, as
+    ``searchsorted(cum[s], u, "right")`` does.  The uniforms are stepped
+    column by column in an ``(n, rows)`` buffer, and each step's states
+    overwrite the column of uniforms they were drawn from.
     """
     rows = len(rngs)
     u = np.empty((rows, n))
     for i, rng in enumerate(rngs):
-        u[i] = rng.random(n)
-    cum = np.cumsum(spec.matrix, axis=1)
-    cum[:, -1] = 1.0
-    cdf = np.cumsum(markov_stationary(spec))
+        rng.random(out=u[i])
+    buf = u.T.copy()
+    del u
+    states = buf.view(np.int64)
+    cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
-    states = np.empty((rows, n), dtype=np.int64)
-    states[:, 0] = np.searchsorted(cdf, u[:, 0], side="right")
-    for t in range(1, n):
-        states[:, t] = (cum[states[:, t - 1]] <= u[:, t, None]).sum(axis=1)
-    return states
+    states[0] = np.searchsorted(cdf, buf[0], side="right")
+    cum = np.cumsum(matrix, axis=1)
+    cum[:, -1] = 1.0
+    k = cum.shape[1]
+    if k <= _THRESHOLD_STATES:
+        # no uniform reaches the last threshold (1.0), so it is skipped
+        # unless it is the only one; the counts (< k) are summed as int8
+        first, *rest = [np.ascontiguousarray(cum[:, j]) for j in range(max(k - 1, 1))]
+        for t in range(1, n):
+            s, col = states[t - 1], buf[t]
+            count = (first.take(s) <= col).view(np.int8)
+            for thr in rest:
+                count += (thr.take(s) <= col).view(np.int8)
+            states[t] = count
+    else:
+        for t in range(1, n):
+            states[t] = (cum[states[t - 1]] <= buf[t][:, None]).sum(axis=1)
+    return np.ascontiguousarray(states.T)
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +563,12 @@ def sample_product_chain(spec: ProductChainSpec, n: int, rng, init: int | None =
 
 
 def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarray:
-    """Batch version of :func:`sample_product_chain`; rows match solo paths."""
-    rows = len(rngs)
-    u = np.empty((rows, n))
-    for i, rng in enumerate(rngs):
-        u[i] = rng.random(n)
-    kernel = pair_kernel(spec)
-    cum = np.cumsum(kernel, axis=1)
-    cum[:, -1] = 1.0
-    cdf = np.cumsum(pair_stationary(spec))
-    cdf[-1] = 1.0
-    codes = np.empty((rows, n), dtype=np.int64)
-    codes[:, 0] = np.searchsorted(cdf, u[:, 0], side="right")
-    for t in range(1, n):
-        codes[:, t] = (cum[codes[:, t - 1]] <= u[:, t, None]).sum(axis=1)
+    """Batch version of :func:`sample_product_chain`.
+
+    Returns a C-contiguous ``(rows, n, n_chains)`` array; row i equals the
+    solo path drawn from rngs[i].
+    """
+    codes = _step_columns(rngs, n, pair_stationary(spec), pair_kernel(spec))
     return decode_states(codes, spec.n_states, spec.n_chains)
 
 
@@ -1047,9 +1073,11 @@ def sample_path(spec, n: int, rng):
 def sample_paths(spec, n: int, rngs) -> np.ndarray:
     """Stationary paths for many trajectories (one generator per row).
 
-    Row i always equals ``sample_path(spec, n, rngs[i])``; column-stepped
-    systems (Markov, product chains, interval maps) use a vectorised batch
-    route with identical per-row consumption.
+    Returns a C-contiguous array whose row i always equals
+    ``sample_path(spec, n, rngs[i])``: ``(rows, n)``, or ``(rows, n,
+    n_chains)`` for product chains.  Column-stepped systems (Markov, product
+    chains, interval maps) use a vectorised batch route with identical
+    per-row consumption.
     """
     if isinstance(spec, FiniteMarkovSpec):
         return sample_markov_batch(spec, n, rngs)

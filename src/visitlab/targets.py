@@ -197,9 +197,11 @@ def _match_word(paths: np.ndarray, word: tuple) -> np.ndarray:
     stop = paths.shape[1] - k + 1
     if stop <= 0:
         return np.zeros((paths.shape[0], 0), dtype=bool)
-    out = paths[:, 0:stop] == word[0]
+    # one comparison pass per distinct letter, then shifted boolean views
+    equal = {a: paths == a for a in set(word)}
+    out = equal[word[0]][:, 0:stop].copy()
     for j in range(1, k):
-        out &= paths[:, j : stop + j] == word[j]
+        out &= equal[word[j]][:, j : stop + j]
     return out
 
 

@@ -102,6 +102,20 @@ def test_config_errors_exit_three(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_infinite_time_scale_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "inf.yaml"
+    cfg.write_text(CONFIG.replace("t: 2.0", "t: .inf"))
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert "experiment.t" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "neg.yaml"
+    cfg.write_text(CONFIG.replace("seed: 3", "seed: -1"))
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert "experiment.seed" in capsys.readouterr().err
+
+
 def test_resource_guard_exits_four(tmp_path, capsys):
     cfg = tmp_path / "huge.yaml"
     cfg.write_text(CONFIG.replace("sweep: [6]", "sweep: [40]"))

@@ -19,6 +19,7 @@ from visitlab import (
     sync_kernel,
     trajectory_rng,
 )
+from visitlab import systems
 from visitlab.errors import NonStationaryError
 from visitlab.systems import (
     hoc_stationary,
@@ -30,6 +31,8 @@ from visitlab.systems import (
     pair_stationary,
     sample_markov,
     sample_markov_batch,
+    sample_product_chain,
+    sample_product_chain_batch,
 )
 
 F = Fraction
@@ -144,13 +147,52 @@ def test_factor_product_plus_fraction():
     assert abs((z == 1).mean() - 0.58) < 0.005
 
 
+def _solo_rows(sampler, spec, n, rows, seed=7):
+    return np.stack([sampler(spec, n, trajectory_rng(seed, i))[0] for i in range(rows)])
+
+
+def _ring_chain(m):
+    # strongly connected through the ring i -> i + 1, dense elsewhere
+    q = np.random.default_rng(m).random((m, m))
+    q[np.arange(m), (np.arange(m) + 1) % m] += 1.0
+    return FiniteMarkovSpec(q / q.sum(axis=1, keepdims=True))
+
+
 def test_markov_batch_matches_row_loop():
-    spec = FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]]))
-    rngs = [trajectory_rng(7, i) for i in range(5)]
-    batch = sample_markov_batch(spec, 30, rngs)
-    rngs2 = [trajectory_rng(7, i) for i in range(5)]
-    rows = np.stack([sample_markov(spec, 30, r)[0] for r in rngs2])
-    assert np.array_equal(batch, rows)
+    cases = [
+        (FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]])), 5, 30),
+        # criterion 07's chain
+        (FiniteMarkovSpec(np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]])), 64, 500),
+        # zero entries give tied cumulative thresholds
+        (FiniteMarkovSpec(np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.3, 0.7, 0.0]])), 64, 200),
+        (FiniteMarkovSpec(np.array([[1.0]])), 4, 20),
+        # at and above the threshold-count crossover
+        (_ring_chain(systems._THRESHOLD_STATES), 16, 200),
+        (_ring_chain(systems._THRESHOLD_STATES + 6), 16, 200),
+    ]
+    for spec, rows, n in cases:
+        batch = sample_markov_batch(spec, n, [trajectory_rng(7, i) for i in range(rows)])
+        assert batch.shape == (rows, n) and batch.flags.c_contiguous
+        assert np.array_equal(batch, _solo_rows(sample_markov, spec, n, rows)), spec.n_states
+
+
+@pytest.mark.parametrize(
+    "coupling, gamma", [("independent", None), ("maximal", None), ("parametrized", 0.4)]
+)
+def test_product_chain_batch_matches_row_loop(coupling, gamma):
+    spec = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), coupling, gamma=gamma)
+    batch = sample_product_chain_batch(spec, 300, [trajectory_rng(7, i) for i in range(32)])
+    assert batch.shape == (32, 300, 2)
+    assert np.array_equal(batch, _solo_rows(sample_product_chain, spec, 300, 32))
+
+
+def test_sample_paths_is_c_contiguous_for_chains():
+    rngs = [trajectory_rng(5, i) for i in range(6)]
+    for spec in (
+        FiniteMarkovSpec(Q1),
+        ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal"),
+    ):
+        assert sample_paths(spec, 40, rngs).flags.c_contiguous, type(spec).__name__
 
 
 def test_sample_paths_matches_sample_path_rowwise():

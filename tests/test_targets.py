@@ -27,7 +27,7 @@ from visitlab import (
     outer_target,
     sign_cylinder_measure,
 )
-from visitlab.targets import TargetMeasure, interval_cylinder_measure
+from visitlab.targets import TargetMeasure, _match_word, interval_cylinder_measure
 
 F = Fraction
 
@@ -119,6 +119,26 @@ def test_hits_word_match():
     path = np.array([[0, 1, 0, 1, 1, 0, 1]])
     got = hits(path, CylinderTarget((0, 1)), horizon=5)
     assert np.array_equal(got, [[True, False, True, False, False, True]])
+
+
+def _match_word_reference(paths, word):
+    stop = paths.shape[1] - len(word) + 1
+    out = np.ones((paths.shape[0], max(stop, 0)), dtype=bool)
+    for j, a in enumerate(word):
+        out &= paths[:, j : j + out.shape[1]] == a
+    return out
+
+
+@pytest.mark.parametrize(
+    "word", [(0, 1, 2, 1, 0), (1,) * 13, (2, 2, 0, 2), (1,), (0, 1) * 40]
+)
+def test_match_word_equals_letter_by_letter(word):
+    paths = np.random.default_rng(3).integers(0, 3, size=(17, 60))
+    got = _match_word(paths, word)
+    want = _match_word_reference(paths, word)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if len(word) > paths.shape[1]:
+        assert got.shape == (17, 0)
 
 
 def test_sync_indicators_need_components():
