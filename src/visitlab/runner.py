@@ -16,6 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -66,7 +67,7 @@ from .systems import (
     interval_itinerary,
     sample_paths,
     sync_kernel,
-    trajectory_rng,
+    trajectory_rngs,
 )
 from .targets import (
     CylinderTarget,
@@ -147,8 +148,7 @@ def _simulate_block(args):
     stats_acc = None
     for off in range(0, count, rows_per):
         take = min(rows_per, count - off)
-        rngs = [trajectory_rng(seed, start + off + i) for i in range(take)]
-        paths = sample_paths(system, path_len, rngs)
+        paths = sample_paths(system, path_len, trajectory_rngs(seed, start + off, take))
         ind = hits(_observable(system, target, paths), target, ext_horizon)
         w_parts.append(collect_w(ind, horizon, start_index=start + off))
         if window_f is not None:
@@ -182,10 +182,11 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
          path_len, ext_horizon, horizon, window_f, window_k, cfg.cluster_cap)
         for start in range(0, cfg.samples, _BLOCK)
     ]
-    if cfg.workers == 1 or len(blocks) == 1:
+    workers = min(cfg.workers, os.cpu_count() or 1, len(blocks))
+    if workers == 1:
         results = [_simulate_block(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_block, blocks, chunksize=1))
     results.sort(key=lambda r: r[0])
     w_all = results[0][1]
@@ -362,6 +363,29 @@ def report_body(report: dict) -> str:
     return json.dumps(_jsonable(body), sort_keys=True)
 
 
+@contextmanager
+def _atomic_open(path: str, newline=None):
+    """Text file handle whose content appears at ``path`` only when complete.
+
+    Writes go to a temporary file in the same directory, which replaces
+    ``path`` after the block exits cleanly and is removed otherwise.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _write_json(report: dict, path: str) -> None:
+    with _atomic_open(path) as fh:
+        json.dump(_jsonable(report), fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def _sweep_token(value) -> str:
     return str(value).replace(".", "p")
 
@@ -385,13 +409,11 @@ def write_report(report: dict, out_dir: str, mode: str) -> list:
                 pmf_to_csv(emp, path)
                 written.append(path)
     path = os.path.join(out_dir, f"{mode}_report.json")
-    with open(path, "w") as fh:
-        json.dump(_jsonable(report), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(report, path)
     written.append(path)
     if mode == "sweep":
         path = os.path.join(out_dir, "sweep_summary.csv")
-        with open(path, "w", newline="") as fh:
+        with _atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sweep_value", "mu", "tv", "tolerance", "pass", "bracket"])
             for entry in results:
@@ -477,15 +499,13 @@ def write_bound_report(report: dict, out_dir: str) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     path = os.path.join(out_dir, "bound_table.csv")
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "argmin_delta", "bracket_value"])
         for row in report["results"]:
             writer.writerow([row["n"], row["argmin_delta"], repr(row["value"])])
     written.append(path)
     path = os.path.join(out_dir, "bound_report.json")
-    with open(path, "w") as fh:
-        json.dump(_jsonable(report), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(report, path)
     written.append(path)
     return written

@@ -179,26 +179,28 @@ def collect_cluster_stats(
     m, t_len = ind.shape
     if min(window_l, window_k) < 1:
         raise SpecError("window radii must be >= 1")
-    c = np.zeros((m, t_len + 1), dtype=np.int64)
-    np.cumsum(ind, axis=1, out=c[:, 1:])
+    # sorted flat hit positions; every counted window lies inside its row,
+    # so a window's hits are a range of flat positions found by bisection
+    flat = np.flatnonzero(ind)
+    rows, cols = np.divmod(flat, max(t_len, 1))
 
     def forward(window: int) -> np.ndarray:
         if t_len <= window:
             return np.zeros((m, cap + 1), np.int32)
-        eligible = ind[:, : t_len - window]
-        rows, cols = np.nonzero(eligible)
-        further = c[rows, cols + window + 1] - c[rows, cols + 1]
-        return _row_hist(rows, further, m, cap)
+        sel = np.flatnonzero(cols < t_len - window)
+        further = np.searchsorted(flat, flat[sel] + window, side="right") - sel - 1
+        return _row_hist(rows[sel], further, m, cap)
 
     after_l = forward(window_l)
     after_k = forward(window_k)
 
     if t_len > 2 * window_k:
-        mid = ind[:, window_k : t_len - window_k]
-        rows, cols = np.nonzero(mid)
-        i = cols + window_k
-        around_counts = c[rows, i + window_k + 1] - c[rows, i - window_k]
-        around = _row_hist(rows, around_counts - 1, m, cap)
+        sel = np.flatnonzero((cols >= window_k) & (cols < t_len - window_k))
+        mid = flat[sel]
+        around_counts = np.searchsorted(flat, mid + window_k, side="right") - np.searchsorted(
+            flat, mid - window_k, side="left"
+        )
+        around = _row_hist(rows[sel], around_counts - 1, m, cap)
     else:
         around = np.zeros((m, cap + 1), np.int32)
 

@@ -64,6 +64,114 @@ def trajectory_rng(root_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((root_seed, index)))
 
 
+# numpy's SeedSequence constants (pool of 4 uint32 words)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+
+
+def _uint32_words(value: int) -> list:
+    """Little-endian uint32 words of a nonnegative int, as SeedSequence splits it."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed words must be nonnegative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
+class _PCG64Words(np.random.bit_generator.ISeedSequence):
+    """Seed source that hands PCG64 four precomputed uint64 state words."""
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words only serve PCG64 (4 x uint64)")
+        return self._words
+
+
+def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row.
+
+    ``entropy`` is ``(rows, words)`` uint32, all rows of one length.  The
+    multipliers of SeedSequence's hash advance once per call whatever the
+    data, so one pass of uint32 array arithmetic (wrapping like the C code)
+    runs the algorithm for every row at once.
+    """
+    rows, n_words = entropy.shape
+    hash_const = _SS_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        out = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(rows, np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zero) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL, n_words):
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _SS_INIT_B
+    state = np.empty((rows, 8), np.uint32)
+    for i in range(8):
+        value = pool[i % _SS_POOL] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    wide = state.astype(np.uint64)
+    return wide[:, 0::2] | (wide[:, 1::2] << np.uint64(32))
+
+
+def trajectory_rngs(root_seed: int, start: int, count: int) -> list:
+    """``[trajectory_rng(root_seed, start + i) for i in range(count)]``, batched.
+
+    Row i is the same generator as ``trajectory_rng(root_seed, start + i)``
+    and draws the same stream.  SeedSequence's hash constants advance with
+    the number of entropy words, not with their values, so the whole index
+    range is hashed at once with array arithmetic (split where the index
+    gains a uint32 word), and each PCG64 is built from its four state words.
+    """
+    root = _uint32_words(root_seed)
+    if start < 0 or count < 0:
+        raise ValueError("trajectory indices must be nonnegative")
+    states = np.empty((count, 4), np.uint64)
+    lo, stop = int(start), int(start) + int(count)
+    while lo < stop:
+        # within one 2**32-aligned span only the lowest index word varies
+        hi = min(stop, ((lo >> 32) + 1) << 32)
+        index = _uint32_words(lo)
+        entropy = np.empty((hi - lo, len(root) + len(index)), np.uint32)
+        entropy[:] = root + index
+        entropy[:, len(root)] = np.arange(index[0], index[0] + hi - lo, dtype=np.uint32)
+        states[lo - start : hi - start] = _seed_sequence_states(entropy)
+        lo = hi
+    return [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in states]
+
+
+def _row_uniforms(rngs, n: int) -> np.ndarray:
+    """``(rows, n)`` uniforms whose row i is ``rngs[i].random(n)``."""
+    u = np.empty((len(rngs), n))
+    for i, rng in enumerate(rngs):
+        rng.random(out=u[i])
+    return u
+
+
 # ---------------------------------------------------------------------------
 # house-of-cards chains
 # ---------------------------------------------------------------------------
@@ -228,6 +336,34 @@ def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rng, init: int | None 
     return states, int(states[-1])
 
 
+def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
+    """Batch version of :func:`sample_house_of_cards` for the ``constant`` family.
+
+    Returns a C-contiguous ``(rows, n)`` int64 array.  Row i draws n uniforms
+    from rngs[i], the stationary start and then n - 1 resets, as the solo
+    sampler's ``random()`` and ``random(n - 1)`` do, so it equals the solo
+    path.  The reset-anchor scan runs in place over an int64 view of the
+    uniforms.
+    """
+    if spec.kind != "constant":
+        raise SpecError("batch house-of-cards sampling needs a constant reset")
+    if n < 1:
+        raise SpecError("path length must be >= 1")
+    u = _row_uniforms(rngs, n)
+    law = _hoc_law_cache(spec)
+    top = law.probs.size  # above every start state
+    init = np.minimum(np.searchsorted(np.cumsum(law.probs), u[:, 0], side="right"), top - 1)
+    resets = u[:, 1:] < spec.params[0]
+    # anchors shifted up by top: the start plants top - init, a reset at
+    # column t plants t + top, and a column without a reset holds 0
+    shifted = np.arange(top, top + n, dtype=np.int64)
+    anchor = u.view(np.int64)
+    anchor[:, 0] = top - init
+    np.multiply(resets, shifted[1:], out=anchor[:, 1:])
+    np.maximum.accumulate(anchor, axis=1, out=anchor)
+    return np.subtract(shifted, anchor, out=anchor)
+
+
 _HOC_LAWS: dict[tuple, StationaryLaw] = {}
 
 
@@ -350,10 +486,7 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     column by column in an ``(n, rows)`` buffer, and each step's states
     overwrite the column of uniforms they were drawn from.
     """
-    rows = len(rngs)
-    u = np.empty((rows, n))
-    for i, rng in enumerate(rngs):
-        rng.random(out=u[i])
+    u = _row_uniforms(rngs, n)
     buf = u.T.copy()
     del u
     states = buf.view(np.int64)
@@ -522,13 +655,12 @@ def _encode(joint, m_states: int) -> int:
 
 
 def decode_states(codes: np.ndarray, m_states: int, n_chains: int) -> np.ndarray:
-    """Inverse of the row-major tuple encoding; returns (..., n_chains)."""
-    out = np.empty(codes.shape + (n_chains,), dtype=np.int64)
-    rem = codes.astype(np.int64)
-    for i in range(n_chains - 1, -1, -1):
-        out[..., i] = rem % m_states
-        rem = rem // m_states
-    return out
+    """Inverse of the row-major tuple encoding; returns (..., n_chains).
+
+    One gather from the ``(m_states**n_chains, n_chains)`` table of tuples.
+    """
+    table = np.indices((m_states,) * n_chains).reshape(n_chains, -1).T
+    return np.take(table.astype(np.int64, order="C"), codes, axis=0)
 
 
 def pair_stationary(spec: ProductChainSpec) -> np.ndarray:
@@ -1046,6 +1178,18 @@ def sample_factor_product(spec: FactorProductSpec, n: int, rng, carry=None):
     return x[:-1] * x[1:], int(x[-1])
 
 
+def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.ndarray:
+    """Batch version of :func:`sample_factor_product`; rows equal solo paths.
+
+    Row i draws the n + 1 sign uniforms from rngs[i]; returns a C-contiguous
+    ``(rows, n)`` int64 array.
+    """
+    if n < 1:
+        raise SpecError("path length must be >= 1")
+    x = np.where(_row_uniforms(rngs, n + 1) < spec.plus_prob, np.int64(1), np.int64(-1))
+    return x[:, :-1] * x[:, 1:]
+
+
 # ---------------------------------------------------------------------------
 # generic path generation
 # ---------------------------------------------------------------------------
@@ -1075,10 +1219,16 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
 
     Returns a C-contiguous array whose row i always equals
     ``sample_path(spec, n, rngs[i])``: ``(rows, n)``, or ``(rows, n,
-    n_chains)`` for product chains.  Column-stepped systems (Markov, product
-    chains, interval maps) use a vectorised batch route with identical
-    per-row consumption.
+    n_chains)`` for product chains.  These systems take a vectorised batch
+    route with identical per-row draws: finite Markov chains, product
+    chains, interval maps, constant-reset house-of-cards chains and sign
+    products.  Drifting and alternating house-of-cards chains, regenerative
+    processes and Doeblin chains run the solo sampler row by row.
     """
+    if isinstance(spec, HouseOfCardsSpec) and spec.kind == "constant":
+        return sample_house_of_cards_batch(spec, n, rngs)
+    if isinstance(spec, FactorProductSpec):
+        return sample_factor_product_batch(spec, n, rngs)
     if isinstance(spec, FiniteMarkovSpec):
         return sample_markov_batch(spec, n, rngs)
     if isinstance(spec, ProductChainSpec):

@@ -29,7 +29,7 @@ from .systems import (
     pair_stationary,
     sample_paths,
     sync_kernel,
-    trajectory_rng,
+    trajectory_rngs,
 )
 
 # index namespace for auxiliary draws (keeps trajectory seeds untouched)
@@ -180,15 +180,22 @@ TARGET_KINDS = (
 
 
 def _window_all(mask: np.ndarray, w: int) -> np.ndarray:
-    """All-true test over every length-w window of a boolean array."""
+    """All-true test over every length-w window of a boolean array.
+
+    Column j of a span-s array says whether mask[j : j + s] is all true; the
+    span doubles by ANDing shifted views until two overlapping spans cover w.
+    """
     mask = np.atleast_2d(mask)
     if w == 1:
         return mask.copy()
     if mask.shape[1] < w:
         return np.zeros((mask.shape[0], 0), dtype=bool)
-    c = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=np.int64)
-    np.cumsum(mask, axis=1, out=c[:, 1:])
-    return (c[:, w:] - c[:, :-w]) == w
+    span, cur = 1, mask
+    while 2 * span <= w:
+        cur = cur[:, :-span] & cur[:, span:]
+        span *= 2
+    stop = mask.shape[1] - w + 1
+    return cur[:, :stop] & cur[:, w - span : w - span + stop]
 
 
 def _match_word(paths: np.ndarray, word: tuple) -> np.ndarray:
@@ -384,8 +391,7 @@ def measure_mc(target, system, samples: int, seed: int, path_len: int | None = N
     done = 0
     while done < samples:
         m = min(batch, samples - done)
-        rngs = [trajectory_rng(seed, _MEASURE_INDEX_BASE + done + i) for i in range(m)]
-        paths = sample_paths(system, length, rngs)
+        paths = sample_paths(system, length, trajectory_rngs(seed, _MEASURE_INDEX_BASE + done, m))
         if isinstance(system, IntervalMapSpec) and isinstance(target, CylinderTarget):
             paths = interval_itinerary(system, paths)
         ind = target.indicators(paths)

@@ -31,6 +31,7 @@ from visitlab import (
     write_bound_report,
     write_report,
 )
+from visitlab import runner
 
 MATRIX = [[0.4, 0.6], [0.2, 0.8]]
 
@@ -216,3 +217,67 @@ def test_bound_command_rows(tmp_path):
 def test_bound_requires_stein_section():
     with pytest.raises(ConfigError):
         cmd_bound(_cfg())
+
+
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor that records its size and starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, samples, pool_size",
+    [
+        (8, 4, 6000, 2),  # two blocks
+        (8, 2, 9000, 2),  # two CPUs
+        (3, 16, 9000, 3),  # the configured count
+        (8, 1, 9000, None),  # one CPU: serial, no pool
+        (8, None, 9000, None),  # unknown CPU count: serial
+    ],
+)
+def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samples, pool_size):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    report = run_experiment(_cfg(workers=workers, samples=samples), "simulate")
+    assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
+    serial = run_experiment(_cfg(workers=1, samples=samples), "simulate")
+    assert report_body(report) == report_body(serial)
+
+
+def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
+    report = run_experiment(_cfg(), "compare")
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write('{"schema": 1, "results": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runner.json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        write_report(copy.deepcopy(report), tmp_path, "compare")
+    with pytest.raises(OSError):
+        write_bound_report({"results": []}, tmp_path)
+    assert not list(tmp_path.glob("*_report.json"))
+    assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    write_report(copy.deepcopy(report), tmp_path, "compare")
+    good = (tmp_path / "compare_report.json").read_text()
+    assert json.loads(good)["schema"] == 1
+    # a failed rewrite keeps the previous complete report
+    monkeypatch.setattr(runner.json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        write_report(copy.deepcopy(report), tmp_path, "compare")
+    assert (tmp_path / "compare_report.json").read_text() == good
+    assert not list(tmp_path.glob("*.tmp"))

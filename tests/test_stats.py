@@ -112,6 +112,58 @@ def test_cluster_stats_merge_matches_batch():
         top.merge(collect_cluster_stats(ind[:1], 2, 3, cap=5, start_index=9))
 
 
+def _cluster_stats_reference(ind, window_l, window_k, cap):
+    """Window counts from an int64 running sum over every row."""
+    m, t_len = ind.shape
+    c = np.zeros((m, t_len + 1), dtype=np.int64)
+    np.cumsum(ind, axis=1, out=c[:, 1:])
+
+    def hist(rows, vals):
+        out = np.zeros((m, cap + 1), np.int32)
+        np.add.at(out, (rows, np.minimum(vals, cap)), 1)
+        return out
+
+    def forward(window):
+        if t_len <= window:
+            return np.zeros((m, cap + 1), np.int32)
+        rows, cols = np.nonzero(ind[:, : t_len - window])
+        return hist(rows, c[rows, cols + window + 1] - c[rows, cols + 1])
+
+    around = np.zeros((m, cap + 1), np.int32)
+    if t_len > 2 * window_k:
+        rows, cols = np.nonzero(ind[:, window_k : t_len - window_k])
+        i = cols + window_k
+        around = hist(rows, c[rows, i + window_k + 1] - c[rows, i - window_k] - 1)
+    return forward(window_l), forward(window_k), around
+
+
+@pytest.mark.parametrize("density", [0.001, 0.05, 0.5])
+def test_cluster_stats_equal_running_sum_reference(density):
+    rng = np.random.default_rng(int(density * 1000))
+    # (rows, t_len, L, K): generic, t_len <= L, t_len <= 2K, a single column
+    for rows, t_len, window_l, window_k in (
+        (300, 400, 3, 7),
+        (40, 200, 200, 9),
+        (40, 30, 4, 15),
+        (40, 1, 1, 1),
+    ):
+        ind = rng.random((rows, t_len)) < density
+        got = collect_cluster_stats(ind, window_l, window_k, cap=6, start_index=11)
+        want = _cluster_stats_reference(ind, window_l, window_k, cap=6)
+        for name, ref in zip(("after_l", "after_k", "around"), want):
+            arr = getattr(got, name)
+            assert arr.dtype == np.int32 and np.array_equal(arr, ref), (t_len, name)
+        assert got.indices.tolist() == list(range(11, 11 + rows))
+
+
+def test_cluster_stats_of_an_empty_indicator():
+    for shape in ((5, 40), (0, 40)):
+        stats = collect_cluster_stats(np.zeros(shape, dtype=bool), 3, 4, cap=5)
+        for name in ("after_l", "after_k", "around"):
+            arr = getattr(stats, name)
+            assert arr.shape == (shape[0], 6) and not arr.any()
+
+
 def _random_stats(seed=3, rows=400, cols=120):
     rng = np.random.default_rng(seed)
     ind = rng.random((rows, cols)) < 0.25

@@ -31,8 +31,14 @@ from visitlab.systems import (
     pair_stationary,
     sample_markov,
     sample_markov_batch,
+    decode_states,
+    sample_factor_product,
+    sample_factor_product_batch,
+    sample_house_of_cards,
+    sample_house_of_cards_batch,
     sample_product_chain,
     sample_product_chain_batch,
+    trajectory_rngs,
 )
 
 F = Fraction
@@ -198,6 +204,8 @@ def test_sample_paths_is_c_contiguous_for_chains():
 def test_sample_paths_matches_sample_path_rowwise():
     for spec in (
         HouseOfCardsSpec.constant(0.4),
+        HouseOfCardsSpec.drifting(0.4, 1.0),
+        HouseOfCardsSpec.alternating(0.3, 0.6),
         FactorProductSpec(0.3),
         EXAMPLE_MAP,
     ):
@@ -214,6 +222,72 @@ def test_trajectory_rng_partitions():
     c = trajectory_rng(1, 0).random(4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("root", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+def test_trajectory_rngs_equal_trajectory_rng(root):
+    # index words: one, two (the measure namespace), and a range across 2**32
+    for start, count in ((0, 40), (2**48, 40), (2**32 - 20, 40)):
+        batch = trajectory_rngs(root, start, count)
+        assert len(batch) == count
+        for i, rng in enumerate(batch):
+            ref = trajectory_rng(root, start + i)
+            assert rng.bit_generator.state == ref.bit_generator.state, (start, i)
+            assert np.array_equal(rng.random(3), ref.random(3))
+    assert trajectory_rngs(root, 5, 0) == []
+
+
+def test_trajectory_rngs_reject_negative_seeds():
+    with pytest.raises(ValueError):
+        trajectory_rngs(-1, 0, 4)
+    with pytest.raises(ValueError):
+        trajectory_rngs(1, -4, 4)
+
+
+@pytest.mark.parametrize("reset", [0.05, 0.5, 1.0])
+def test_house_of_cards_batch_matches_solo(reset):
+    spec = HouseOfCardsSpec.constant(reset)
+    for n in (1, 2, 57, 4306):
+        batch = sample_house_of_cards_batch(spec, n, trajectory_rngs(7, 0, 12))
+        assert batch.shape == (12, n) and batch.flags.c_contiguous
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, _solo_rows(sample_house_of_cards, spec, n, 12)), n
+
+
+def test_house_of_cards_batch_needs_constant_reset():
+    with pytest.raises(SpecError):
+        sample_house_of_cards_batch(HouseOfCardsSpec.drifting(0.4, 1.0), 5, [trajectory_rng(1, 0)])
+    with pytest.raises(SpecError):
+        sample_house_of_cards_batch(HouseOfCardsSpec.constant(0.5), 0, [trajectory_rng(1, 0)])
+
+
+def test_sign_product_batch_matches_solo():
+    spec = FactorProductSpec(0.3)
+    for n in (1, 2, 57):
+        batch = sample_factor_product_batch(spec, n, trajectory_rngs(7, 0, 40))
+        assert batch.shape == (40, n) and batch.flags.c_contiguous
+        assert batch.dtype == np.int64
+        assert np.array_equal(batch, _solo_rows(sample_factor_product, spec, n, 40)), n
+
+
+def _decode_reference(codes, m_states, n_chains):
+    out = np.empty(codes.shape + (n_chains,), dtype=np.int64)
+    rem = codes.astype(np.int64)
+    for i in range(n_chains - 1, -1, -1):
+        out[..., i] = rem % m_states
+        rem = rem // m_states
+    return out
+
+
+@pytest.mark.parametrize("m_states", [2, 3, 4])
+@pytest.mark.parametrize("n_chains", [2, 3, 4])
+def test_decode_states_equals_mod_div_formula(m_states, n_chains):
+    codes = np.random.default_rng(m_states * n_chains).integers(
+        0, m_states**n_chains, size=(9, 31)
+    )
+    got = decode_states(codes, m_states, n_chains)
+    assert got.flags.c_contiguous and got.dtype == np.int64
+    assert np.array_equal(got, _decode_reference(codes, m_states, n_chains))
 
 
 def test_symbol_stream_split_equals_whole():

@@ -27,7 +27,7 @@ from visitlab import (
     outer_target,
     sign_cylinder_measure,
 )
-from visitlab.targets import TargetMeasure, _match_word, interval_cylinder_measure
+from visitlab.targets import TargetMeasure, _match_word, _window_all, interval_cylinder_measure
 
 F = Fraction
 
@@ -139,6 +139,26 @@ def test_match_word_equals_letter_by_letter(word):
     assert got.shape == want.shape and np.array_equal(got, want)
     if len(word) > paths.shape[1]:
         assert got.shape == (17, 0)
+
+
+def _window_all_reference(mask, w):
+    # the int64 running-sum formula: a window is all true iff it sums to w
+    c = np.zeros((mask.shape[0], mask.shape[1] + 1), dtype=np.int64)
+    np.cumsum(mask, axis=1, out=c[:, 1:])
+    return (c[:, w:] - c[:, :-w]) == w
+
+
+@pytest.mark.parametrize("w", list(range(1, 18)) + [100])
+def test_window_all_equals_cumsum_formula(w):
+    rng = np.random.default_rng(w)
+    for density in (0.5, 0.9, 0.99):
+        mask = rng.random((9, 240)) < density
+        got = _window_all(mask, w)
+        want = _window_all_reference(mask, w)
+        assert got.shape == want.shape and got.dtype == bool
+        assert np.array_equal(got, want), density
+    short = np.ones((3, w - 1), dtype=bool)
+    assert _window_all(short, w).shape == (3, 0)
 
 
 def test_sync_indicators_need_components():
