@@ -5,7 +5,8 @@ law wrapped into a compound-Poisson visit law at time scale t) or a plain
 diagnostic value.  Each formula ships with an independently computable
 cross-check used by the test-suite; the sign-product predictor carries its
 cross-check inline because its closed form is only trustworthy when it
-agrees with the exact cylinder ratios.
+agrees with the exact cylinder ratios.  The pair table :data:`PAIRS` holds,
+for each supported (system, target) pair, its exact measure and its rule.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -25,9 +27,34 @@ from .compound import (
     pa_pmf,
     poisson_pmf,
 )
-from .errors import ConvergenceError, SpecError, StructureError
-from .systems import FiniteMarkovSpec, IntervalMapSpec, ProductChainSpec, sync_kernel
-from .targets import sign_cylinder_measure
+from .errors import ConvergenceError, SpecError, StructureError, UnsupportedPairError
+from .systems import (
+    DoeblinChainSpec,
+    FactorProductSpec,
+    FiniteMarkovSpec,
+    HouseOfCardsSpec,
+    IntervalMapSpec,
+    ProductChainSpec,
+    RegenerativeSpec,
+    interval_map_invariant,
+    itinerary_chain,
+    sync_kernel,
+)
+from .targets import (
+    CylinderTarget,
+    GeoDiagonalTarget,
+    HalfLineTarget,
+    RunLengthTarget,
+    SignCylinderTarget,
+    SyncCylinderTarget,
+    half_line_measure,
+    interval_cylinder_measure,
+    markov_cylinder_measure,
+    run_length_measure,
+    sign_cylinder_measure,
+    strip_measure,
+    sync_measure,
+)
 
 FAMILY_PA = "polya-aeppli"
 FAMILY_POISSON = "poisson"
@@ -375,8 +402,6 @@ def geometric_alpha_sequence(spec: IntervalMapSpec, kmax: int) -> list:
     """
     if kmax < 0:
         raise SpecError("kmax must be >= 0")
-    from .systems import interval_map_invariant
-
     h = interval_map_invariant(spec)
     lengths = spec.cell_lengths()
     cells = spec.n_cells
@@ -649,3 +674,92 @@ def renewal_ratio_sequence(spec, n_values) -> np.ndarray:
     # log H(n) for n = 0..n_max+1 via a reversed running logsumexp
     log_h = np.logaddexp.accumulate(log_g[::-1])[::-1]
     return np.exp(log_h[n_values + 1] - log_h[n_values])
+
+
+# ---------------------------------------------------------------------------
+# the (system, target) pair table: exact measure and prediction rule per pair
+# ---------------------------------------------------------------------------
+
+
+class Pair(NamedTuple):
+    """One supported pair.  ``measure(system, target)`` is the exact
+    stationary measure, or None where the formula does not cover the
+    parameters (Monte Carlo then stands in); ``method`` names it in reports.
+    ``predict(system, target, t)`` is the predicted visit law."""
+
+    name: str
+    method: str
+    measure: Callable
+    predict: Callable
+
+
+def _predict_run_length(system: HouseOfCardsSpec, target, t: float) -> PredictionResult:
+    if system.kind == "alternating":
+        raise UnsupportedPairError(
+            "alternating reset probabilities have no limiting visit law "
+            "(the run-measure ratios oscillate); simulate instead"
+        )
+    # constant: (r,); drifting: (r_limit, c) — the limit drives the law
+    return predict_house_of_cards(system.params[0], t)
+
+
+def _predict_half_line(system: RegenerativeSpec, target, t: float) -> PredictionResult:
+    if system.length_model == "shared":
+        return predict_regenerative(system.shared_q, t)
+    return predict_regenerative_entries(system, target.n, t)
+
+
+def _predict_markov_cylinder(chain: FiniteMarkovSpec, target, t: float) -> PredictionResult:
+    m = word_overlap_period(target.word)
+    if m < len(target.word):
+        return predict_periodic_cylinder(chain, target.word[:m], t)
+    return predict_poisson(t, "non-self-overlapping word: isolated visits")
+
+
+def _predict_sign_cylinder(system: FactorProductSpec, target, t: float) -> PredictionResult:
+    m = word_overlap_period(target.word)
+    if m < len(target.word):
+        return predict_furstenberg(system.plus_prob, target.word[:m], t)
+    return predict_poisson(t, "non-self-overlapping sign word: isolated visits")
+
+
+PAIRS = {
+    (HouseOfCardsSpec, RunLengthTarget): Pair(
+        "house-of-cards + run-length", "exact:survival-sum", run_length_measure, _predict_run_length
+    ),
+    (RegenerativeSpec, HalfLineTarget): Pair(
+        "regenerative + half-line", "exact:length-biased-tail", half_line_measure, _predict_half_line
+    ),
+    (FiniteMarkovSpec, CylinderTarget): Pair(
+        "markov + cylinder", "exact:path-product", markov_cylinder_measure, _predict_markov_cylinder
+    ),
+    (IntervalMapSpec, CylinderTarget): Pair(
+        "interval-map + cylinder", "exact:invariant-density",
+        lambda system, target: float(interval_cylinder_measure(system, target.word)),
+        lambda system, target, t: _predict_markov_cylinder(itinerary_chain(system), target, t),
+    ),
+    (ProductChainSpec, SyncCylinderTarget): Pair(
+        "product-chain + sync-cylinder", "exact:diagonal-iteration", sync_measure,
+        lambda system, target, t: predict_sync_markov(sync_kernel(system), t),
+    ),
+    (DoeblinChainSpec, GeoDiagonalTarget): Pair(
+        "doeblin + geo-diagonal", "exact:strip-area", strip_measure,
+        lambda system, target, t: predict_poisson(t, "uniformly contracting pair: isolated visits"),
+    ),
+    (FactorProductSpec, SignCylinderTarget): Pair(
+        "sign-product + sign-cylinder", "exact:sign-lift",
+        lambda system, target: float(sign_cylinder_measure(system.plus_prob, target.word)),
+        _predict_sign_cylinder,
+    ),
+}
+
+
+def predict_for(system, target, t: float) -> PredictionResult:
+    """Closed-form visit-law prediction for a (system, target) pair."""
+    pair = PAIRS.get((type(system), type(target)))
+    if pair is None:
+        raise UnsupportedPairError(
+            f"no prediction rule for {type(system).__name__} + {type(target).__name__}; "
+            f"supported pairs: {', '.join(p.name for p in PAIRS.values())}"
+        )
+    return pair.predict(system, target, t)

@@ -16,6 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -30,21 +31,8 @@ from .errors import (
     InsufficientDataError,
     ResourceLimitError,
     SpecError,
-    UnsupportedPairError,
 )
-from .predictions import (
-    PredictionResult,
-    SteinBracketInputs,
-    predict_furstenberg,
-    predict_house_of_cards,
-    predict_periodic_cylinder,
-    predict_poisson,
-    predict_regenerative,
-    predict_regenerative_entries,
-    predict_sync_markov,
-    stein_bracket,
-    word_overlap_period,
-)
+from .predictions import PredictionResult, SteinBracketInputs, predict_for, stein_bracket
 from .stats import (
     ClusterStats,
     WSampleSet,
@@ -56,30 +44,8 @@ from .stats import (
     estimate_lambda_tilde,
     kac_horizon,
 )
-from .systems import (
-    DoeblinChainSpec,
-    FactorProductSpec,
-    FiniteMarkovSpec,
-    HouseOfCardsSpec,
-    IntervalMapSpec,
-    ProductChainSpec,
-    RegenerativeSpec,
-    interval_itinerary,
-    sample_paths,
-    sync_kernel,
-    trajectory_rngs,
-)
-from .targets import (
-    CylinderTarget,
-    GeoDiagonalTarget,
-    HalfLineTarget,
-    RunLengthTarget,
-    SignCylinderTarget,
-    SyncCylinderTarget,
-    hits,
-    measure,
-    outer_measures,
-)
+from .systems import sample_paths, trajectory_rngs
+from .targets import hits, measure, outer_measures
 
 _BLOCK = 4096
 _STEP_GUARD = 10_000_000_000  # total simulated steps per sweep value
@@ -89,79 +55,33 @@ _CHUNK_ELEMS = 1 << 22
 _STREAM_ALPHA = 2**49
 _STREAM_TV = 2**50
 
-_SUPPORTED_PAIRS = (
-    "house-of-cards + run-length",
-    "regenerative + half-line",
-    "markov + cylinder",
-    "product-chain + sync-cylinder",
-    "doeblin + geo-diagonal",
-    "sign-product + sign-cylinder",
-)
 
-
-def predict_for(system, target, t: float) -> PredictionResult:
-    """Closed-form visit-law prediction for a (system, target) pair."""
-    if isinstance(system, HouseOfCardsSpec) and isinstance(target, RunLengthTarget):
-        if system.kind == "alternating":
-            raise UnsupportedPairError(
-                "alternating reset probabilities have no limiting visit law "
-                "(the run-measure ratios oscillate); simulate instead"
-            )
-        # constant: (r,); drifting: (r_limit, c) — the limit drives the law
-        return predict_house_of_cards(system.params[0], t)
-    if isinstance(system, RegenerativeSpec) and isinstance(target, HalfLineTarget):
-        if system.length_model == "shared":
-            return predict_regenerative(system.shared_q, t)
-        return predict_regenerative_entries(system, target.n, t)
-    if isinstance(system, FiniteMarkovSpec) and isinstance(target, CylinderTarget):
-        m = word_overlap_period(target.word)
-        if m < len(target.word):
-            return predict_periodic_cylinder(system, target.word[:m], t)
-        return predict_poisson(t, "non-self-overlapping word: isolated visits")
-    if isinstance(system, ProductChainSpec) and isinstance(target, SyncCylinderTarget):
-        return predict_sync_markov(sync_kernel(system), t)
-    if isinstance(system, DoeblinChainSpec) and isinstance(target, GeoDiagonalTarget):
-        return predict_poisson(t, "uniformly contracting pair: isolated visits")
-    if isinstance(system, FactorProductSpec) and isinstance(target, SignCylinderTarget):
-        m = word_overlap_period(target.word)
-        if m < len(target.word):
-            return predict_furstenberg(system.plus_prob, target.word[:m], t)
-        return predict_poisson(t, "non-self-overlapping sign word: isolated visits")
-    raise UnsupportedPairError(
-        f"no prediction rule for {type(system).__name__} + {type(target).__name__}; "
-        f"supported pairs: {', '.join(_SUPPORTED_PAIRS)}"
-    )
-
-
-def _observable(system, target, paths):
-    """Convert raw paths to whatever the target's indicators consume."""
-    if isinstance(system, IntervalMapSpec) and isinstance(target, CylinderTarget):
-        return interval_itinerary(system, paths)
-    return paths
+def _merge_ranges(parts):
+    """Merge the (W samples, cluster stats or None) of consecutive trajectory ranges."""
+    w_all, stats_all = parts[0]
+    for w_part, st_part in parts[1:]:
+        w_all = w_all.merge(w_part)
+        if stats_all is not None:
+            stats_all = stats_all.merge(st_part)
+    return w_all, stats_all
 
 
 def _simulate_block(args):
     (system, target, seed, start, count, path_len, ext_horizon, horizon,
      window_f, window_k, cap) = args
     rows_per = max(1, _CHUNK_ELEMS // max(path_len, 1))
-    w_parts = []
-    stats_acc = None
+    parts = []
     for off in range(0, count, rows_per):
         take = min(rows_per, count - off)
         paths = sample_paths(system, path_len, trajectory_rngs(seed, start + off, take))
-        ind = hits(_observable(system, target, paths), target, ext_horizon)
-        w_parts.append(collect_w(ind, horizon, start_index=start + off))
-        if window_f is not None:
-            st = collect_cluster_stats(
-                ind, window_f, window_k, cap=cap, start_index=start + off
-            )
-            stats_acc = st if stats_acc is None else stats_acc.merge(st)
+        ind = hits(paths, target, ext_horizon)
+        stats = None if window_f is None else collect_cluster_stats(
+            ind, window_f, window_k, cap=cap, start_index=start + off
+        )
+        parts.append((collect_w(ind, horizon, start_index=start + off), stats))
         # free this chunk's arrays before the next chunk is sampled
         del paths, ind
-    w_all = w_parts[0]
-    for part in w_parts[1:]:
-        w_all = w_all.merge(part)
-    return start, w_all, stats_acc
+    return _merge_ranges(parts)
 
 
 def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
@@ -186,16 +106,16 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
     if workers == 1:
         results = [_simulate_block(b) for b in blocks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_block, blocks, chunksize=1))
-    results.sort(key=lambda r: r[0])
-    w_all = results[0][1]
-    stats_all = results[0][2]
-    for _, w_part, st_part in results[1:]:
-        w_all = w_all.merge(w_part)
-        if st_part is not None:
-            stats_all = st_part if stats_all is None else stats_all.merge(st_part)
-    return w_all, stats_all, path_len
+        # pool.map yields the blocks in order, so the ranges merge end to end
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_simulate_block, blocks, chunksize=1))
+        except BrokenProcessPool as exc:
+            raise ResourceLimitError(
+                f"a worker process died ({exc}); it may have run out of memory, "
+                "so retry with fewer workers (--jobs) or samples"
+            ) from exc
+    return (*_merge_ranges(results), path_len)
 
 
 def _derived_seed(root_seed: int, stream: int, index: int) -> int:

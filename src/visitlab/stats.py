@@ -1,9 +1,10 @@
 """Empirical visit statistics: W samples, cluster windows, and ratio estimators.
 
-Accumulators are value objects keyed by trajectory index, so merging partial
-results from parallel workers is exact, order-free, and reproducible.  All
-estimators are ratios of integer counts; standard errors come from a block
-bootstrap with the trajectory as the block.
+Accumulators are value objects over one contiguous range of trajectory
+indices.  Partial results from blocks and workers merge end to end, in index
+order, by concatenation, which is exact and reproducible.  All estimators
+are ratios of integer counts; standard errors come from a block bootstrap
+with the trajectory as the block.
 """
 
 from __future__ import annotations
@@ -27,9 +28,16 @@ def kac_horizon(t: float, mu_value: float) -> int:
     return int(np.floor(t / mu_value))
 
 
+def _require_range(idx: np.ndarray) -> None:
+    """Reject indices that are not one ascending contiguous range; a merge
+    across a gap, an overlap or in the wrong order fails here."""
+    if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
+        raise SpecError("trajectory indices must form one ascending contiguous range")
+
+
 @dataclass(frozen=True)
 class WSampleSet:
-    """Per-trajectory visit counts, keyed by trajectory index."""
+    """Visit counts of one contiguous, ascending range of trajectories."""
 
     indices: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -39,8 +47,7 @@ class WSampleSet:
         val = np.asarray(self.values, dtype=np.int64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise SpecError("indices and values must be equal-length vectors")
-        if idx.size != np.unique(idx).size:
-            raise SpecError("duplicate trajectory indices in a W sample set")
+        _require_range(idx)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
 
@@ -56,10 +63,9 @@ class WSampleSet:
         return {int(k): int(c) for k, c in enumerate(b) if c > 0}
 
     def merge(self, other: "WSampleSet") -> "WSampleSet":
+        """This range followed by ``other``, which must start where it ends."""
         idx = np.concatenate([self.indices, other.indices])
-        val = np.concatenate([self.values, other.values])
-        order = np.argsort(idx, kind="stable")
-        return WSampleSet(idx[order], val[order])
+        return WSampleSet(idx, np.concatenate([self.values, other.values]))
 
     @classmethod
     def empty(cls) -> "WSampleSet":
@@ -109,7 +115,8 @@ def count_visits(stream, target, t: float, mu) -> int:
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Histogram rows per trajectory for the three window statistics.
+    """Histogram rows for the three window statistics, one per trajectory of
+    one contiguous, ascending range.
 
     after_l[i, j]: hits with exactly j further hits in the next window_l steps
     (j capped; the last column collects overflow).  after_k is the same with
@@ -126,6 +133,7 @@ class ClusterStats:
     cap: int
 
     def __post_init__(self):
+        _require_range(self.indices)
         n = self.indices.size
         for name in ("after_l", "after_k", "around"):
             a = getattr(self, name)
@@ -133,21 +141,18 @@ class ClusterStats:
                 raise SpecError(f"{name} must have shape (n, cap + 1)")
 
     def merge(self, other: "ClusterStats") -> "ClusterStats":
+        """This range followed by ``other``, which must start where it ends."""
         if (self.window_l, self.window_k, self.cap) != (
             other.window_l,
             other.window_k,
             other.cap,
         ):
             raise SpecError("cannot merge cluster stats with different windows")
-        idx = np.concatenate([self.indices, other.indices])
-        if idx.size != np.unique(idx).size:
-            raise SpecError("duplicate trajectory indices in a merge")
-        order = np.argsort(idx, kind="stable")
         return ClusterStats(
-            idx[order],
-            np.concatenate([self.after_l, other.after_l])[order],
-            np.concatenate([self.after_k, other.after_k])[order],
-            np.concatenate([self.around, other.around])[order],
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.after_l, other.after_l]),
+            np.concatenate([self.after_k, other.after_k]),
+            np.concatenate([self.around, other.around]),
             self.window_l,
             self.window_k,
             self.cap,

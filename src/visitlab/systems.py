@@ -22,7 +22,7 @@ ProductChainSpec
     (entrywise-min diagonal) coupling, or the sticky parametrized coupling.
 IntervalMapSpec
     Piecewise-linear expanding Markov interval map with exact rational
-    invariant density.
+    invariant density, sampled as its cell itinerary.
 DoeblinChainSpec
     Circle chain with transition density 1 + eta * cos(2*pi*(y - x)).
 FactorProductSpec
@@ -31,6 +31,7 @@ FactorProductSpec
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -289,19 +290,19 @@ def hoc_stationary(
     )
 
 
-def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rng, init: int | None = None):
+def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rng, carry: int | None = None):
     """n states of a stationary path; returns (states, carry=last state).
 
-    With ``init=None`` the draw pattern is one uniform for the stationary
+    With ``carry=None`` the draw pattern is one uniform for the stationary
     start plus n - 1 reset uniforms, and the start itself is emitted first.
-    With ``init`` given (stream continuation) all n states are fresh steps
-    from ``init`` and n reset uniforms are drawn.  The ``constant`` family
+    With ``carry`` given (stream continuation) all n states are fresh steps
+    from ``carry`` and n reset uniforms are drawn.  The ``constant`` family
     uses a vectorised reset-anchor scan; other families step sequentially.
     """
     rng = as_rng(rng)
     if n < 1:
         raise SpecError("path length must be >= 1")
-    continuing = init is not None
+    init, continuing = carry, carry is not None
     if not continuing:
         law = _hoc_law_cache(spec)
         cdf = np.cumsum(law.probs)
@@ -433,31 +434,40 @@ def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
     return pi
 
 
-def sample_markov(spec: FiniteMarkovSpec, n: int, rng, init: int | None = None):
-    """n states of a stationary path; (states, carry=last state).
+def _step_path(rng, n: int, stationary: np.ndarray, matrix: np.ndarray, carry):
+    """Inverse-CDF path of one finite chain; (states, carry=last state).
 
-    Always draws n uniforms.  With ``init=None`` the first uniform selects
-    the stationary start (which is emitted); with ``init`` given (stream
-    continuation) every uniform drives a fresh step from ``init``.
+    Always draws n uniforms.  With ``carry=None`` the first uniform selects
+    the start from ``stationary`` (and the start is emitted); with a carried
+    state every uniform drives a fresh step from it.
     """
     rng = as_rng(rng)
     if n < 1:
         raise SpecError("path length must be >= 1")
     u = rng.random(n)
-    cum = np.cumsum(spec.matrix, axis=1)
+    cum = np.cumsum(matrix, axis=1)
     cum[:, -1] = 1.0
     states = np.empty(n, dtype=np.int64)
-    if init is None:
-        cdf = np.cumsum(markov_stationary(spec))
+    if carry is None:
+        cdf = np.cumsum(stationary)
         cdf[-1] = 1.0
         states[0] = int(np.searchsorted(cdf, u[0], side="right"))
     else:
-        states[0] = int(np.searchsorted(cum[init], u[0], side="right"))
+        states[0] = int(np.searchsorted(cum[carry], u[0], side="right"))
     x = int(states[0])
     for j in range(1, n):
         x = int(np.searchsorted(cum[x], u[j], side="right"))
         states[j] = x
-    return states, int(states[-1])
+    return states, x
+
+
+def sample_markov(spec: FiniteMarkovSpec, n: int, rng, carry: int | None = None):
+    """n states of a stationary path; (states, carry=last state).
+
+    Always draws n uniforms: the first selects the stationary start (which
+    is emitted), or with ``carry`` given every uniform steps from it.
+    """
+    return _step_path(rng, n, markov_stationary(spec), spec.matrix, carry)
 
 
 def sample_markov_batch(spec: FiniteMarkovSpec, n: int, rngs) -> np.ndarray:
@@ -668,30 +678,15 @@ def pair_stationary(spec: ProductChainSpec) -> np.ndarray:
     return markov_stationary(pair_kernel(spec))
 
 
-def sample_product_chain(spec: ProductChainSpec, n: int, rng, init: int | None = None):
+def sample_product_chain(spec: ProductChainSpec, n: int, rng, carry: int | None = None):
     """n steps of the coupled chain, shape (n, n_chains); (states, carry).
 
-    Always draws n uniforms; with ``init=None`` the first selects the initial
-    tuple from the coupled stationary law (and is emitted), otherwise every
-    uniform drives a fresh step from the carried encoded state.
+    Draws like :func:`sample_markov` on the pair kernel: the first of n
+    uniforms selects the initial tuple from the coupled stationary law, or
+    with ``carry`` (an encoded tuple) every uniform steps from it.
     """
-    rng = as_rng(rng)
-    kernel = pair_kernel(spec)
-    cum = np.cumsum(kernel, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(n)
-    codes = np.empty(n, dtype=np.int64)
-    if init is None:
-        cdf = np.cumsum(pair_stationary(spec))
-        cdf[-1] = 1.0
-        codes[0] = int(np.searchsorted(cdf, u[0], side="right"))
-    else:
-        codes[0] = int(np.searchsorted(cum[init], u[0], side="right"))
-    x = int(codes[0])
-    for j in range(1, n):
-        x = int(np.searchsorted(cum[x], u[j], side="right"))
-        codes[j] = x
-    return decode_states(codes, spec.n_states, spec.n_chains), int(codes[-1])
+    codes, last = _step_path(rng, n, pair_stationary(spec), pair_kernel(spec), carry)
+    return decode_states(codes, spec.n_states, spec.n_chains), last
 
 
 def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarray:
@@ -908,7 +903,6 @@ class IntervalMapSpec:
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", icepts)
-        object.__setattr__(self, "_float_breaks", np.array([float(b) for b in breaks]))
 
     @property
     def n_cells(self) -> int:
@@ -925,11 +919,12 @@ class IntervalMapSpec:
         return lo <= self.breaks[j] and self.breaks[j + 1] <= hi
 
     def transition_matrix_exact(self) -> list:
-        """Symbol-chain transition matrix as exact Fractions.
+        """Density transfer matrix Q as exact Fractions.
 
-        Row i gives 1/|slope_i| to every cell covered by branch i; rows sum
-        to 1 because branch images are unions of cells of total length
-        |slope_i| * (cell i length) ... scaled back by the slope.
+        Row i gives 1/|slope_i| to every cell covered by branch i, so a
+        density constant on cells maps as h -> h Q and the invariant density
+        solves h Q = h.  Rows sum to 1 only when all cells have equal length;
+        the itinerary's transition matrix is :meth:`itinerary_matrix_exact`.
         """
         lengths = self.cell_lengths()
         out = []
@@ -945,14 +940,22 @@ class IntervalMapSpec:
             out.append(row)
         return out
 
-    def transition_matrix(self) -> np.ndarray:
-        return np.array(
-            [[float(v) for v in row] for row in self.transition_matrix_exact()]
-        )
+    def itinerary_matrix_exact(self) -> list:
+        """Transition matrix of the cell itinerary as exact Fractions.
+
+        Started from the invariant density (constant on cells), the point is
+        uniform on its cell, so its image is uniform on the cells branch i
+        covers: P(i, j) = |cell_j| / (|slope_i| * |cell_i|).  Rows sum to 1.
+        """
+        lengths = self.cell_lengths()
+        return [
+            [q * lengths[j] / lengths[i] for j, q in enumerate(row)]
+            for i, row in enumerate(self.transition_matrix_exact())
+        ]
 
 
 def _solve_left_eigvec_exact(rows: list) -> list:
-    """Exact left fixed vector h Q = h of a rational stochastic matrix."""
+    """Exact left fixed vector h Q = h of a rational matrix, entries summing to 1."""
     m = len(rows)
     # build (Q^T - I) with an appended normalisation row, solve by Gauss
     a = [[rows[j][i] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
@@ -977,7 +980,7 @@ def interval_map_invariant(spec: IntervalMapSpec) -> tuple:
     """Exact piecewise-constant invariant density (one Fraction per cell),
     normalised so that sum_i h_i * |cell_i| = 1."""
     q = spec.transition_matrix_exact()
-    _require_strongly_connected(spec.transition_matrix())
+    _require_strongly_connected(np.array(q, dtype=float))
     h = _solve_left_eigvec_exact(q)
     total = sum(hi * li for hi, li in zip(h, spec.cell_lengths()))
     h = [hi / total for hi in h]
@@ -992,70 +995,32 @@ def interval_symbol_stationary(spec: IntervalMapSpec) -> tuple:
     return tuple(hi * li for hi, li in zip(h, spec.cell_lengths()))
 
 
-def sample_interval_map(spec: IntervalMapSpec, n: int, rng, x0: float | None = None):
-    """n orbit points (floats in [0,1)); (orbit, carry=last point).
+@functools.cache
+def _itinerary(spec: IntervalMapSpec) -> tuple:
+    """(stationary start as floats, itinerary chain) of an interval map."""
+    start = np.array(interval_symbol_stationary(spec), dtype=float)
+    return start, FiniteMarkovSpec(np.array(spec.itinerary_matrix_exact(), dtype=float))
 
-    Draw pattern: two uniforms select the stationary start (cell by exact
-    invariant mass, then position within the cell); the orbit itself is
-    deterministic.  With ``x0`` given (stream continuation) no uniforms are
-    drawn and the first emitted point is the image of ``x0``.
+
+def itinerary_chain(spec: IntervalMapSpec) -> FiniteMarkovSpec:
+    """The finite Markov chain that the cell itinerary of ``spec`` follows."""
+    return _itinerary(spec)[1]
+
+
+def sample_itinerary(spec: IntervalMapSpec, n: int, rng, carry: int | None = None):
+    """n cells of a stationary orbit's itinerary; (cells, carry=last cell).
+
+    Draws like :func:`sample_markov` on :func:`itinerary_chain`, started
+    from the exact :func:`interval_symbol_stationary` law.
     """
-    rng = as_rng(rng)
-    if n < 1:
-        raise SpecError("path length must be >= 1")
-    bf = spec._float_breaks
-    slopes = np.array([float(s) for s in spec.slopes])
-    icepts = np.array([float(c) for c in spec.intercepts])
-    top = np.nextafter(1.0, 0.0)
-    inner = bf[1:-1]
-
-    def step(x):
-        cell = int(np.searchsorted(inner, x, side="right"))
-        return min(max(slopes[cell] * x + icepts[cell], 0.0), top)
-
-    if x0 is None:
-        u, v = rng.random(2)
-        masses = np.array([float(p) for p in interval_symbol_stationary(spec)])
-        cdf = np.cumsum(masses)
-        cdf[-1] = 1.0
-        cell = int(np.searchsorted(cdf, u, side="right"))
-        x = bf[cell] + v * (bf[cell + 1] - bf[cell])
-    else:
-        x = step(float(x0))
-    xs = np.empty(n)
-    for j in range(n):
-        xs[j] = x
-        x = step(x)
-    return xs, float(xs[-1])
+    start, chain = _itinerary(spec)
+    return _step_path(rng, n, start, chain.matrix, carry)
 
 
-def sample_interval_map_batch(spec: IntervalMapSpec, n: int, rngs) -> np.ndarray:
-    """Orbit matrix, one per-row generator; rows equal solo orbits."""
-    rows = len(rngs)
-    u = np.empty((rows, 2))
-    for i, rng in enumerate(rngs):
-        u[i] = rng.random(2)
-    bf = spec._float_breaks
-    slopes = np.array([float(s) for s in spec.slopes])
-    icepts = np.array([float(c) for c in spec.intercepts])
-    masses = np.array([float(p) for p in interval_symbol_stationary(spec)])
-    cdf = np.cumsum(masses)
-    cdf[-1] = 1.0
-    cells = np.searchsorted(cdf, u[:, 0], side="right")
-    x = bf[cells] + u[:, 1] * (bf[cells + 1] - bf[cells])
-    xs = np.empty((rows, n))
-    top = np.nextafter(1.0, 0.0)
-    inner = bf[1:-1]
-    for t in range(n):
-        xs[:, t] = x
-        cell = np.searchsorted(inner, x, side="right")
-        x = np.clip(slopes[cell] * x + icepts[cell], 0.0, top)
-    return xs
-
-
-def interval_itinerary(spec: IntervalMapSpec, orbit: np.ndarray) -> np.ndarray:
-    """Cell indices visited by an orbit array."""
-    return np.searchsorted(spec._float_breaks[1:-1], orbit, side="right").astype(np.int64)
+def sample_itinerary_batch(spec: IntervalMapSpec, n: int, rngs) -> np.ndarray:
+    """Batch version of :func:`sample_itinerary`; rows equal solo paths."""
+    start, chain = _itinerary(spec)
+    return _step_columns(rngs, n, start, chain.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -1195,84 +1160,75 @@ def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.nda
 # ---------------------------------------------------------------------------
 
 
+def _solo_rows(solo, spec, n: int, rngs) -> np.ndarray:
+    return np.stack([solo(spec, n, rng)[0] for rng in rngs])
+
+
+def _house_of_cards_rows(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
+    """Constant resets take the batch scan; other families step row by row."""
+    if spec.kind == "constant":
+        return sample_house_of_cards_batch(spec, n, rngs)
+    return _solo_rows(sample_house_of_cards, spec, n, rngs)
+
+
+# (solo, batch) per system type: solo(spec, n, rng, carry=None) returns
+# (path, carry), and the carry passed back continues the stream; batch(spec,
+# n, rngs), where one exists, returns rows equal to solo(spec, n, rngs[i])[0]
+_SAMPLERS = {
+    HouseOfCardsSpec: (sample_house_of_cards, _house_of_cards_rows),
+    FiniteMarkovSpec: (sample_markov, sample_markov_batch),
+    ProductChainSpec: (sample_product_chain, sample_product_chain_batch),
+    RegenerativeSpec: (sample_regenerative, None),
+    IntervalMapSpec: (sample_itinerary, sample_itinerary_batch),
+    DoeblinChainSpec: (sample_doeblin, None),
+    FactorProductSpec: (sample_factor_product, sample_factor_product_batch),
+}
+
+
+def _sampler(spec) -> tuple:
+    try:
+        return _SAMPLERS[type(spec)]
+    except KeyError:
+        raise SpecError(f"unknown system spec {type(spec).__name__}") from None
+
+
 def sample_path(spec, n: int, rng):
-    """Single stationary path for any system spec (dispatch helper)."""
-    if isinstance(spec, HouseOfCardsSpec):
-        return sample_house_of_cards(spec, n, rng)[0]
-    if isinstance(spec, FiniteMarkovSpec):
-        return sample_markov(spec, n, rng)[0]
-    if isinstance(spec, ProductChainSpec):
-        return sample_product_chain(spec, n, rng)[0]
-    if isinstance(spec, RegenerativeSpec):
-        return sample_regenerative(spec, n, rng)[0]
-    if isinstance(spec, IntervalMapSpec):
-        return sample_interval_map(spec, n, rng)[0]
-    if isinstance(spec, DoeblinChainSpec):
-        return sample_doeblin(spec, n, rng)[0]
-    if isinstance(spec, FactorProductSpec):
-        return sample_factor_product(spec, n, rng)[0]
-    raise SpecError(f"unknown system spec {type(spec).__name__}")
+    """Single stationary path for any system spec."""
+    return _sampler(spec)[0](spec, n, rng)[0]
 
 
 def sample_paths(spec, n: int, rngs) -> np.ndarray:
     """Stationary paths for many trajectories (one generator per row).
 
-    Returns a C-contiguous array whose row i always equals
-    ``sample_path(spec, n, rngs[i])``: ``(rows, n)``, or ``(rows, n,
-    n_chains)`` for product chains.  These systems take a vectorised batch
-    route with identical per-row draws: finite Markov chains, product
-    chains, interval maps, constant-reset house-of-cards chains and sign
-    products.  Drifting and alternating house-of-cards chains, regenerative
-    processes and Doeblin chains run the solo sampler row by row.
+    Returns an array whose row i always equals ``sample_path(spec, n,
+    rngs[i])``: ``(rows, n)``, or ``(rows, n, n_chains)`` for product chains
+    and Doeblin chains.  Systems with a batch sampler in the sampler table
+    (finite Markov and product chains, interval maps through their cell
+    itinerary, constant-reset house-of-cards chains and sign products)
+    return it C-contiguous, with the same per-row draws; the others
+    (drifting and alternating house-of-cards chains, regenerative processes
+    and Doeblin chains) run the solo sampler row by row.
     """
-    if isinstance(spec, HouseOfCardsSpec) and spec.kind == "constant":
-        return sample_house_of_cards_batch(spec, n, rngs)
-    if isinstance(spec, FactorProductSpec):
-        return sample_factor_product_batch(spec, n, rngs)
-    if isinstance(spec, FiniteMarkovSpec):
-        return sample_markov_batch(spec, n, rngs)
-    if isinstance(spec, ProductChainSpec):
-        return sample_product_chain_batch(spec, n, rngs)
-    if isinstance(spec, IntervalMapSpec):
-        return sample_interval_map_batch(spec, n, rngs)
-    rows = [sample_path(spec, n, rng) for rng in rngs]
-    return np.stack(rows)
+    solo, batch = _sampler(spec)
+    if batch is None:
+        return _solo_rows(solo, spec, n, rngs)
+    return batch(spec, n, rngs)
 
 
 class SymbolStream:
     """Resumable stationary stream over any system spec.
 
-    ``take(k)`` returns the next k states (symbols, tuples, or points
+    ``take(k)`` returns the next k states (symbols, tuples, points or cells
     depending on the system).  Two streams with equal spec, seed, and call
     pattern yield identical output.
     """
 
     def __init__(self, spec, seed):
         self.spec = spec
+        self._solo = _sampler(spec)[0]
         self._rng = as_rng(seed)
         self._carry = None
-        self._started = False
 
     def take(self, k: int) -> np.ndarray:
-        if k < 1:
-            raise SpecError("take() needs k >= 1")
-        spec = self.spec
-        carry = self._carry if self._started else None
-        if isinstance(spec, HouseOfCardsSpec):
-            out, self._carry = sample_house_of_cards(spec, k, self._rng, init=carry)
-        elif isinstance(spec, FiniteMarkovSpec):
-            out, self._carry = sample_markov(spec, k, self._rng, init=carry)
-        elif isinstance(spec, ProductChainSpec):
-            out, self._carry = sample_product_chain(spec, k, self._rng, init=carry)
-        elif isinstance(spec, RegenerativeSpec):
-            out, self._carry = sample_regenerative(spec, k, self._rng, carry=carry)
-        elif isinstance(spec, IntervalMapSpec):
-            out, self._carry = sample_interval_map(spec, k, self._rng, x0=carry)
-        elif isinstance(spec, DoeblinChainSpec):
-            out, self._carry = sample_doeblin(spec, k, self._rng, carry=carry)
-        elif isinstance(spec, FactorProductSpec):
-            out, self._carry = sample_factor_product(spec, k, self._rng, carry=carry)
-        else:
-            raise SpecError(f"unknown system spec {type(spec).__name__}")
-        self._started = True
+        out, self._carry = self._solo(self.spec, k, self._rng, carry=self._carry)
         return out

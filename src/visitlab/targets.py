@@ -2,8 +2,10 @@
 
 Each target turns a batch of stationary paths into a boolean indicator array
 (one column per window start).  Where the (system, target) pair admits a
-closed-form stationary measure the module evaluates it exactly; otherwise a
-seeded Monte Carlo fallback reports a standard error alongside the value.
+closed-form stationary measure the module evaluates it exactly (the pair
+table, ``predictions.PAIRS``, says which formula serves which pair);
+otherwise a seeded Monte Carlo fallback reports a standard error alongside
+the value.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ import numpy as np
 from .errors import InsufficientDataError, SpecError, StructureError
 from .systems import (
     DoeblinChainSpec,
-    FactorProductSpec,
     FiniteMarkovSpec,
     HouseOfCardsSpec,
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
     hoc_stationary,
-    interval_itinerary,
     interval_map_invariant,
     markov_stationary,
     pair_stationary,
@@ -169,16 +169,6 @@ class GeoDiagonalTarget:
         return ok
 
 
-TARGET_KINDS = (
-    RunLengthTarget,
-    HalfLineTarget,
-    CylinderTarget,
-    SignCylinderTarget,
-    SyncCylinderTarget,
-    GeoDiagonalTarget,
-)
-
-
 def _window_all(mask: np.ndarray, w: int) -> np.ndarray:
     """All-true test over every length-w window of a boolean array.
 
@@ -290,52 +280,64 @@ def interval_cylinder_measure(spec: IntervalMapSpec, word) -> Fraction:
     return h[word[0]] * lam
 
 
+def half_line_measure(system: RegenerativeSpec, target: HalfLineTarget) -> float:
+    """Length-biased probability of the symbols >= n."""
+    pbar = system.stationary_symbol_probs()
+    mask = np.asarray(system.symbols) >= target.n
+    return float(pbar[mask].sum())
+
+
+def markov_cylinder_measure(system: FiniteMarkovSpec, target: CylinderTarget) -> float:
+    """Stationary probability of the word's first letter times its transitions."""
+    pi = markov_stationary(system.matrix)
+    w = target.word
+    if max(w) >= system.n_states:
+        raise StructureError("cylinder word leaves the state alphabet")
+    value = float(pi[w[0]])
+    for a, b in zip(w, w[1:]):
+        value *= float(system.matrix[a, b])
+    return value
+
+
+def strip_measure(system: DoeblinChainSpec, target: GeoDiagonalTarget):
+    """Area of the diagonal strip; None unless there are two chains."""
+    if system.n_chains != 2:
+        return None
+    d = target.delta
+    return 2.0 * d - d * d
+
+
+def _exact_measure(target, system):
+    """The pair table's exact measure, None where it has no formula, an error where it is 0."""
+    from .predictions import PAIRS  # predictions imports this module
+
+    pair = PAIRS.get((type(system), type(target)))
+    value = None if pair is None else pair.measure(system, target)
+    if value is None:
+        return None
+    if not value > 0.0:
+        raise StructureError(
+            f"the target has zero stationary measure ({pair.method} gives {value}); "
+            "no trajectory can ever visit it"
+        )
+    return TargetMeasure(value, 0.0, pair.method)
+
+
 def measure_exact(target, system) -> TargetMeasure:
     """Closed-form stationary measure for a supported (system, target) pair.
 
     Raises SpecError when no formula is known; see :func:`measure` for the
     Monte Carlo fallback.
     """
-    if isinstance(system, HouseOfCardsSpec) and isinstance(target, RunLengthTarget):
-        return TargetMeasure(_hoc_run_measure(system, target), 0.0, "exact:survival-sum")
-    if isinstance(system, RegenerativeSpec) and isinstance(target, HalfLineTarget):
-        pbar = system.stationary_symbol_probs()
-        mask = np.asarray(system.symbols) >= target.n
-        value = float(pbar[mask].sum())
-        return TargetMeasure(value, 0.0, "exact:length-biased-tail")
-    if isinstance(system, FiniteMarkovSpec) and isinstance(target, CylinderTarget):
-        pi = markov_stationary(system.matrix)
-        w = target.word
-        if max(w) >= system.n_states:
-            raise StructureError("cylinder word leaves the state alphabet")
-        value = float(pi[w[0]])
-        for a, b in zip(w, w[1:]):
-            value *= float(system.matrix[a, b])
-        if value == 0.0:
-            raise StructureError("cylinder word has zero stationary measure")
-        return TargetMeasure(value, 0.0, "exact:path-product")
-    if isinstance(system, IntervalMapSpec) and isinstance(target, CylinderTarget):
-        return TargetMeasure(
-            float(interval_cylinder_measure(system, target.word)),
-            0.0,
-            "exact:invariant-density",
+    exact = _exact_measure(target, system)
+    if exact is None:
+        raise SpecError(
+            f"no exact measure for ({type(system).__name__}, {type(target).__name__})"
         )
-    if isinstance(system, ProductChainSpec) and isinstance(target, SyncCylinderTarget):
-        return TargetMeasure(_sync_measure(system, target.n), 0.0, "exact:diagonal-iteration")
-    if isinstance(system, DoeblinChainSpec) and isinstance(target, GeoDiagonalTarget):
-        if system.n_chains != 2:
-            raise SpecError("closed-form diagonal measure implemented for two chains")
-        d = target.delta
-        return TargetMeasure(2.0 * d - d * d, 0.0, "exact:strip-area")
-    if isinstance(system, FactorProductSpec) and isinstance(target, SignCylinderTarget):
-        value = float(sign_cylinder_measure(system.plus_prob, target.word))
-        return TargetMeasure(value, 0.0, "exact:sign-lift")
-    raise SpecError(
-        f"no exact measure for ({type(system).__name__}, {type(target).__name__})"
-    )
+    return exact
 
 
-def _hoc_run_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> float:
+def run_length_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> float:
     """P(state >= level now and no reset for n further steps), stationary.
 
     Written as sum_s pi(s) * prod_{u=s}^{s+n-1}(1 - r_u) over start states
@@ -360,7 +362,7 @@ def _hoc_run_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> float
     return float(np.dot(law.probs[target.level :], surv))
 
 
-def _sync_measure(system: ProductChainSpec, n: int) -> float:
+def sync_measure(system: ProductChainSpec, target: SyncCylinderTarget) -> float:
     """Probability that all components agree on n consecutive letters."""
     pair = pair_stationary(system)
     m = system.n_states
@@ -368,7 +370,7 @@ def _sync_measure(system: ProductChainSpec, n: int) -> float:
     nu0 = pair[diag_idx]
     d = sync_kernel(system)
     v = np.ones(m)
-    for _ in range(n - 1):
+    for _ in range(target.n - 1):
         v = d @ v
     return float(nu0 @ v)
 
@@ -392,8 +394,6 @@ def measure_mc(target, system, samples: int, seed: int, path_len: int | None = N
     while done < samples:
         m = min(batch, samples - done)
         paths = sample_paths(system, length, trajectory_rngs(seed, _MEASURE_INDEX_BASE + done, m))
-        if isinstance(system, IntervalMapSpec) and isinstance(target, CylinderTarget):
-            paths = interval_itinerary(system, paths)
         ind = target.indicators(paths)
         means[done : done + m] = ind.mean(axis=1)
         done += m
@@ -408,11 +408,13 @@ def measure_mc(target, system, samples: int, seed: int, path_len: int | None = N
 
 
 def measure(target, system, samples: int = 100_000, seed: int = 0) -> TargetMeasure:
-    """Exact measure when a formula exists, Monte Carlo otherwise."""
-    try:
-        return measure_exact(target, system)
-    except SpecError:
-        return measure_mc(target, system, samples, seed)
+    """Exact measure when a formula exists, Monte Carlo otherwise.
+
+    Monte Carlo runs only when the pair has no exact rule, or its rule has
+    no formula for these parameters; errors of an exact rule propagate.
+    """
+    exact = _exact_measure(target, system)
+    return exact if exact is not None else measure_mc(target, system, samples, seed)
 
 
 def outer_target(target, j: int):

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from visitlab import FiniteMarkovSpec, HalfLineTarget, UnsupportedPairError, predict_for, targets
 from visitlab.cli import build_parser, main
+from visitlab.predictions import PAIRS
 
 CONFIG = """\
 experiment:
@@ -155,3 +158,71 @@ def test_seed_override_changes_results(config_path, tmp_path):
     a = _body(tmp_path / "s3" / "compare_report.json")
     b = _body(tmp_path / "s4" / "compare_report.json")
     assert a != b and a["config_hash"] != b["config_hash"]
+
+
+def test_zero_measure_target_exits_three_without_monte_carlo(tmp_path, capsys, monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran for a target whose exact measure is 0")
+
+    monkeypatch.setattr(targets, "measure_mc", no_monte_carlo)
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text(CONFIG.replace("reset: 0.5", "reset: 1"))
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert "zero stationary measure" in capsys.readouterr().err
+
+
+# one tiny config per entry of the pair table
+_PAIR_CONFIGS = {
+    "house-of-cards + run-length": """\
+system: {kind: house-of-cards, reset: 0.5}
+target: {kind: run-length, level: 1, sweep: [3]}
+""",
+    "regenerative + half-line": """\
+system:
+  kind: regenerative
+  symbols: [0, 1, 2]
+  probs: [0.5, 0.3, 0.2]
+  lengths: {model: shared, law: [0.5, 0.3, 0.2]}
+target: {kind: half-line, sweep: [2]}
+""",
+    "markov + cylinder": """\
+system: {kind: markov, matrix: [[0.4, 0.6], [0.2, 0.8]]}
+target: {kind: cylinder, word_cycle: [1], sweep: [3]}
+""",
+    "interval-map + cylinder": """\
+system:
+  kind: interval-map
+  breaks: [0, 1/3, 2/3, 1]
+  slopes: [3, -2, 3]
+  intercepts: [0, 5/3, -2]
+target: {kind: cylinder, word_cycle: [2], sweep: [3]}
+""",
+    "product-chain + sync-cylinder": """\
+system:
+  kind: product-chain
+  components: [[[0.2, 0.8], [0.3, 0.7]], [[0.8, 0.2], [0.1, 0.9]]]
+target: {kind: sync-cylinder, sweep: [2]}
+""",
+    "doeblin + geo-diagonal": """\
+system: {kind: doeblin, eta: 0.5}
+target: {kind: geo-diagonal, sweep: [0.05]}
+""",
+    "sign-product + sign-cylinder": """\
+system: {kind: sign-product, plus_prob: 0.3}
+target: {kind: sign-cylinder, word_cycle: [1], sweep: [4]}
+""",
+}
+
+
+@pytest.mark.parametrize("name", [pair.name for pair in PAIRS.values()])
+def test_every_table_pair_compares(name, tmp_path):
+    cfg = tmp_path / "pair.yaml"
+    cfg.write_text("experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n" + _PAIR_CONFIGS[name])
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) in (0, 2)
+    # the refusal for any other pair lists exactly the table's pairs
+    chain = FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]]))
+    with pytest.raises(UnsupportedPairError) as refused:
+        predict_for(chain, HalfLineTarget(1), 1.0)
+    listed = str(refused.value).split("supported pairs: ")[1].split(", ")
+    assert listed == [pair.name for pair in PAIRS.values()]
+    assert sorted(_PAIR_CONFIGS) == sorted(listed)

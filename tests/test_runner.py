@@ -1,9 +1,11 @@
 import copy
 import json
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from visitlab import (
     ConfigError,
@@ -32,6 +34,7 @@ from visitlab import (
     write_report,
 )
 from visitlab import runner
+from visitlab.cli import main
 
 MATRIX = [[0.4, 0.6], [0.2, 0.8]]
 
@@ -255,6 +258,53 @@ def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samp
     assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
     serial = run_experiment(_cfg(workers=1, samples=samples), "simulate")
     assert report_body(report) == report_body(serial)
+
+
+class _BrokenPool(_SerialPool):
+    """Stand-in for a pool whose worker died."""
+
+    def map(self, fn, items, chunksize=1):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+def test_worker_crash_exits_four(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(HOC_DOC))
+    args = ["simulate", "--config", str(cfg), "--jobs", "2", "--samples", "6000"]
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "worker process died" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "simulate_report.json").exists()
+
+
+DOUBLING_DOC = {
+    "experiment": {"t": 1.0, "samples": 2000, "seed": 1},
+    "system": {
+        "kind": "interval-map",
+        "breaks": [0, "1/2", 1],
+        "slopes": [2, 2],
+        "intercepts": [0, -1],
+    },
+    "target": {"kind": "cylinder", "word": [1] * 6, "sweep": [6]},
+}
+
+
+def test_doubling_map_visit_counts_have_the_kac_mean():
+    report = run_experiment(_cfg(DOUBLING_DOC), "simulate")
+    (entry,) = report["results"]
+    mu = entry["measure"]["value"]
+    assert mu == 2.0**-6 and entry["measure"]["method"] == "exact:invariant-density"
+    assert entry["horizon"] == 64
+    pmf = np.array(entry["empirical"]["pmf"])
+    k = np.arange(pmf.size)
+    se = np.sqrt(pmf @ k**2 - (pmf @ k) ** 2) / np.sqrt(2000)
+    assert abs(entry["empirical"]["w_mean"] - (64 + 1) * mu) < 5.0 * se
+    # the itinerary is a fair coin, so the all-ones word clusters with p = 1/2
+    pred = predict_for(_cfg(DOUBLING_DOC).build_system(), CylinderTarget((1,) * 6), 1.0)
+    assert pred.family == "polya-aeppli" and pred.params["p"] == 0.5
 
 
 def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):

@@ -42,12 +42,21 @@ def test_kac_horizon_floor():
 def test_w_sample_set_counts_and_merge():
     a = WSampleSet(np.array([0, 1, 2]), np.array([0, 2, 2]))
     assert a.counts() == {0: 1, 2: 2}
-    b = WSampleSet(np.array([4, 3]), np.array([1, 0]))
+    b = WSampleSet(np.array([3, 4]), np.array([1, 0]))
     merged = a.merge(b)
     assert merged.indices.tolist() == [0, 1, 2, 3, 4]
-    assert merged.values.tolist() == [0, 2, 2, 0, 1]
+    assert merged.values.tolist() == [0, 2, 2, 1, 0]
+    assert a.merge(WSampleSet.empty()).indices.tolist() == [0, 1, 2]
+    assert WSampleSet.empty().merge(b).indices.tolist() == [3, 4]
+    # only the adjacent range merges: an overlap, a gap and the reverse order fail
     with pytest.raises(SpecError):
         a.merge(WSampleSet(np.array([2]), np.array([9])))
+    with pytest.raises(SpecError):
+        a.merge(WSampleSet(np.array([4]), np.array([9])))
+    with pytest.raises(SpecError):
+        b.merge(a)
+    with pytest.raises(SpecError):
+        WSampleSet(np.array([4, 3]), np.array([1, 0]))
     assert WSampleSet.empty().total == 0
 
 
@@ -103,13 +112,20 @@ def test_cluster_stats_merge_matches_batch():
     whole = collect_cluster_stats(ind, window_l=2, window_k=4, cap=5)
     top = collect_cluster_stats(ind[:2], 2, 4, cap=5, start_index=0)
     bottom = collect_cluster_stats(ind[2:], 2, 4, cap=5, start_index=2)
-    merged = bottom.merge(top)
+    merged = top.merge(bottom)
     assert np.array_equal(merged.after_l, whole.after_l)
     assert np.array_equal(merged.after_k, whole.after_k)
     assert np.array_equal(merged.around, whole.around)
     assert merged.indices.tolist() == list(range(6))
+    # only the adjacent range merges: a gap, an overlap and the reverse order fail
     with pytest.raises(SpecError):
-        top.merge(collect_cluster_stats(ind[:1], 2, 3, cap=5, start_index=9))
+        top.merge(collect_cluster_stats(ind[:1], 2, 4, cap=5, start_index=9))
+    with pytest.raises(SpecError):
+        top.merge(collect_cluster_stats(ind[:1], 2, 4, cap=5, start_index=1))
+    with pytest.raises(SpecError):
+        bottom.merge(top)
+    with pytest.raises(SpecError):
+        top.merge(collect_cluster_stats(ind[2:3], 2, 3, cap=5, start_index=2))
 
 
 def _cluster_stats_reference(ind, window_l, window_k, cap):

@@ -24,8 +24,8 @@ from visitlab.errors import NonStationaryError
 from visitlab.systems import (
     hoc_stationary,
     interval_map_invariant,
-    interval_itinerary,
     interval_symbol_stationary,
+    itinerary_chain,
     markov_stationary,
     pair_kernel,
     pair_stationary,
@@ -342,14 +342,60 @@ def test_interval_map_rejects_non_markov_branch():
         )
 
 
-def test_interval_orbit_and_itinerary():
-    rng = trajectory_rng(2, 0)
-    orbit = sample_path(EXAMPLE_MAP, 500, rng)
-    assert orbit.min() >= 0.0 and orbit.max() < 1.0
-    cells = interval_itinerary(EXAMPLE_MAP, orbit)
-    breaks = np.array([float(b) for b in EXAMPLE_MAP.breaks])
-    direct = np.clip(np.searchsorted(breaks, orbit, side="right") - 1, 0, 2)
-    assert np.array_equal(cells, direct)
+# unequal cells: [0, 1/3) and [1/3, 1), both mapped onto [0, 1)
+UNEQUAL_MAP = IntervalMapSpec(
+    breaks=(F(0), F(1, 3), F(1)),
+    slopes=(F(3), F(3, 2)),
+    intercepts=(F(0), F(-1, 2)),
+)
+
+DOUBLING_MAP = IntervalMapSpec(
+    breaks=(F(0), F(1, 2), F(1)), slopes=(F(2), F(2)), intercepts=(F(0), F(-1))
+)
+
+
+def _binomial_z(hits, trials, p):
+    return abs(hits / trials - p) / np.sqrt(p * (1.0 - p) / trials)
+
+
+def test_interval_itinerary_law():
+    # the itinerary is a Markov chain: P(i, j) = |cell_j| / (|slope_i| |cell_i|)
+    assert EXAMPLE_MAP.itinerary_matrix_exact() == EXAMPLE_MAP.transition_matrix_exact()
+    assert np.array_equal(itinerary_chain(EXAMPLE_MAP).matrix, [[1 / 3] * 3, [0, 0.5, 0.5], [1 / 3] * 3])
+    rows = 4000
+    cells = sample_paths(EXAMPLE_MAP, 30, trajectory_rngs(2, 0, rows))
+    assert cells.shape == (rows, 30) and cells.dtype == np.int64
+    assert set(np.unique(cells)) <= {0, 1, 2}
+    # branch 1 never covers cell 0
+    assert not np.any((cells[:, :-1] == 1) & (cells[:, 1:] == 0))
+    # stationary start and every later marginal: (1/5, 2/5, 2/5)
+    for col in (0, 29):
+        for cell, p in enumerate((0.2, 0.4, 0.4)):
+            assert _binomial_z(int((cells[:, col] == cell).sum()), rows, p) < 5.0, (col, cell)
+    # from cell 1 the orbit moves to cells 1 and 2 with probability 1/2 each
+    from_one = cells[:, 10] == 1
+    assert _binomial_z(int((cells[from_one, 11] == 2).sum()), int(from_one.sum()), 0.5) < 5.0
+
+
+def test_unequal_cell_itinerary_chain():
+    p = UNEQUAL_MAP.itinerary_matrix_exact()
+    assert p == [[F(1, 3), F(2, 3)], [F(1, 3), F(2, 3)]]
+    assert all(sum(row) == 1 for row in p)
+    pi = interval_symbol_stationary(UNEQUAL_MAP)
+    assert pi == (F(1, 3), F(2, 3))
+    assert [sum(pi[i] * p[i][j] for i in range(2)) for j in range(2)] == list(pi)
+    # the density transfer matrix's rows do not sum to 1 on unequal cells
+    assert [sum(row) for row in UNEQUAL_MAP.transition_matrix_exact()] == [F(2, 3), F(4, 3)]
+    assert np.allclose(itinerary_chain(UNEQUAL_MAP).matrix, [[1 / 3, 2 / 3], [1 / 3, 2 / 3]])
+
+
+def test_doubling_map_itinerary_stays_fair():
+    # float orbits of the doubling map collapse onto 0 within 60 steps; the
+    # itinerary is a fair coin at every step
+    rows = 2000
+    cells = sample_paths(DOUBLING_MAP, 80, trajectory_rngs(1, 0, rows))
+    ones = int(cells[:, 60:80].sum())
+    assert _binomial_z(ones, rows * 20, 0.5) < 5.0
 
 
 def test_doeblin_validation():
