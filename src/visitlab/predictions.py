@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .compound import (
     ClusterLaw,
@@ -580,11 +579,14 @@ class MixingProfile:
                 head_end = max(j, int(math.floor(math.log(1.0 / self.c) / math.log(self.rate))) + 1)
             head = sum(self.value(i) for i in range(j, head_end))
             return head + self.c * self.rate**head_end / (1.0 - self.rate)
+        # imported here so that only the polynomial profile loads scipy
+        from scipy.special import zeta as hurwitz_zeta
+
         head_end = j
         if self.c > 1.0:
             head_end = max(j, int(math.ceil(self.c ** (1.0 / self.rate))))
         head = sum(self.value(i) for i in range(j, head_end))
-        return head + self.c * float(_hurwitz_zeta(self.rate, head_end))
+        return head + self.c * float(hurwitz_zeta(self.rate, head_end))
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConvergenceError,
@@ -403,11 +401,21 @@ class FiniteMarkovSpec:
         return self.matrix.shape[0]
 
 
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether state 0 reaches every state along the boolean edges ``adj``."""
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
 def _require_strongly_connected(q: np.ndarray) -> None:
-    n_comp, _ = connected_components(
-        csr_matrix(q > 0), directed=True, connection="strong"
-    )
-    if n_comp > 1:
+    # strongly connected <=> state 0 reaches every state in q and in q^T
+    adj = q > 0
+    if not (_reaches_all(adj) and _reaches_all(adj.T)):
         raise StructureError(
             "the positive pattern of the transition matrix is not strongly "
             "connected (reducible chain)"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,3 +230,39 @@ def test_every_table_pair_compares(name, tmp_path):
     listed = str(refused.value).split("supported pairs: ")[1].split(", ")
     assert listed == [pair.name for pair in PAIRS.values()]
     assert sorted(_PAIR_CONFIGS) == sorted(listed)
+
+
+_COLD_START = """\
+import sys
+from pathlib import Path
+
+import visitlab
+from visitlab.cli import main
+
+out = Path(sys.argv[1])
+chain = "system: {kind: markov, matrix: [[0.4, 0.6], [0.2, 0.8]]}\\n"
+for name, word in (("pa", "[1]"), ("poisson", "[0, 1, 1]")):
+    cfg = out / (name + ".yaml")
+    cfg.write_text(
+        "experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.5, workers: 1}\\n"
+        + chain
+        + "target: {kind: cylinder, word_cycle: " + word + ", sweep: [3]}\\n"
+    )
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out / name)]) in (0, 2)
+    assert (out / name / "compare_report.json").exists()
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_compare_does_not_import_scipy(tmp_path):
+    # scipy costs about 0.3 s of cold start; only the polynomial Stein profile needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    reports = [json.loads((tmp_path / n / "compare_report.json").read_text()) for n in ("pa", "poisson")]
+    assert [r["results"][0]["prediction"]["family"] for r in reports] == ["polya-aeppli", "poisson"]

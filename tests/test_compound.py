@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,32 @@ def test_pa_zero_p_is_poisson():
     pa = pa_pmf(2.0, 0.0, 40)
     po = poisson_pmf(2.0, 40)
     assert np.allclose(pa.probs, po.probs, atol=1e-14)
+
+
+def _pa_exact(t, p, kmax):
+    # closed-form sum in exact rationals of the doubles t and p, times exp(-theta)
+    t, p = Fraction(t), Fraction(p)
+    x = (1 - p) ** 2 * t
+    out = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        out.append(sum(math.comb(k - 1, j - 1) * x**j / math.factorial(j) * p ** (k - j) for j in range(1, k + 1)))
+    theta = (1.0 - float(p)) * float(t)
+    return np.array([float(v) for v in out]) * math.exp(-theta)
+
+
+@pytest.mark.parametrize("t, p", [(2.0, 0.7), (0.5, 0.1), (2.0, 0.6), (20.0, 0.9)])
+def test_pa_matches_exact_closed_form(t, p):
+    exact = _pa_exact(t, p, 80)
+    assert np.max(np.abs(pa_pmf(t, p, 80).probs - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.05, 2.0, 50.0])
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.99])
+def test_pa_long_table_stays_a_law(t, p):
+    # far past subnormal entries the recurrence must not leave negatives
+    pmf = pa_pmf(t, p, 16384)
+    assert np.all(np.isfinite(pmf.probs)) and np.all(pmf.probs >= 0.0)
+    assert abs(float(pmf.probs.sum()) + pmf.tail_mass - 1.0) <= 1e-12
 
 
 def test_poisson_pmf_exact_entries():

@@ -164,6 +164,48 @@ def _ring_chain(m):
     return FiniteMarkovSpec(q / q.sum(axis=1, keepdims=True))
 
 
+def _lazy_ring(m, cut=None):
+    # i -> i and i -> i + 1 with probability 1/2 each; ``cut`` drops one forward edge
+    q = 0.5 * (np.eye(m) + np.roll(np.eye(m), 1, axis=1))
+    if cut is not None:
+        q[cut] = 0.0
+        q[cut, cut] = 1.0
+    return q
+
+
+@pytest.mark.parametrize(
+    "matrix, reducible",
+    [
+        ([[0.4, 0.6, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0]], True),
+        # state 0 is transient: it reaches everything but nothing returns to it
+        ([[0.0, 0.5, 0.5], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]], True),
+        # state 0 is absorbing: everything reaches it, it reaches nothing
+        ([[1.0, 0.0, 0.0], [0.3, 0.3, 0.4], [0.5, 0.5, 0.0]], True),
+        (_lazy_ring(300, cut=150), True),
+        ([[1.0]], False),
+        (_lazy_ring(300), False),
+        (_ring_chain(30).matrix, False),
+    ],
+)
+def test_markov_spec_requires_an_irreducible_chain(matrix, reducible):
+    if reducible:
+        with pytest.raises(StructureError):
+            FiniteMarkovSpec(np.array(matrix))
+    else:
+        assert FiniteMarkovSpec(np.array(matrix)).n_states == len(matrix)
+
+
+def test_interval_map_invariant_requires_an_irreducible_itinerary():
+    # the doubling map on each half: [0, 1/2) and [1/2, 1) are both closed
+    halves = IntervalMapSpec(
+        breaks=(F(0), F(1, 4), F(1, 2), F(3, 4), F(1)),
+        slopes=(F(2), F(2), F(2), F(2)),
+        intercepts=(F(0), F(-1, 2), F(-1, 2), F(-1)),
+    )
+    with pytest.raises(StructureError):
+        interval_map_invariant(halves)
+
+
 def test_markov_batch_matches_row_loop():
     cases = [
         (FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]])), 5, 30),
