@@ -49,7 +49,6 @@ from .predictions import (
     predict_regenerative_entries,
     predict_sync_markov,
     renewal_ratio_sequence,
-    renyi_pressure_markov,
     spectral_radius,
     stein_bracket,
     word_overlap_period,
@@ -60,7 +59,6 @@ from .stats import (
     WSampleSet,
     collect_cluster_stats,
     collect_w,
-    count_visits,
     empirical_pmf,
     estimate_alpha,
     estimate_alpha_hat,
@@ -75,7 +73,6 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
-    SymbolStream,
     sample_path,
     sample_paths,
     sync_kernel,

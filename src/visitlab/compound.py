@@ -12,7 +12,7 @@ Geometric rates r_l = (1 - p)^2 p^(l-1) give the Polya-Aeppli family, whose
 PMF also obeys the three-term recurrence implemented in :func:`pa_pmf`; p = 0
 degenerates to plain Poisson(t).
 
-All PMFs are finite tables (:class:`DiscretePMF`) carrying an explicit tail
+All PMFs are finite tables (:class:`DiscretePMF`) with an explicit tail
 mass beyond their largest tabulated point, so total-variation computations can
 return certified upper bounds even when two tables are truncated differently.
 """

@@ -528,18 +528,6 @@ def predict_furstenberg(
 # ---------------------------------------------------------------------------
 
 
-def renyi_pressure_markov(matrix, q: float) -> dict:
-    """Pressure and Renyi entropy of order 1+q for a strictly positive chain."""
-    a = np.asarray(matrix, dtype=float)
-    if np.any(a <= 0.0):
-        raise SpecError("Renyi pressure needs a strictly positive matrix")
-    if q <= 0.0:
-        raise SpecError("order parameter q must be positive")
-    rho = spectral_radius(a ** (1.0 + q))
-    pressure = math.log(rho)
-    return {"pressure": pressure, "renyi": -pressure / q}
-
-
 @dataclass(frozen=True)
 class MixingProfile:
     """Parametric correlation-decay sequence, clamped at 1.

@@ -15,8 +15,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -106,6 +104,10 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
     if workers == 1:
         results = [_simulate_block(b) for b in blocks]
     else:
+        # the pool's modules load only here: serial runs never start one
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # pool.map yields the blocks in order, so the ranges merge end to end
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

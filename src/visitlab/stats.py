@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compound import DiscretePMF
-from .errors import InsufficientDataError, ResourceLimitError, SpecError
-
-_STREAM_STEP_GUARD = 10**9
+from .errors import InsufficientDataError, SpecError
 
 
 def kac_horizon(t: float, mu_value: float) -> int:
@@ -87,25 +85,6 @@ def empirical_pmf(samples: WSampleSet) -> DiscretePMF:
         raise InsufficientDataError("empty W sample set", count=0)
     probs = np.bincount(samples.values) / samples.total
     return DiscretePMF(probs, 0.0)
-
-
-def count_visits(stream, target, t: float, mu) -> int:
-    """Visit count of a single stream over the Kac window.
-
-    ``mu`` is a TargetMeasure (or anything with a ``value``); the stream is
-    consumed for exactly horizon + window steps.
-    """
-    value = getattr(mu, "value", mu)
-    horizon = kac_horizon(t, float(value))
-    steps = horizon + target.window
-    if steps > _STREAM_STEP_GUARD:
-        raise ResourceLimitError(
-            f"horizon needs {steps} steps (> {_STREAM_STEP_GUARD}); "
-            "reduce t or use a larger target"
-        )
-    path = stream.take(steps)
-    ind = target.indicators(path[None, ...])
-    return int(ind[0, : horizon + 1].sum())
 
 
 # ---------------------------------------------------------------------------

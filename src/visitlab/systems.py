@@ -2,9 +2,9 @@
 
 Every system here produces stationary paths: the initial state is drawn from
 the invariant law, and one-step evolution consumes an explicitly documented
-pattern of draws from a ``numpy.random.Generator``.  Identical spec + seed +
-call pattern therefore reproduce identical paths, and the runner's
-per-trajectory seed schedule makes whole experiments reproducible.
+pattern of draws from a ``numpy.random.Generator``.  Identical spec + seed
+therefore reproduce identical paths, and the runner's per-trajectory seed
+schedule makes whole experiments reproducible.
 
 Systems
 -------
@@ -48,7 +48,6 @@ from .errors import (
 )
 
 _ROW_TOL = 1e-12
-_INT_MIN = np.iinfo(np.int64).min
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -288,66 +287,45 @@ def hoc_stationary(
     )
 
 
-def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rng, carry: int | None = None):
-    """n states of a stationary path; returns (states, carry=last state).
+def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
+    """Stationary paths, a C-contiguous ``(rows, n)`` int64 array.
 
-    With ``carry=None`` the draw pattern is one uniform for the stationary
-    start plus n - 1 reset uniforms, and the start itself is emitted first.
-    With ``carry`` given (stream continuation) all n states are fresh steps
-    from ``carry`` and n reset uniforms are drawn.  The ``constant`` family
-    uses a vectorised reset-anchor scan; other families step sequentially.
+    Row i draws n uniforms from rngs[i]: the first picks the stationary
+    start, and each later one resets the chain from state x to 0 when it
+    lies below r_x, else climbs to x + 1.  The ``constant`` family runs the
+    reset-anchor scan of :func:`sample_house_of_cards_batch` over all rows at
+    once; the other families step each row with :func:`_climb_or_reset`.
     """
-    rng = as_rng(rng)
-    if n < 1:
-        raise SpecError("path length must be >= 1")
-    init, continuing = carry, carry is not None
-    if not continuing:
-        law = _hoc_law_cache(spec)
-        cdf = np.cumsum(law.probs)
-        init = int(np.searchsorted(cdf, rng.random(), side="right"))
-        init = min(init, law.probs.size - 1)
-        if n == 1:
-            states = np.array([init], dtype=np.int64)
-            return states, int(states[-1])
-    steps = n if continuing else n - 1
-    u = rng.random(steps)
     if spec.kind == "constant":
-        resets = u < spec.params[0]
-        # positions 1..steps after the anchor state; a reset at position t
-        # plants a new anchor, otherwise the previous anchor persists
-        pos = np.arange(1, steps + 1, dtype=np.int64)
-        anchor = np.where(resets, pos, _INT_MIN)
-        anchor = np.concatenate([np.array([-np.int64(init)]), anchor])
-        last = np.maximum.accumulate(anchor)
-        full = np.concatenate([np.array([0], dtype=np.int64), pos]) - last
-        states = full[1:] if continuing else full
-    else:
-        states = np.empty(n, dtype=np.int64)
-        x = init
-        r_table = spec.reset_probs(np.arange(n + init + 2))
-        out_at = 0
-        if not continuing:
-            states[0] = x
-            out_at = 1
-        for j in range(steps):
-            x = 0 if u[j] < r_table[x] else x + 1
-            states[out_at + j] = x
-    return states, int(states[-1])
+        return sample_house_of_cards_batch(spec, n, rngs)
+    return np.stack([_climb_or_reset(spec, n, rng) for rng in rngs])
+
+
+def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rng) -> np.ndarray:
+    """One stationary path from n uniforms of ``rng``, stepped state by state."""
+    law = _hoc_law_cache(spec)
+    u = rng.random(n)
+    x = int(np.searchsorted(np.cumsum(law.probs), u[0], side="right"))
+    x = min(x, law.probs.size - 1)
+    r_table = spec.reset_probs(np.arange(n + x + 2))
+    states = np.empty(n, dtype=np.int64)
+    states[0] = x
+    for j in range(1, n):
+        x = 0 if u[j] < r_table[x] else x + 1
+        states[j] = x
+    return states
 
 
 def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
-    """Batch version of :func:`sample_house_of_cards` for the ``constant`` family.
+    """Reset-anchor scan for the ``constant`` family, all rows at once.
 
-    Returns a C-contiguous ``(rows, n)`` int64 array.  Row i draws n uniforms
-    from rngs[i], the stationary start and then n - 1 resets, as the solo
-    sampler's ``random()`` and ``random(n - 1)`` do, so it equals the solo
-    path.  The reset-anchor scan runs in place over an int64 view of the
-    uniforms.
+    Returns a C-contiguous ``(rows, n)`` int64 array whose row i equals
+    ``_climb_or_reset(spec, n, rngs[i])``: the same n uniforms, the
+    stationary start and then n - 1 resets.  The scan runs in place over an
+    int64 view of the uniforms.
     """
     if spec.kind != "constant":
         raise SpecError("batch house-of-cards sampling needs a constant reset")
-    if n < 1:
-        raise SpecError("path length must be >= 1")
     u = _row_uniforms(rngs, n)
     law = _hoc_law_cache(spec)
     top = law.probs.size  # above every start state
@@ -442,48 +420,11 @@ def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
     return pi
 
 
-def _step_path(rng, n: int, stationary: np.ndarray, matrix: np.ndarray, carry):
-    """Inverse-CDF path of one finite chain; (states, carry=last state).
-
-    Always draws n uniforms.  With ``carry=None`` the first uniform selects
-    the start from ``stationary`` (and the start is emitted); with a carried
-    state every uniform drives a fresh step from it.
-    """
-    rng = as_rng(rng)
-    if n < 1:
-        raise SpecError("path length must be >= 1")
-    u = rng.random(n)
-    cum = np.cumsum(matrix, axis=1)
-    cum[:, -1] = 1.0
-    states = np.empty(n, dtype=np.int64)
-    if carry is None:
-        cdf = np.cumsum(stationary)
-        cdf[-1] = 1.0
-        states[0] = int(np.searchsorted(cdf, u[0], side="right"))
-    else:
-        states[0] = int(np.searchsorted(cum[carry], u[0], side="right"))
-    x = int(states[0])
-    for j in range(1, n):
-        x = int(np.searchsorted(cum[x], u[j], side="right"))
-        states[j] = x
-    return states, x
-
-
-def sample_markov(spec: FiniteMarkovSpec, n: int, rng, carry: int | None = None):
-    """n states of a stationary path; (states, carry=last state).
-
-    Always draws n uniforms: the first selects the stationary start (which
-    is emitted), or with ``carry`` given every uniform steps from it.
-    """
-    return _step_path(rng, n, markov_stationary(spec), spec.matrix, carry)
-
-
 def sample_markov_batch(spec: FiniteMarkovSpec, n: int, rngs) -> np.ndarray:
-    """Stationary paths for many trajectories, one generator per row.
+    """Stationary paths, a C-contiguous ``(rows, n)`` int64 array.
 
-    Returns a C-contiguous ``(rows, n)`` int64 array.  Row i consumes
-    rngs[i] exactly like :func:`sample_markov` (n uniforms), so a batch row
-    equals the corresponding solo path.
+    Row i draws n uniforms from rngs[i]: the first picks the stationary
+    start, each later one takes an inverse-CDF step (:func:`_step_columns`).
     """
     return _step_columns(rngs, n, markov_stationary(spec), spec.matrix)
 
@@ -686,22 +627,11 @@ def pair_stationary(spec: ProductChainSpec) -> np.ndarray:
     return markov_stationary(pair_kernel(spec))
 
 
-def sample_product_chain(spec: ProductChainSpec, n: int, rng, carry: int | None = None):
-    """n steps of the coupled chain, shape (n, n_chains); (states, carry).
-
-    Draws like :func:`sample_markov` on the pair kernel: the first of n
-    uniforms selects the initial tuple from the coupled stationary law, or
-    with ``carry`` (an encoded tuple) every uniform steps from it.
-    """
-    codes, last = _step_path(rng, n, pair_stationary(spec), pair_kernel(spec), carry)
-    return decode_states(codes, spec.n_states, spec.n_chains), last
-
-
 def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarray:
-    """Batch version of :func:`sample_product_chain`.
+    """Stationary paths of the coupled chain, C-contiguous ``(rows, n, n_chains)``.
 
-    Returns a C-contiguous ``(rows, n, n_chains)`` array; row i equals the
-    solo path drawn from rngs[i].
+    Draws like :func:`sample_markov_batch` on the pair kernel: row i's first
+    uniform picks the initial tuple from the coupled stationary law.
     """
     codes = _step_columns(rngs, n, pair_stationary(spec), pair_kernel(spec))
     return decode_states(codes, spec.n_states, spec.n_chains)
@@ -810,35 +740,31 @@ def _stationary_first_block(spec: RegenerativeSpec, u_sym: float, u_len: float):
     return ai, min(rem, q.size)
 
 
-def sample_regenerative(spec: RegenerativeSpec, n: int, rng, carry=None):
-    """One stationary path of n symbols; (symbols, carry).
+def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
+    """Stationary paths of n symbols, a C-contiguous ``(rows, n)`` int64 array.
+
+    Each row steps through its own generator with :func:`_regenerative_path`.
+    """
+    return np.stack([_regenerative_path(spec, n, rng) for rng in rngs])
+
+
+def _regenerative_path(spec: RegenerativeSpec, n: int, rng) -> np.ndarray:
+    """One stationary path of n symbols.
 
     Draw pattern: two uniforms for the stationary first block (symbol, then
-    residual length) unless a carry is given, then repeated rounds of paired
-    uniform blocks (symbols, lengths) until n symbols are produced.  The
-    carry is (symbol index, remaining length) of the unfinished final block.
+    residual length), then repeated rounds of paired uniform blocks
+    (symbols, lengths) until n symbols are produced.
     """
-    rng = as_rng(rng)
-    if n < 1:
-        raise SpecError("path length must be >= 1")
-    symbols = np.asarray(spec.symbols, dtype=np.int64)
-    pieces = []
-    produced = 0
-    if carry is None:
-        ai, rem = _stationary_first_block(spec, rng.random(), rng.random())
-    else:
-        ai, rem = carry
-    take = min(rem, n)
-    pieces.append(np.full(take, symbols[ai], dtype=np.int64))
-    produced += take
-    rem -= take
+    sym_arr = np.asarray(spec.symbols, dtype=np.int64)
+    ai, rem = _stationary_first_block(spec, rng.random(), rng.random())
+    produced = min(rem, n)
+    pieces = [np.full(produced, sym_arr[ai], dtype=np.int64)]
     cdf_sym = np.cumsum(spec.symbol_probs)
     cdf_sym[-1] = 1.0
     nu = spec.mean_block()
     if spec.length_model == "shared":
         cdf_len = np.cumsum(spec.shared_q)
         cdf_len[-1] = 1.0
-    sym_arr = np.asarray(spec.symbols, dtype=np.int64)
     while produced < n:
         need = n - produced
         batch = max(16, int(need / nu * 1.25) + 8)
@@ -851,18 +777,9 @@ def sample_regenerative(spec: RegenerativeSpec, n: int, rng, carry=None):
             a_vals = sym_arr[ais]
             lens = np.where(ul < 1.0 - 1.0 / a_vals, 1, a_vals + 1)
         flat = np.repeat(sym_arr[ais], lens)
-        if flat.size >= need:
-            # locate the block containing symbol index `need - 1`
-            ends = np.cumsum(lens)
-            bi = int(np.searchsorted(ends, need, side="left"))
-            ai = int(ais[bi])
-            rem = int(ends[bi] - need)
-            pieces.append(flat[:need])
-            produced = n
-        else:
-            pieces.append(flat)
-            produced += flat.size
-    return np.concatenate(pieces), (ai, rem)
+        pieces.append(flat[:need])
+        produced += pieces[-1].size
+    return np.concatenate(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -1015,18 +932,12 @@ def itinerary_chain(spec: IntervalMapSpec) -> FiniteMarkovSpec:
     return _itinerary(spec)[1]
 
 
-def sample_itinerary(spec: IntervalMapSpec, n: int, rng, carry: int | None = None):
-    """n cells of a stationary orbit's itinerary; (cells, carry=last cell).
+def sample_itinerary_batch(spec: IntervalMapSpec, n: int, rngs) -> np.ndarray:
+    """Stationary itineraries, a C-contiguous ``(rows, n)`` int64 array of cells.
 
-    Draws like :func:`sample_markov` on :func:`itinerary_chain`, started
+    Draws like :func:`sample_markov_batch` on :func:`itinerary_chain`, started
     from the exact :func:`interval_symbol_stationary` law.
     """
-    start, chain = _itinerary(spec)
-    return _step_path(rng, n, start, chain.matrix, carry)
-
-
-def sample_itinerary_batch(spec: IntervalMapSpec, n: int, rngs) -> np.ndarray:
-    """Batch version of :func:`sample_itinerary`; rows equal solo paths."""
     start, chain = _itinerary(spec)
     return _step_columns(rngs, n, start, chain.matrix)
 
@@ -1085,33 +996,27 @@ def _doeblin_increments(eta: float, m: int, rng) -> np.ndarray:
     return out
 
 
-def sample_doeblin(spec: DoeblinChainSpec, n: int, rng, carry=None):
-    """Stationary independent chains, shape (n, n_chains); (paths, carry).
+def sample_doeblin(spec: DoeblinChainSpec, n: int, rngs) -> np.ndarray:
+    """Stationary independent chains, a C-contiguous ``(rows, n, n_chains)`` array.
 
-    Draw pattern per chain: one uniform for the start (unless carried), then
-    rejection rounds for the remaining increments; chains are consumed in
-    order.  With a carry, all n points are fresh steps from the carried
-    positions.
+    Each row steps through its own generator with :func:`_doeblin_path`.
     """
-    rng = as_rng(rng)
-    if n < 1:
-        raise SpecError("path length must be >= 1")
+    return np.stack([_doeblin_path(spec, n, rng) for rng in rngs])
+
+
+def _doeblin_path(spec: DoeblinChainSpec, n: int, rng) -> np.ndarray:
+    """One path of the independent chains, shape (n, n_chains).
+
+    Draw pattern per chain: one uniform for the start, then rejection rounds
+    for the remaining increments; chains are consumed in order.
+    """
     out = np.empty((n, spec.n_chains))
-    last = []
     for c in range(spec.n_chains):
-        if carry is None:
-            x0 = rng.random()
-            incr = _doeblin_increments(spec.eta, n - 1, rng) if n > 1 else np.empty(0)
-            col = np.empty(n)
-            col[0] = x0
-            if n > 1:
-                col[1:] = (x0 + np.cumsum(incr)) % 1.0
-        else:
-            incr = _doeblin_increments(spec.eta, n, rng)
-            col = (carry[c] + np.cumsum(incr)) % 1.0
-        out[:, c] = col
-        last.append(float(col[-1]))
-    return out, tuple(last)
+        out[0, c] = rng.random()
+        if n > 1:
+            incr = _doeblin_increments(spec.eta, n - 1, rng)
+            out[1:, c] = (out[0, c] + np.cumsum(incr)) % 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1136,29 +1041,11 @@ class FactorProductSpec:
             raise SpecError("plus_prob = 1/2 is degenerate for this factor system")
 
 
-def sample_factor_product(spec: FactorProductSpec, n: int, rng, carry=None):
-    """n product symbols (+-1); (symbols, carry=last underlying sign).
-
-    Draw pattern: n + 1 sign uniforms when starting fresh, n when carried.
-    """
-    rng = as_rng(rng)
-    if n < 1:
-        raise SpecError("path length must be >= 1")
-    fresh = n + 1 if carry is None else n
-    x = np.where(rng.random(fresh) < spec.plus_prob, 1, -1).astype(np.int64)
-    if carry is not None:
-        x = np.concatenate([[np.int64(carry)], x])
-    return x[:-1] * x[1:], int(x[-1])
-
-
 def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.ndarray:
-    """Batch version of :func:`sample_factor_product`; rows equal solo paths.
+    """n product symbols (+-1) per row, a C-contiguous ``(rows, n)`` int64 array.
 
-    Row i draws the n + 1 sign uniforms from rngs[i]; returns a C-contiguous
-    ``(rows, n)`` int64 array.
+    Row i draws n + 1 sign uniforms from rngs[i].
     """
-    if n < 1:
-        raise SpecError("path length must be >= 1")
     x = np.where(_row_uniforms(rngs, n + 1) < spec.plus_prob, np.int64(1), np.int64(-1))
     return x[:, :-1] * x[:, 1:]
 
@@ -1168,75 +1055,39 @@ def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _solo_rows(solo, spec, n: int, rngs) -> np.ndarray:
-    return np.stack([solo(spec, n, rng)[0] for rng in rngs])
-
-
-def _house_of_cards_rows(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
-    """Constant resets take the batch scan; other families step row by row."""
-    if spec.kind == "constant":
-        return sample_house_of_cards_batch(spec, n, rngs)
-    return _solo_rows(sample_house_of_cards, spec, n, rngs)
-
-
-# (solo, batch) per system type: solo(spec, n, rng, carry=None) returns
-# (path, carry), and the carry passed back continues the stream; batch(spec,
-# n, rngs), where one exists, returns rows equal to solo(spec, n, rngs[i])[0]
+# one sampler per system type: sampler(spec, n, rngs) returns the stationary
+# paths of n steps, row i drawn from rngs[i] alone
 _SAMPLERS = {
-    HouseOfCardsSpec: (sample_house_of_cards, _house_of_cards_rows),
-    FiniteMarkovSpec: (sample_markov, sample_markov_batch),
-    ProductChainSpec: (sample_product_chain, sample_product_chain_batch),
-    RegenerativeSpec: (sample_regenerative, None),
-    IntervalMapSpec: (sample_itinerary, sample_itinerary_batch),
-    DoeblinChainSpec: (sample_doeblin, None),
-    FactorProductSpec: (sample_factor_product, sample_factor_product_batch),
+    HouseOfCardsSpec: sample_house_of_cards,
+    FiniteMarkovSpec: sample_markov_batch,
+    ProductChainSpec: sample_product_chain_batch,
+    RegenerativeSpec: sample_regenerative,
+    IntervalMapSpec: sample_itinerary_batch,
+    DoeblinChainSpec: sample_doeblin,
+    FactorProductSpec: sample_factor_product_batch,
 }
 
 
-def _sampler(spec) -> tuple:
-    try:
-        return _SAMPLERS[type(spec)]
-    except KeyError:
-        raise SpecError(f"unknown system spec {type(spec).__name__}") from None
-
-
 def sample_path(spec, n: int, rng):
-    """Single stationary path for any system spec."""
-    return _sampler(spec)[0](spec, n, rng)[0]
+    """Single stationary path for any system spec: row 0 of :func:`sample_paths`."""
+    return sample_paths(spec, n, [as_rng(rng)])[0]
 
 
 def sample_paths(spec, n: int, rngs) -> np.ndarray:
-    """Stationary paths for many trajectories (one generator per row).
+    """Stationary paths of n steps, one row per generator in ``rngs``.
 
-    Returns an array whose row i always equals ``sample_path(spec, n,
-    rngs[i])``: ``(rows, n)``, or ``(rows, n, n_chains)`` for product chains
-    and Doeblin chains.  Systems with a batch sampler in the sampler table
+    Returns a C-contiguous array, ``(rows, n)``, or ``(rows, n, n_chains)``
+    for product chains and Doeblin chains.  Row i depends on rngs[i] alone.
+    The system's sampler in ``_SAMPLERS`` either steps all rows at once
     (finite Markov and product chains, interval maps through their cell
-    itinerary, constant-reset house-of-cards chains and sign products)
-    return it C-contiguous, with the same per-row draws; the others
-    (drifting and alternating house-of-cards chains, regenerative processes
-    and Doeblin chains) run the solo sampler row by row.
+    itinerary, constant-reset house-of-cards chains and sign products) or
+    steps each row in turn (drifting and alternating house-of-cards chains,
+    regenerative processes and Doeblin chains).
     """
-    solo, batch = _sampler(spec)
-    if batch is None:
-        return _solo_rows(solo, spec, n, rngs)
-    return batch(spec, n, rngs)
-
-
-class SymbolStream:
-    """Resumable stationary stream over any system spec.
-
-    ``take(k)`` returns the next k states (symbols, tuples, points or cells
-    depending on the system).  Two streams with equal spec, seed, and call
-    pattern yield identical output.
-    """
-
-    def __init__(self, spec, seed):
-        self.spec = spec
-        self._solo = _sampler(spec)[0]
-        self._rng = as_rng(seed)
-        self._carry = None
-
-    def take(self, k: int) -> np.ndarray:
-        out, self._carry = self._solo(self.spec, k, self._rng, carry=self._carry)
-        return out
+    try:
+        sampler = _SAMPLERS[type(spec)]
+    except KeyError:
+        raise SpecError(f"unknown system spec {type(spec).__name__}") from None
+    if n < 1:
+        raise SpecError("path length must be >= 1")
+    return sampler(spec, n, rngs)

@@ -205,7 +205,7 @@ def _match_word(paths: np.ndarray, word: tuple) -> np.ndarray:
 def hits(paths, target, horizon: int) -> np.ndarray:
     """Indicator rows I_0 .. I_horizon (window start times) for each path.
 
-    Paths must carry at least ``horizon + target.window`` time steps; windows
+    Paths must hold at least ``horizon + target.window`` time steps; windows
     that would run past the simulated data are never counted.
     """
     ind = target.indicators(paths)
@@ -225,7 +225,7 @@ def hits(paths, target, horizon: int) -> np.ndarray:
 class TargetMeasure:
     """Stationary measure of one target set.
 
-    ``method`` records how the number was obtained; exact formulas carry zero
+    ``method`` records how the number was obtained; exact formulas have zero
     standard error.
     """
 

@@ -217,12 +217,28 @@ target: {kind: sign-cylinder, word_cycle: [1], sweep: [4]}
 """,
 }
 
+# the integer W histogram of each pair config above (samples 400, seed 2):
+# it pins the random streams, so a change of draw order fails here
+_PAIR_W_COUNTS = {
+    "house-of-cards + run-length": [194, 74, 66, 26, 14, 14, 7, 3, 1, 0, 0, 0, 1],
+    "regenerative + half-line": [172, 89, 69, 54, 11, 5],
+    "markov + cylinder": [126, 85, 69, 120],
+    "interval-map + cylinder": [187, 104, 58, 34, 8, 7, 2],
+    "product-chain + sync-cylinder": [150, 126, 60, 64],
+    "doeblin + geo-diagonal": [129, 145, 87, 31, 7, 1],
+    "sign-product + sign-cylinder": [221, 65, 53, 24, 20, 6, 11],
+}
+
 
 @pytest.mark.parametrize("name", [pair.name for pair in PAIRS.values()])
 def test_every_table_pair_compares(name, tmp_path):
     cfg = tmp_path / "pair.yaml"
     cfg.write_text("experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n" + _PAIR_CONFIGS[name])
     assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) in (0, 2)
+    empirical = json.loads((tmp_path / "compare_report.json").read_text())["results"][0]["empirical"]
+    counts = np.asarray(empirical["pmf"]) * empirical["samples"]
+    assert np.allclose(counts, np.round(counts), rtol=0.0, atol=1e-9)
+    assert np.round(counts).astype(int).tolist() == _PAIR_W_COUNTS[name]
     # the refusal for any other pair lists exactly the table's pairs
     chain = FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]]))
     with pytest.raises(UnsupportedPairError) as refused:
@@ -250,13 +266,14 @@ for name, word in (("pa", "[1]"), ("poisson", "[0, 1, 1]")):
     )
     assert main(["compare", "--config", str(cfg), "--out-dir", str(out / name)]) in (0, 2)
     assert (out / name / "compare_report.json").exists()
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = sorted(m for m in sys.modules if m.startswith("scipy") or m == "concurrent.futures.process")
 assert not loaded, loaded
 """
 
 
 def test_compare_does_not_import_scipy(tmp_path):
-    # scipy costs about 0.3 s of cold start; only the polynomial Stein profile needs it
+    # scipy costs about 0.3 s of cold start and only the polynomial Stein profile
+    # needs it; the process pool's modules cost about 20 ms and only workers > 1 do
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(

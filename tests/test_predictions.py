@@ -30,7 +30,6 @@ from visitlab import (
     predict_regenerative_entries,
     predict_sync_markov,
     renewal_ratio_sequence,
-    renyi_pressure_markov,
     spectral_radius,
     stein_bracket,
     word_overlap_period,
@@ -256,22 +255,6 @@ def test_regenerative_entries_two_point_mixture():
     assert got.alphas[0] == pytest.approx(0.5)
     assert got.alphas[1] == pytest.approx(5.0 / 24.0)
     assert got.law.mean_cluster_size == pytest.approx(2.0)
-
-
-def test_renyi_pressure_symmetric_chain():
-    flat = np.full((2, 2), 0.5)
-    got = renyi_pressure_markov(flat, 1.0)
-    assert got["renyi"] == pytest.approx(math.log(2.0), abs=1e-10)
-
-
-def test_renyi_small_q_approaches_entropy_rate():
-    p = np.array([[0.3, 0.7], [0.6, 0.4]])
-    pi = np.array([6.0 / 13.0, 7.0 / 13.0])
-    entropy = -float((pi[:, None] * p * np.log(p)).sum())
-    got = renyi_pressure_markov(p, 1e-4)
-    assert abs(got["renyi"] - entropy) < 1e-3
-    with pytest.raises(SpecError):
-        renyi_pressure_markov(np.array([[1.0, 0.0], [0.5, 0.5]]), 1.0)
 
 
 def test_mixing_profile_values_and_tails():

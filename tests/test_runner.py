@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import json
 from concurrent.futures.process import BrokenProcessPool
@@ -251,7 +252,7 @@ class _SerialPool:
     ],
 )
 def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samples, pool_size):
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     _SerialPool.sizes = []
     report = run_experiment(_cfg(workers=workers, samples=samples), "simulate")
@@ -268,7 +269,7 @@ class _BrokenPool(_SerialPool):
 
 
 def test_worker_crash_exits_four(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(HOC_DOC))

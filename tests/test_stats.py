@@ -2,31 +2,17 @@ import numpy as np
 import pytest
 
 from visitlab import (
-    HalfLineTarget,
     InsufficientDataError,
-    ResourceLimitError,
     SpecError,
     WSampleSet,
     collect_cluster_stats,
     collect_w,
-    count_visits,
     empirical_pmf,
     estimate_alpha,
     estimate_alpha_hat,
     estimate_lambda_tilde,
     kac_horizon,
 )
-
-
-class _FixedStream:
-    """Deterministic stand-in for a SymbolStream."""
-
-    def __init__(self, values):
-        self._values = np.asarray(values)
-
-    def take(self, k):
-        assert k == self._values.size
-        return self._values
 
 
 def test_kac_horizon_floor():
@@ -75,17 +61,6 @@ def test_empirical_pmf_from_counts():
     assert np.allclose(pmf.probs, [1 / 3, 1 / 6, 1 / 2])
     with pytest.raises(InsufficientDataError):
         empirical_pmf(WSampleSet.empty())
-
-
-def test_count_visits_fixed_stream():
-    # t = 2, mu = 0.25 -> horizon 8, and the window-1 target needs 9 symbols
-    stream = _FixedStream([0, 1, 1, 0, 1, 0, 0, 1, 1])
-    assert count_visits(stream, HalfLineTarget(1), 2.0, 0.25) == 5
-
-
-def test_count_visits_guards_absurd_horizons():
-    with pytest.raises(ResourceLimitError):
-        count_visits(_FixedStream([0]), HalfLineTarget(1), 1.0, 1e-10)
 
 
 def test_cluster_stats_single_row_hand_counts():

@@ -13,7 +13,6 @@ from visitlab import (
     RegenerativeSpec,
     SpecError,
     StructureError,
-    SymbolStream,
     sample_path,
     sample_paths,
     sync_kernel,
@@ -29,14 +28,11 @@ from visitlab.systems import (
     markov_stationary,
     pair_kernel,
     pair_stationary,
-    sample_markov,
     sample_markov_batch,
     decode_states,
-    sample_factor_product,
     sample_factor_product_batch,
-    sample_house_of_cards,
     sample_house_of_cards_batch,
-    sample_product_chain,
+    sample_itinerary_batch,
     sample_product_chain_batch,
     trajectory_rngs,
 )
@@ -153,8 +149,24 @@ def test_factor_product_plus_fraction():
     assert abs((z == 1).mean() - 0.58) < 0.005
 
 
-def _solo_rows(sampler, spec, n, rows, seed=7):
-    return np.stack([sampler(spec, n, trajectory_rng(seed, i))[0] for i in range(rows)])
+def _step_reference(rng, n, stationary, matrix):
+    """Inverse-CDF path of one finite chain, one searchsorted per step."""
+    u = rng.random(n)
+    cdf = np.cumsum(stationary)
+    cdf[-1] = 1.0
+    cum = np.cumsum(matrix, axis=1)
+    cum[:, -1] = 1.0
+    states = np.empty(n, dtype=np.int64)
+    states[0] = np.searchsorted(cdf, u[0], side="right")
+    for j in range(1, n):
+        states[j] = np.searchsorted(cum[states[j - 1]], u[j], side="right")
+    return states
+
+
+def _reference_rows(stationary, matrix, n, rows, seed=7):
+    return np.stack(
+        [_step_reference(trajectory_rng(seed, i), n, stationary, matrix) for i in range(rows)]
+    )
 
 
 def _ring_chain(m):
@@ -221,7 +233,8 @@ def test_markov_batch_matches_row_loop():
     for spec, rows, n in cases:
         batch = sample_markov_batch(spec, n, [trajectory_rng(7, i) for i in range(rows)])
         assert batch.shape == (rows, n) and batch.flags.c_contiguous
-        assert np.array_equal(batch, _solo_rows(sample_markov, spec, n, rows)), spec.n_states
+        ref = _reference_rows(markov_stationary(spec), spec.matrix, n, rows)
+        assert np.array_equal(batch, ref), spec.n_states
 
 
 @pytest.mark.parametrize(
@@ -231,7 +244,18 @@ def test_product_chain_batch_matches_row_loop(coupling, gamma):
     spec = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), coupling, gamma=gamma)
     batch = sample_product_chain_batch(spec, 300, [trajectory_rng(7, i) for i in range(32)])
     assert batch.shape == (32, 300, 2)
-    assert np.array_equal(batch, _solo_rows(sample_product_chain, spec, 300, 32))
+    codes = _reference_rows(pair_stationary(spec), pair_kernel(spec), 300, 32)
+    assert np.array_equal(batch, _decode_reference(codes, 2, 2))
+
+
+@pytest.mark.parametrize("name", ["example", "unequal", "doubling"])
+def test_itinerary_batch_matches_row_loop(name):
+    spec = {"example": EXAMPLE_MAP, "unequal": UNEQUAL_MAP, "doubling": DOUBLING_MAP}[name]
+    batch = sample_itinerary_batch(spec, 200, [trajectory_rng(7, i) for i in range(32)])
+    assert batch.shape == (32, 200) and batch.flags.c_contiguous
+    start = np.array([float(p) for p in interval_symbol_stationary(spec)])
+    matrix = np.array(spec.itinerary_matrix_exact(), dtype=float)
+    assert np.array_equal(batch, _reference_rows(start, matrix, 200, 32))
 
 
 def test_sample_paths_is_c_contiguous_for_chains():
@@ -241,6 +265,24 @@ def test_sample_paths_is_c_contiguous_for_chains():
         ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal"),
     ):
         assert sample_paths(spec, 40, rngs).flags.c_contiguous, type(spec).__name__
+
+
+def test_sample_paths_rejects_empty_paths():
+    rngs = [trajectory_rng(5, 0)]
+    for spec in (
+        HouseOfCardsSpec.constant(0.5),
+        HouseOfCardsSpec.drifting(0.4, 1.0),
+        FiniteMarkovSpec(Q1),
+        ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal"),
+        RegenerativeSpec.smith([1, 2], [0.5, 0.5]),
+        EXAMPLE_MAP,
+        DoeblinChainSpec(0.5),
+        FactorProductSpec(0.3),
+    ):
+        with pytest.raises(SpecError):
+            sample_paths(spec, 0, rngs)
+    with pytest.raises(SpecError):
+        sample_paths("not a system", 5, rngs)
 
 
 def test_sample_paths_matches_sample_path_rowwise():
@@ -256,6 +298,43 @@ def test_sample_paths_matches_sample_path_rowwise():
         rngs2 = [trajectory_rng(5, i) for i in range(4)]
         rows = np.stack([sample_path(spec, 25, r) for r in rngs2])
         assert np.array_equal(batch, rows), type(spec).__name__
+
+
+# sample_paths(spec, 24, trajectory_rngs(9, 0, 3)) for the systems that
+# step row by row; the pair configs of the CLI tests do not cover them
+_ROW_STEPPED_PINS = [
+    (
+        HouseOfCardsSpec.drifting(0.2, 0.3),
+        [
+            [6, 7, 8, 9, 10, 11, 12, 13, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 0, 1, 2, 0, 0, 0, 0, 1],
+            [2, 0, 1, 2, 3, 0, 0, 0, 1, 2, 0, 0, 0, 1, 0, 1, 2, 0, 0, 0, 0, 0, 0, 1],
+        ],
+    ),
+    (
+        HouseOfCardsSpec.alternating(0.3, 0.6),
+        [
+            [3, 0, 1, 2, 3, 4, 5, 6, 0, 1, 0, 0, 0, 1, 2, 3, 0, 1, 0, 1, 0, 1, 2, 3],
+            [2, 3, 4, 5, 0, 1, 2, 0, 1, 0, 1, 0, 0, 1, 2, 3, 0, 1, 2, 0, 0, 0, 1, 2],
+            [1, 0, 1, 2, 3, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 2, 0, 1, 0, 0, 1, 0, 1],
+        ],
+    ),
+    (
+        RegenerativeSpec.smith([1, 2, 5], [0.2, 0.3, 0.5]),
+        [
+            [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1],
+            [5, 5, 2, 2, 2, 2, 5, 5, 2, 2, 5, 5, 5, 5, 5, 5, 2, 2, 2, 2, 2, 5, 5, 5],
+            [5, 5, 5, 5, 2, 2, 2, 2, 2, 2, 1, 1, 5, 2, 1, 1, 2, 2, 2, 2, 5, 2, 5, 5],
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, rows", _ROW_STEPPED_PINS, ids=["drifting", "alternating", "smith"])
+def test_row_stepped_streams_are_pinned(spec, rows):
+    paths = sample_paths(spec, 24, trajectory_rngs(9, 0, 3))
+    assert paths.dtype == np.int64
+    assert paths.tolist() == rows
 
 
 def test_trajectory_rng_partitions():
@@ -293,14 +372,16 @@ def test_house_of_cards_batch_matches_solo(reset):
         batch = sample_house_of_cards_batch(spec, n, trajectory_rngs(7, 0, 12))
         assert batch.shape == (12, n) and batch.flags.c_contiguous
         assert batch.dtype == np.int64
-        assert np.array_equal(batch, _solo_rows(sample_house_of_cards, spec, n, 12)), n
+        # the per-row stepper that drifting and alternating chains run
+        rows = [systems._climb_or_reset(spec, n, trajectory_rng(7, i)) for i in range(12)]
+        assert np.array_equal(batch, np.stack(rows)), n
 
 
 def test_house_of_cards_batch_needs_constant_reset():
     with pytest.raises(SpecError):
         sample_house_of_cards_batch(HouseOfCardsSpec.drifting(0.4, 1.0), 5, [trajectory_rng(1, 0)])
     with pytest.raises(SpecError):
-        sample_house_of_cards_batch(HouseOfCardsSpec.constant(0.5), 0, [trajectory_rng(1, 0)])
+        sample_paths(HouseOfCardsSpec.constant(0.5), 0, [trajectory_rng(1, 0)])
 
 
 def test_sign_product_batch_matches_solo():
@@ -309,7 +390,9 @@ def test_sign_product_batch_matches_solo():
         batch = sample_factor_product_batch(spec, n, trajectory_rngs(7, 0, 40))
         assert batch.shape == (40, n) and batch.flags.c_contiguous
         assert batch.dtype == np.int64
-        assert np.array_equal(batch, _solo_rows(sample_factor_product, spec, n, 40)), n
+        for i, row in enumerate(batch):
+            x = np.where(trajectory_rng(7, i).random(n + 1) < 0.3, 1, -1)
+            assert np.array_equal(row, x[:-1] * x[1:]), (n, i)
 
 
 def _decode_reference(codes, m_states, n_chains):
@@ -330,32 +413,6 @@ def test_decode_states_equals_mod_div_formula(m_states, n_chains):
     got = decode_states(codes, m_states, n_chains)
     assert got.flags.c_contiguous and got.dtype == np.int64
     assert np.array_equal(got, _decode_reference(codes, m_states, n_chains))
-
-
-def test_symbol_stream_split_equals_whole():
-    # per-step samplers consume one draw per symbol, so any take() split
-    # reproduces the unsplit stream exactly
-    for spec in (
-        HouseOfCardsSpec.constant(0.5),
-        FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]])),
-        FactorProductSpec(0.3),
-        EXAMPLE_MAP,
-    ):
-        split = SymbolStream(spec, 13)
-        first = split.take(37)
-        second = split.take(63)
-        whole = SymbolStream(spec, 13).take(100)
-        assert np.array_equal(np.concatenate([first, second]), whole), type(spec).__name__
-
-
-def test_symbol_stream_call_pattern_determinism():
-    # the regenerative sampler draws block batches, so the guarantee is
-    # equal output under an equal call pattern (not arbitrary resplits)
-    spec = RegenerativeSpec.smith([1, 2], [0.5, 0.5])
-    a = SymbolStream(spec, 13)
-    b = SymbolStream(spec, 13)
-    for k in (37, 63, 11):
-        assert np.array_equal(a.take(k), b.take(k))
 
 
 def test_interval_map_example_structure():
