@@ -63,6 +63,7 @@ from .stats import (
     estimate_alpha,
     estimate_alpha_hat,
     estimate_lambda_tilde,
+    estimate_tables,
     kac_horizon,
 )
 from .systems import (

@@ -13,9 +13,10 @@ Exit codes: 0 pass, 2 tolerance fail, 3 config error, 4 resource guard.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .errors import ResourceLimitError, VisitlabError
+from .errors import ConfigError, ResourceLimitError, VisitlabError
 from .config import load_config
 from .runner import (
     cmd_bound,
@@ -69,8 +70,14 @@ def main(argv=None) -> int:
                 "tolerance": args.tolerance,
             },
         )
-        report = _VERBS[args.verb](cfg)
         out_dir = cfg.out_dir or "."
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot use {out_dir!r} as the output directory: {exc.strerror}"
+            ) from exc
+        report = _VERBS[args.verb](cfg)
         if args.verb == "bound":
             written = write_bound_report(report, out_dir)
         else:

@@ -20,7 +20,6 @@ return certified upper bounds even when two tables are truncated differently.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -179,21 +178,6 @@ class DiscretePMF:
         if m >= self.kmax:
             return self.tail_mass
         return self.tail_mass + float(np.sum(self.probs[m + 1 :]))
-
-    def mean_lower(self) -> float:
-        """Mean of the tabulated part (a lower bound on the true mean)."""
-        return float(np.arange(self.probs.size) @ self.probs)
-
-
-def pmf_to_json(pmf: DiscretePMF) -> str:
-    return json.dumps(
-        {"probs": pmf.probs.tolist(), "tail_mass": pmf.tail_mass}, sort_keys=True
-    )
-
-
-def pmf_from_json(text: str) -> DiscretePMF:
-    obj = json.loads(text)
-    return DiscretePMF(np.array(obj["probs"], dtype=float), obj["tail_mass"])
 
 
 def pmf_to_csv(pmf: DiscretePMF, path) -> None:

@@ -37,9 +37,7 @@ from .stats import (
     collect_cluster_stats,
     collect_w,
     empirical_pmf,
-    estimate_alpha,
-    estimate_alpha_hat,
-    estimate_lambda_tilde,
+    estimate_tables,
     kac_horizon,
 )
 from .systems import sample_paths, trajectory_rngs
@@ -157,19 +155,13 @@ def _tv_with_band(w_all: WSampleSet, pred: PredictionResult, seed: int, index: i
 
 
 def _estimate_tables(stats_all: ClusterStats, seed: int, index: int) -> dict:
-    tables = {}
-    jobs = (
-        ("alpha", estimate_alpha),
-        ("alpha_hat", estimate_alpha_hat),
-        ("lambda_tilde", estimate_lambda_tilde),
-    )
-    for name, fn in jobs:
-        try:
-            est = fn(stats_all, seed=_derived_seed(seed, _STREAM_ALPHA, index))
-            tables[name] = est.as_dict()
-        except InsufficientDataError as exc:
-            tables[name] = {"insufficient_data": True, "count": exc.count}
-    return tables
+    tables = estimate_tables(stats_all, seed=_derived_seed(seed, _STREAM_ALPHA, index))
+    return {
+        kind: {"insufficient_data": True, "count": est.count}
+        if isinstance(est, InsufficientDataError)
+        else est.as_dict()
+        for kind, est in tables.items()
+    }
 
 
 def _stein_for(cfg: ExperimentConfig, system, target, n, mu_value: float):

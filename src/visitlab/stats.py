@@ -1,10 +1,11 @@
 """Empirical visit statistics: W samples, cluster windows, and ratio estimators.
 
-Accumulators are value objects over one contiguous range of trajectory
-indices.  Partial results from blocks and workers merge end to end, in index
-order, by concatenation, which is exact and reproducible.  All estimators
-are ratios of integer counts; standard errors come from a block bootstrap
-with the trajectory as the block.
+Accumulators are value objects over one contiguous range of trajectories,
+given by its start and its length.  Partial results from blocks and workers
+merge end to end, each range starting where the last one ends, by
+concatenation, which is exact and reproducible.  The three cluster tables
+are ratios of integer counts; their standard errors come from one
+trajectory bootstrap, whose resampling weights all three tables share.
 """
 
 from __future__ import annotations
@@ -26,48 +27,36 @@ def kac_horizon(t: float, mu_value: float) -> int:
     return int(np.floor(t / mu_value))
 
 
-def _require_range(idx: np.ndarray) -> None:
-    """Reject indices that are not one ascending contiguous range; a merge
-    across a gap, an overlap or in the wrong order fails here."""
-    if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[0] + idx.size)):
-        raise SpecError("trajectory indices must form one ascending contiguous range")
+def _require_next(first, second) -> None:
+    """Reject a merge unless ``second`` starts where ``first`` ends."""
+    if second.start != first.start + first.total:
+        raise SpecError(
+            f"expected trajectories from {first.start + first.total}, "
+            f"got a range from {second.start}"
+        )
 
 
 @dataclass(frozen=True)
 class WSampleSet:
-    """Visit counts of one contiguous, ascending range of trajectories."""
+    """Visit counts of trajectories start, start + 1, ..., start + total - 1."""
 
-    indices: np.ndarray = field(repr=False)
+    start: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
         val = np.asarray(self.values, dtype=np.int64)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise SpecError("indices and values must be equal-length vectors")
-        _require_range(idx)
-        object.__setattr__(self, "indices", idx)
+        if val.ndim != 1:
+            raise SpecError("values must be a vector")
         object.__setattr__(self, "values", val)
 
     @property
     def total(self) -> int:
-        return int(self.indices.size)
-
-    def counts(self) -> dict:
-        """Histogram {W value: occurrences}."""
-        if self.total == 0:
-            return {}
-        b = np.bincount(self.values)
-        return {int(k): int(c) for k, c in enumerate(b) if c > 0}
+        return int(self.values.size)
 
     def merge(self, other: "WSampleSet") -> "WSampleSet":
         """This range followed by ``other``, which must start where it ends."""
-        idx = np.concatenate([self.indices, other.indices])
-        return WSampleSet(idx, np.concatenate([self.values, other.values]))
-
-    @classmethod
-    def empty(cls) -> "WSampleSet":
-        return cls(np.empty(0, np.int64), np.empty(0, np.int64))
+        _require_next(self, other)
+        return WSampleSet(self.start, np.concatenate([self.values, other.values]))
 
 
 def collect_w(indicators, horizon: int, start_index: int = 0) -> WSampleSet:
@@ -75,9 +64,7 @@ def collect_w(indicators, horizon: int, start_index: int = 0) -> WSampleSet:
     ind = np.atleast_2d(np.asarray(indicators))
     if ind.shape[1] < horizon + 1:
         raise SpecError("indicator rows shorter than the requested horizon")
-    w = ind[:, : horizon + 1].sum(axis=1, dtype=np.int64)
-    idx = np.arange(start_index, start_index + ind.shape[0], dtype=np.int64)
-    return WSampleSet(idx, w)
+    return WSampleSet(start_index, ind[:, : horizon + 1].sum(axis=1, dtype=np.int64))
 
 
 def empirical_pmf(samples: WSampleSet) -> DiscretePMF:
@@ -94,8 +81,8 @@ def empirical_pmf(samples: WSampleSet) -> DiscretePMF:
 
 @dataclass(frozen=True)
 class ClusterStats:
-    """Histogram rows for the three window statistics, one per trajectory of
-    one contiguous, ascending range.
+    """Histogram rows for the three window statistics, one per trajectory
+    start, start + 1, ..., start + total - 1.
 
     after_l[i, j]: hits with exactly j further hits in the next window_l steps
     (j capped; the last column collects overflow).  after_k is the same with
@@ -103,7 +90,7 @@ class ClusterStats:
     radius window_k holds exactly z hits, the hit itself included.
     """
 
-    indices: np.ndarray = field(repr=False)
+    start: int
     after_l: np.ndarray = field(repr=False)
     after_k: np.ndarray = field(repr=False)
     around: np.ndarray = field(repr=False)
@@ -112,12 +99,15 @@ class ClusterStats:
     cap: int
 
     def __post_init__(self):
-        _require_range(self.indices)
-        n = self.indices.size
+        n = self.total
         for name in ("after_l", "after_k", "around"):
             a = getattr(self, name)
             if a.shape != (n, self.cap + 1):
                 raise SpecError(f"{name} must have shape (n, cap + 1)")
+
+    @property
+    def total(self) -> int:
+        return int(self.after_l.shape[0])
 
     def merge(self, other: "ClusterStats") -> "ClusterStats":
         """This range followed by ``other``, which must start where it ends."""
@@ -127,8 +117,9 @@ class ClusterStats:
             other.cap,
         ):
             raise SpecError("cannot merge cluster stats with different windows")
+        _require_next(self, other)
         return ClusterStats(
-            np.concatenate([self.indices, other.indices]),
+            self.start,
             np.concatenate([self.after_l, other.after_l]),
             np.concatenate([self.after_k, other.after_k]),
             np.concatenate([self.around, other.around]),
@@ -188,8 +179,7 @@ def collect_cluster_stats(
     else:
         around = np.zeros((m, cap + 1), np.int32)
 
-    idx = np.arange(start_index, start_index + m, dtype=np.int64)
-    return ClusterStats(idx, after_l, after_k, around, window_l, window_k, cap)
+    return ClusterStats(start_index, after_l, after_k, around, window_l, window_k, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -222,120 +212,116 @@ class AlphaEstimates:
         return out
 
 
-def _bootstrap_tables(num_rows, den_rows, resamples, rng):
-    """Bootstrap replicates of columnwise ratios sum(num)/sum(den) over rows."""
-    m = den_rows.shape[0]
-    num = num_rows.astype(np.float64)
-    den = den_rows.astype(np.float64)
-    reps = np.empty((resamples, num.shape[1]))
+def estimate_tables(
+    stats: ClusterStats,
+    min_count: int = 100,
+    resamples: int = 200,
+    seed: int = 0,
+) -> dict:
+    """The three cluster tables, keyed ``alpha``, ``alpha_hat`` and ``lambda_tilde``.
+
+    Each table is a column-wise ratio of integer counts summed over rows, and
+    each row's denominator is its number of counted hits.  A table counting
+    fewer than ``min_count`` hits holds an :class:`InsufficientDataError`.
+    One set of ``resamples`` trajectory-bootstrap weight vectors, drawn from
+    ``default_rng(seed)``, gives the standard errors of every table.
+
+    * alpha_k(L): fraction of window-complete hits with exactly k-1 further
+      hits in L.  Index k runs 1..cap+1; the final slot aggregates everything
+      beyond the cap, which keeps sum_k alpha_k = 1 exactly on any sample.
+    * alpha_hat_l(K): fraction with >= l-1 further hits in K, exactly
+      nonincreasing in l with alpha_hat_1 = 1.
+    * lambda_tilde_l(K): (1/l) x fraction of mid hits (at distance >= K from
+      both indicator ends) seeing exactly l hits.  The mean cluster size
+      1 / sum_l lambda_tilde_l rides along in the extras.
+    """
+    # tail-cumulative rows: column l-1 counts hits with >= l-1 further hits
+    tails = np.cumsum(stats.after_k[:, ::-1], axis=1)[:, ::-1]
+    # (kind, window histogram, numerator rows, window)
+    layout = (
+        ("alpha", stats.after_l, stats.after_l, stats.window_l),
+        ("alpha_hat", stats.after_k, tails, stats.window_k),
+        ("lambda_tilde", stats.around, stats.around, stats.window_k),
+    )
+    tables, counted = {}, []
+    for kind, hist, num, window in layout:
+        den = hist.sum(axis=1, dtype=np.int64)
+        count = int(den.sum())
+        if count < min_count:
+            tables[kind] = InsufficientDataError(
+                f"only {count} counted hits for {kind} (< {min_count})", count=count
+            )
+        else:
+            counted.append((kind, num, den, count, window))
+    if not counted:
+        return tables
+    # per resample, the weighted column sums of each counted table's numerator
+    # rows and then its denominator; every weight and count is an integer
+    # below 2**53, so each sum is exact in any order
+    columns = np.column_stack([c for _, num, den, *_ in counted for c in (num, den)])
+    columns = columns.astype(np.float64)
+    m = stats.total
+    rng = np.random.default_rng(seed)
+    sums = np.empty((resamples, columns.shape[1]))
     for b in range(resamples):
-        weights = np.bincount(rng.integers(0, m, m), minlength=m).astype(np.float64)
-        d = weights @ den
-        reps[b] = (weights @ num) / d if d > 0 else np.nan
-    return reps
+        sums[b] = np.bincount(rng.integers(0, m, m), minlength=m) @ columns
+    ell = np.arange(1, stats.cap + 2, dtype=np.float64)
+    lo = 0
+    for kind, num, _, count, window in counted:
+        hi = lo + num.shape[1]
+        d = sums[:, hi : hi + 1]
+        reps = np.full((resamples, hi - lo), np.nan)
+        np.divide(sums[:, lo:hi], d, out=reps, where=d > 0)
+        lo = hi + 1
+        totals = num.sum(axis=0, dtype=np.int64)
+        values = totals / count
+        if kind == "lambda_tilde":
+            values, reps = values / ell, reps / ell
+        ses = np.nanstd(reps, axis=0, ddof=1)
+        tables[kind] = AlphaEstimates(
+            kind, values, ses, count, window, int(totals[-1]), _extras(kind, values, ses, reps)
+        )
+    return {kind: tables[kind] for kind, *_ in layout}
+
+
+def _extras(kind: str, values, ses, reps) -> dict:
+    if kind == "alpha":
+        return {"extremal_index": float(values[0]), "extremal_index_se": float(ses[0])}
+    if kind == "lambda_tilde":
+        sum_rep = np.nansum(reps, axis=1)
+        total = values.sum()
+        return {
+            "mean_cluster": float(1.0 / total) if total > 0 else float("inf"),
+            "mean_cluster_se": (
+                float(np.nanstd(1.0 / sum_rep, ddof=1)) if np.all(sum_rep > 0) else float("nan")
+            ),
+        }
+    return {}
+
+
+def _sufficient(est) -> AlphaEstimates:
+    """A table of :func:`estimate_tables`, or its error raised."""
+    if isinstance(est, InsufficientDataError):
+        raise est
+    return est
 
 
 def estimate_alpha(
-    stats: ClusterStats,
-    min_entries: int = 100,
-    resamples: int = 200,
-    seed: int = 0,
+    stats: ClusterStats, min_entries: int = 100, resamples: int = 200, seed: int = 0
 ) -> AlphaEstimates:
-    """alpha_k(L): fraction of counted hits with exactly k-1 further hits in L.
-
-    Index k runs 1..cap+1; the final slot aggregates everything beyond the
-    cap, which keeps sum_k alpha_k = 1 exactly on any sample.
-    """
-    entries_per_row = stats.after_l.sum(axis=1, dtype=np.int64)
-    entries = int(entries_per_row.sum())
-    if entries < min_entries:
-        raise InsufficientDataError(
-            f"only {entries} window-complete hits (< {min_entries})", count=entries
-        )
-    totals = stats.after_l.sum(axis=0, dtype=np.int64)
-    values = totals / entries
-    rng = np.random.default_rng(seed)
-    reps = _bootstrap_tables(stats.after_l, entries_per_row, resamples, rng)
-    ses = np.nanstd(reps, axis=0, ddof=1)
-    theta = float(values[0])
-    theta_se = float(ses[0])
-    return AlphaEstimates(
-        kind="alpha",
-        values=values,
-        ses=ses,
-        denominator=entries,
-        window=stats.window_l,
-        overflow=int(totals[-1]),
-        extras={"extremal_index": theta, "extremal_index_se": theta_se},
-    )
+    """The ``alpha`` table of :func:`estimate_tables`; raises when it is insufficient."""
+    return _sufficient(estimate_tables(stats, min_entries, resamples, seed)["alpha"])
 
 
 def estimate_alpha_hat(
-    stats: ClusterStats,
-    min_entries: int = 100,
-    resamples: int = 200,
-    seed: int = 0,
+    stats: ClusterStats, min_entries: int = 100, resamples: int = 200, seed: int = 0
 ) -> AlphaEstimates:
-    """alpha_hat_l(K): fraction of counted hits with >= l-1 further hits in K.
-
-    Exactly nonincreasing in l on every sample, with alpha_hat_1 = 1.
-    """
-    entries_per_row = stats.after_k.sum(axis=1, dtype=np.int64)
-    entries = int(entries_per_row.sum())
-    if entries < min_entries:
-        raise InsufficientDataError(
-            f"only {entries} window-complete hits (< {min_entries})", count=entries
-        )
-    # tail-cumulative rows: column l-1 counts hits with >= l-1 further hits
-    tails = np.cumsum(stats.after_k[:, ::-1], axis=1)[:, ::-1]
-    totals = tails.sum(axis=0, dtype=np.int64)
-    values = totals / entries
-    rng = np.random.default_rng(seed)
-    reps = _bootstrap_tables(tails, entries_per_row, resamples, rng)
-    ses = np.nanstd(reps, axis=0, ddof=1)
-    return AlphaEstimates(
-        kind="alpha_hat",
-        values=values,
-        ses=ses,
-        denominator=entries,
-        window=stats.window_k,
-        overflow=int(stats.after_k[:, -1].sum()),
-    )
+    """The ``alpha_hat`` table of :func:`estimate_tables`; raises when it is insufficient."""
+    return _sufficient(estimate_tables(stats, min_entries, resamples, seed)["alpha_hat"])
 
 
 def estimate_lambda_tilde(
-    stats: ClusterStats,
-    min_hits: int = 100,
-    resamples: int = 200,
-    seed: int = 0,
+    stats: ClusterStats, min_hits: int = 100, resamples: int = 200, seed: int = 0
 ) -> AlphaEstimates:
-    """lambda_tilde_l(K): (1/l) x fraction of mid hits seeing exactly l hits.
-
-    Mid hits are those at distance >= K from both indicator ends.  The mean
-    cluster size 1 / sum_l lambda_tilde_l rides along in the extras.
-    """
-    hits_per_row = stats.around.sum(axis=1, dtype=np.int64)
-    total = int(hits_per_row.sum())
-    if total < min_hits:
-        raise InsufficientDataError(
-            f"only {total} interior hits (< {min_hits}); all others edge-discarded",
-            count=total,
-        )
-    ell = np.arange(1, stats.cap + 2, dtype=np.float64)
-    totals = stats.around.sum(axis=0, dtype=np.int64)
-    values = totals / total / ell
-    rng = np.random.default_rng(seed)
-    reps = _bootstrap_tables(stats.around, hits_per_row, resamples, rng) / ell
-    ses = np.nanstd(reps, axis=0, ddof=1)
-    sum_rep = np.nansum(reps, axis=1)
-    mean_cluster = float(1.0 / values.sum()) if values.sum() > 0 else float("inf")
-    mc_se = float(np.nanstd(1.0 / sum_rep, ddof=1)) if np.all(sum_rep > 0) else float("nan")
-    return AlphaEstimates(
-        kind="lambda_tilde",
-        values=values,
-        ses=ses,
-        denominator=total,
-        window=stats.window_k,
-        overflow=int(totals[-1]),
-        extras={"mean_cluster": mean_cluster, "mean_cluster_se": mc_se},
-    )
+    """The ``lambda_tilde`` table of :func:`estimate_tables`; raises when it is insufficient."""
+    return _sufficient(estimate_tables(stats, min_hits, resamples, seed)["lambda_tilde"])

@@ -298,21 +298,24 @@ def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
     """
     if spec.kind == "constant":
         return sample_house_of_cards_batch(spec, n, rngs)
-    return np.stack([_climb_or_reset(spec, n, rng) for rng in rngs])
+    return _climb_or_reset(spec, n, rngs)
 
 
-def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rng) -> np.ndarray:
-    """One stationary path from n uniforms of ``rng``, stepped state by state."""
+def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
+    """One stationary path per generator, each stepped state by state."""
     law = _hoc_law_cache(spec)
-    u = rng.random(n)
-    x = int(np.searchsorted(np.cumsum(law.probs), u[0], side="right"))
-    x = min(x, law.probs.size - 1)
-    r_table = spec.reset_probs(np.arange(n + x + 2))
-    states = np.empty(n, dtype=np.int64)
-    states[0] = x
-    for j in range(1, n):
-        x = 0 if u[j] < r_table[x] else x + 1
-        states[j] = x
+    cdf = np.cumsum(law.probs)
+    # a path starts below law.probs.size and climbs at most n - 1 states
+    r_table = spec.reset_probs(np.arange(n + law.probs.size)).tolist()
+    states = np.empty((len(rngs), n), dtype=np.int64)
+    for row, rng in zip(states, rngs):
+        u = rng.random(n).tolist()
+        x = min(int(np.searchsorted(cdf, u[0], side="right")), law.probs.size - 1)
+        path = [x]
+        for uj in u[1:]:
+            x = 0 if uj < r_table[x] else x + 1
+            path.append(x)
+        row[:] = path
     return states
 
 
@@ -320,7 +323,7 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
     """Reset-anchor scan for the ``constant`` family, all rows at once.
 
     Returns a C-contiguous ``(rows, n)`` int64 array whose row i equals
-    ``_climb_or_reset(spec, n, rngs[i])``: the same n uniforms, the
+    row i of ``_climb_or_reset(spec, n, rngs)``: the same n uniforms, the
     stationary start and then n - 1 resets.  The scan runs in place over an
     int64 view of the uniforms.
     """
@@ -723,63 +726,55 @@ class RegenerativeSpec:
         return w / w.sum()
 
 
-def _stationary_first_block(spec: RegenerativeSpec, u_sym: float, u_len: float):
-    """Symbol and REMAINING length of the block covering time 0."""
-    pbar = spec.stationary_symbol_probs()
-    cdf = np.cumsum(pbar)
-    cdf[-1] = 1.0
-    ai = int(np.searchsorted(cdf, u_sym, side="right"))
-    a = spec.symbols[ai]
-    nu_a = spec.mean_block_by_symbol()[ai]
-    q = spec.length_law(a)
-    # residual-length law: P(rem = k) = sum_{l >= k} q(l) / nu_a
-    rem_law = np.cumsum(q[::-1])[::-1] / nu_a
+def _residual_length_cdf(spec: RegenerativeSpec, ai: int) -> np.ndarray:
+    """CDF of the remaining length of a stationary block of symbol index ai,
+    P(rem = k) = sum_{l >= k} q(l) / nu_a (index k-1 <-> remaining length k)."""
+    q = spec.length_law(spec.symbols[ai])
+    rem_law = np.cumsum(q[::-1])[::-1] / spec.mean_block_by_symbol()[ai]
     cdf_rem = np.cumsum(rem_law)
     cdf_rem[-1] = max(cdf_rem[-1], 1.0)
-    rem = 1 + int(np.searchsorted(cdf_rem, u_len, side="right"))
-    return ai, min(rem, q.size)
+    return cdf_rem
 
 
 def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
     """Stationary paths of n symbols, a C-contiguous ``(rows, n)`` int64 array.
 
-    Each row steps through its own generator with :func:`_regenerative_path`.
-    """
-    return np.stack([_regenerative_path(spec, n, rng) for rng in rngs])
-
-
-def _regenerative_path(spec: RegenerativeSpec, n: int, rng) -> np.ndarray:
-    """One stationary path of n symbols.
-
-    Draw pattern: two uniforms for the stationary first block (symbol, then
-    residual length), then repeated rounds of paired uniform blocks
-    (symbols, lengths) until n symbols are produced.
+    Each row steps through its own generator: two uniforms for the
+    stationary first block (its length-biased symbol, then its residual
+    length), then repeated rounds of paired uniform blocks (symbols,
+    lengths) until n symbols are produced.
     """
     sym_arr = np.asarray(spec.symbols, dtype=np.int64)
-    ai, rem = _stationary_first_block(spec, rng.random(), rng.random())
-    produced = min(rem, n)
-    pieces = [np.full(produced, sym_arr[ai], dtype=np.int64)]
+    cdf_first = np.cumsum(spec.stationary_symbol_probs())
+    cdf_first[-1] = 1.0
+    cdf_rem = [_residual_length_cdf(spec, ai) for ai in range(sym_arr.size)]
     cdf_sym = np.cumsum(spec.symbol_probs)
     cdf_sym[-1] = 1.0
     nu = spec.mean_block()
     if spec.length_model == "shared":
         cdf_len = np.cumsum(spec.shared_q)
         cdf_len[-1] = 1.0
-    while produced < n:
-        need = n - produced
-        batch = max(16, int(need / nu * 1.25) + 8)
-        us = rng.random(batch)
-        ul = rng.random(batch)
-        ais = np.searchsorted(cdf_sym, us, side="right")
-        if spec.length_model == "shared":
-            lens = 1 + np.searchsorted(cdf_len, ul, side="right")
-        else:
-            a_vals = sym_arr[ais]
-            lens = np.where(ul < 1.0 - 1.0 / a_vals, 1, a_vals + 1)
-        flat = np.repeat(sym_arr[ais], lens)
-        pieces.append(flat[:need])
-        produced += pieces[-1].size
-    return np.concatenate(pieces)
+    out = np.empty((len(rngs), n), dtype=np.int64)
+    for row, rng in zip(out, rngs):
+        ai = int(np.searchsorted(cdf_first, rng.random(), side="right"))
+        rem = 1 + int(np.searchsorted(cdf_rem[ai], rng.random(), side="right"))
+        produced = min(rem, cdf_rem[ai].size, n)
+        row[:produced] = sym_arr[ai]
+        while produced < n:
+            need = n - produced
+            batch = max(16, int(need / nu * 1.25) + 8)
+            us = rng.random(batch)
+            ul = rng.random(batch)
+            ais = np.searchsorted(cdf_sym, us, side="right")
+            if spec.length_model == "shared":
+                lens = 1 + np.searchsorted(cdf_len, ul, side="right")
+            else:
+                a_vals = sym_arr[ais]
+                lens = np.where(ul < 1.0 - 1.0 / a_vals, 1, a_vals + 1)
+            flat = np.repeat(sym_arr[ais], lens)[:need]
+            row[produced : produced + flat.size] = flat
+            produced += flat.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -964,9 +959,6 @@ class DoeblinChainSpec:
             raise SpecError(f"eta must lie in [0, 1), got {self.eta}")
         if self.n_chains < 1:
             raise SpecError("need at least one chain")
-
-    def kernel_density(self, x, y):
-        return 1.0 + self.eta * np.cos(2.0 * np.pi * (np.asarray(y) - np.asarray(x)))
 
     @property
     def density_sup(self) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from visitlab import FiniteMarkovSpec, HalfLineTarget, UnsupportedPairError, predict_for, targets
+from visitlab import FiniteMarkovSpec, HalfLineTarget, UnsupportedPairError, predict_for, runner, targets
 from visitlab.cli import build_parser, main
 from visitlab.predictions import PAIRS
 
@@ -174,6 +174,27 @@ def test_zero_measure_target_exits_three_without_monte_carlo(tmp_path, capsys, m
     assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
     assert "zero stationary measure" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("verb", ["compare", "bound"])
+def test_unusable_out_dir_exits_three_before_simulating(verb, tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the output directory was checked")
+
+    monkeypatch.setattr(runner, "_run_simulation", no_simulation)
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(
+        CONFIG + "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n"
+        "  mode: phi\n  window_policy: half\n"
+    )
+    regular = tmp_path / "report.txt"
+    regular.write_text("not a directory\n")
+    for out in (regular, regular / "sub"):
+        assert main([verb, "--config", str(cfg), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(out) in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert regular.read_text() == "not a directory\n"
 
 # one tiny config per entry of the pair table
 _PAIR_CONFIGS = {

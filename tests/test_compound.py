@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ from visitlab import (
     poisson_pmf,
     tv_distance,
 )
-from visitlab.compound import pmf_from_csv, pmf_from_json, pmf_to_csv, pmf_to_json
+from visitlab.compound import pmf_from_csv, pmf_to_csv
 
 # grid shared by the recursion-vs-closed-form and sampler checks
 T_GRID = (0.5, 1.0, 2.0)
@@ -133,15 +132,11 @@ def test_discrete_pmf_validation():
         DiscretePMF(np.array([0.5, 0.4]), tail_mass=-0.01)
 
 
-def test_pmf_json_and_csv_roundtrip(tmp_path):
+def test_pmf_csv_roundtrip(tmp_path):
     pmf = pa_pmf(2.0, 0.5, 30)
-    again = pmf_from_json(pmf_to_json(pmf))
-    assert again == pmf
     path = tmp_path / "pmf.csv"
     pmf_to_csv(pmf, path)
     assert pmf_from_csv(path) == pmf
-    blob = json.loads(pmf_to_json(pmf))
-    assert set(blob) == {"probs", "tail_mass"}
 
 
 def test_cluster_law_polya_aeppli_correspondence():

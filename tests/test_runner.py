@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -332,3 +333,54 @@ def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
         write_report(copy.deepcopy(report), tmp_path, "compare")
     assert (tmp_path / "compare_report.json").read_text() == good
     assert not list(tmp_path.glob("*.tmp"))
+
+
+# the cluster tables (values, bootstrap SEs, extras) of three compares, pinned
+# by the sha256 of their canonical JSON: forward and two-sided windows that
+# differ, a run where only alpha has enough counted hits, and the smith
+# regenerative system, whose alpha and alpha_hat share one window
+_TABLE_PINS = {
+    "run-length, L != K": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 5, "tolerance": 0.1,
+                           "window_forward": 4, "window_two_sided": 9},
+            "system": {"kind": "house-of-cards", "reset": 0.5},
+            "target": {"kind": "run-length", "level": 1, "sweep": [5]},
+        },
+        "cd315997cd38d590a29db57b7adebd40819f950cf2c751aa7a8125fe514ce251",
+    ),
+    "some tables insufficient": (
+        {
+            "experiment": {"t": 2.0, "samples": 40, "seed": 8, "tolerance": 0.5,
+                           "window_forward": 2, "window_two_sided": 16},
+            "system": {"kind": "house-of-cards", "reset": 0.5},
+            "target": {"kind": "run-length", "level": 1, "sweep": [4]},
+        },
+        "ef705fc9a967c0dbccc1babc59af8f5e71e1f152ab6db12cbdfc76c19341401b",
+    ),
+    "smith regenerative": (
+        {
+            "experiment": {"t": 2.0, "samples": 2000, "seed": 6, "tolerance": 0.1,
+                           "window_forward": 10, "window_two_sided": 10},
+            "system": {"kind": "regenerative", "symbols": [1, 2, 3, 4, 5, 6, 7, 8],
+                       "probs": [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625,
+                                 0.0078125, 0.0078125],
+                       "lengths": {"model": "two-point"}},
+            "target": {"kind": "half-line", "sweep": [5]},
+        },
+        "8d72586bc98cbfa9105f127c5bcebe8cf1f4b552ac1a7ba5c86c53d5a7c0fbc7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_PINS))
+def test_cluster_tables_are_pinned(name):
+    doc, digest = _TABLE_PINS[name]
+    body = json.loads(report_body(run_experiment(_cfg(doc), "compare")))
+    tables = body["results"][0]["tables"]
+    if name == "some tables insufficient":
+        assert [tables[k].get("insufficient_data", False) for k in sorted(tables)] == [
+            False, True, True,
+        ]
+    canonical = json.dumps(tables, sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == digest

@@ -11,6 +11,7 @@ from visitlab import (
     estimate_alpha,
     estimate_alpha_hat,
     estimate_lambda_tilde,
+    estimate_tables,
     kac_horizon,
 )
 
@@ -25,42 +26,40 @@ def test_kac_horizon_floor():
         kac_horizon(1.0, 0.0)
 
 
-def test_w_sample_set_counts_and_merge():
-    a = WSampleSet(np.array([0, 1, 2]), np.array([0, 2, 2]))
-    assert a.counts() == {0: 1, 2: 2}
-    b = WSampleSet(np.array([3, 4]), np.array([1, 0]))
+def test_w_sample_set_merge():
+    a = WSampleSet(0, np.array([0, 2, 2]))
+    b = WSampleSet(3, np.array([1, 0]))
     merged = a.merge(b)
-    assert merged.indices.tolist() == [0, 1, 2, 3, 4]
+    assert (merged.start, merged.total) == (0, 5)
     assert merged.values.tolist() == [0, 2, 2, 1, 0]
-    assert a.merge(WSampleSet.empty()).indices.tolist() == [0, 1, 2]
-    assert WSampleSet.empty().merge(b).indices.tolist() == [3, 4]
+    empty = np.empty(0, np.int64)
+    assert a.merge(WSampleSet(3, empty)).values.tolist() == [0, 2, 2]
+    assert WSampleSet(3, empty).merge(b).values.tolist() == [1, 0]
     # only the adjacent range merges: an overlap, a gap and the reverse order fail
     with pytest.raises(SpecError):
-        a.merge(WSampleSet(np.array([2]), np.array([9])))
+        a.merge(WSampleSet(2, np.array([9])))
     with pytest.raises(SpecError):
-        a.merge(WSampleSet(np.array([4]), np.array([9])))
+        a.merge(WSampleSet(4, np.array([9])))
     with pytest.raises(SpecError):
         b.merge(a)
-    with pytest.raises(SpecError):
-        WSampleSet(np.array([4, 3]), np.array([1, 0]))
-    assert WSampleSet.empty().total == 0
+    assert WSampleSet(0, empty).total == 0
 
 
 def test_collect_w_hand_count():
     ind = np.array([[1, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
     got = collect_w(ind, horizon=2, start_index=5)
-    assert got.indices.tolist() == [5, 6]
+    assert (got.start, got.total) == (5, 2)
     assert got.values.tolist() == [2, 0]
     with pytest.raises(SpecError):
         collect_w(ind, horizon=4)
 
 
 def test_empirical_pmf_from_counts():
-    s = WSampleSet(np.arange(6), np.array([0, 0, 1, 2, 2, 2]))
+    s = WSampleSet(0, np.array([0, 0, 1, 2, 2, 2]))
     pmf = empirical_pmf(s)
     assert np.allclose(pmf.probs, [1 / 3, 1 / 6, 1 / 2])
     with pytest.raises(InsufficientDataError):
-        empirical_pmf(WSampleSet.empty())
+        empirical_pmf(WSampleSet(0, np.empty(0, np.int64)))
 
 
 def test_cluster_stats_single_row_hand_counts():
@@ -91,7 +90,7 @@ def test_cluster_stats_merge_matches_batch():
     assert np.array_equal(merged.after_l, whole.after_l)
     assert np.array_equal(merged.after_k, whole.after_k)
     assert np.array_equal(merged.around, whole.around)
-    assert merged.indices.tolist() == list(range(6))
+    assert (merged.start, merged.total) == (0, 6)
     # only the adjacent range merges: a gap, an overlap and the reverse order fail
     with pytest.raises(SpecError):
         top.merge(collect_cluster_stats(ind[:1], 2, 4, cap=5, start_index=9))
@@ -144,7 +143,7 @@ def test_cluster_stats_equal_running_sum_reference(density):
         for name, ref in zip(("after_l", "after_k", "around"), want):
             arr = getattr(got, name)
             assert arr.dtype == np.int32 and np.array_equal(arr, ref), (t_len, name)
-        assert got.indices.tolist() == list(range(11, 11 + rows))
+        assert (got.start, got.total) == (11, rows)
 
 
 def test_cluster_stats_of_an_empty_indicator():
@@ -217,3 +216,66 @@ def test_estimates_flatten_to_plain_dict():
     assert d["kind"] == "lambda_tilde"
     assert "mean_cluster" in d and "mean_cluster_se" in d
     assert isinstance(d["values"][0], float)
+
+
+def _per_table_reference(stats, resamples=200, seed=0):
+    """Each table with its own generator and its own loop of resamples."""
+
+    def bootstrap(num_rows, den_rows):
+        rng = np.random.default_rng(seed)
+        m = den_rows.shape[0]
+        reps = np.empty((resamples, num_rows.shape[1]))
+        for b in range(resamples):
+            weights = np.bincount(rng.integers(0, m, m), minlength=m).astype(np.float64)
+            d = weights @ den_rows.astype(np.float64)
+            reps[b] = (weights @ num_rows.astype(np.float64)) / d if d > 0 else np.nan
+        return reps
+
+    out = {}
+    den = stats.after_l.sum(axis=1, dtype=np.int64)
+    values = stats.after_l.sum(axis=0, dtype=np.int64) / den.sum()
+    ses = np.nanstd(bootstrap(stats.after_l, den), axis=0, ddof=1)
+    out["alpha"] = (values, ses, {"extremal_index": values[0], "extremal_index_se": ses[0]})
+    den = stats.after_k.sum(axis=1, dtype=np.int64)
+    tails = np.cumsum(stats.after_k[:, ::-1], axis=1)[:, ::-1]
+    values = tails.sum(axis=0, dtype=np.int64) / den.sum()
+    out["alpha_hat"] = (values, np.nanstd(bootstrap(tails, den), axis=0, ddof=1), {})
+    den = stats.around.sum(axis=1, dtype=np.int64)
+    ell = np.arange(1, stats.cap + 2, dtype=np.float64)
+    values = stats.around.sum(axis=0, dtype=np.int64) / den.sum() / ell
+    reps = bootstrap(stats.around, den) / ell
+    sum_rep = np.nansum(reps, axis=1)
+    out["lambda_tilde"] = (
+        values,
+        np.nanstd(reps, axis=0, ddof=1),
+        {"mean_cluster": 1.0 / values.sum(), "mean_cluster_se": np.nanstd(1.0 / sum_rep, ddof=1)},
+    )
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_shared_bootstrap_equals_one_generator_per_table(seed):
+    stats = _random_stats()
+    tables = estimate_tables(stats, resamples=50, seed=seed)
+    want = _per_table_reference(stats, resamples=50, seed=seed)
+    assert list(tables) == ["alpha", "alpha_hat", "lambda_tilde"]
+    for kind, (values, ses, extras) in want.items():
+        got = tables[kind]
+        assert got.kind == kind
+        assert np.array_equal(got.values, values) and np.array_equal(got.ses, ses), kind
+        assert got.extras == {k: float(v) for k, v in extras.items()}, kind
+
+
+def test_insufficient_tables_are_returned_in_place():
+    stats = _random_stats(rows=2, cols=60)
+    counts = {k: int(getattr(stats, h).sum()) for k, h in
+              (("alpha", "after_l"), ("alpha_hat", "after_k"), ("lambda_tilde", "around"))}
+    threshold = sorted(counts.values())[1]
+    tables = estimate_tables(stats, min_count=threshold)
+    for kind, count in counts.items():
+        est = tables[kind]
+        if count < threshold:
+            assert isinstance(est, InsufficientDataError) and est.count == count
+        else:
+            assert est.denominator == count
+    assert sum(isinstance(e, InsufficientDataError) for e in tables.values()) >= 1

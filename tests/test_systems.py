@@ -373,7 +373,7 @@ def test_house_of_cards_batch_matches_solo(reset):
         assert batch.shape == (12, n) and batch.flags.c_contiguous
         assert batch.dtype == np.int64
         # the per-row stepper that drifting and alternating chains run
-        rows = [systems._climb_or_reset(spec, n, trajectory_rng(7, i)) for i in range(12)]
+        rows = systems._climb_or_reset(spec, n, [trajectory_rng(7, i) for i in range(12)])
         assert np.array_equal(batch, np.stack(rows)), n
 
 
