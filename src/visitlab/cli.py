@@ -7,7 +7,7 @@ Verbs:
   bound      error-bracket table over n (needs a stein config section)
   sweep      compare across the sweep list plus a consolidated summary CSV
 
-Exit codes: 0 pass, 2 tolerance fail, 3 config error, 4 resource guard.
+Exit codes: 0 pass, 2 tolerance fail, 3 config or usage error, 4 resource guard.
 """
 
 from __future__ import annotations
@@ -58,7 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error to stderr; a usage error is a
+        # configuration error (exit 3), while --help exits 0
+        return 3 if exc.code else 0
     try:
         cfg = load_config(
             args.config,

@@ -86,7 +86,8 @@ def _as_fraction(value, path: str) -> Fraction:
     try:
         if isinstance(value, str):
             return Fraction(value.strip())
-        if isinstance(value, (int, float)):
+        # YAML reads true/yes/false/no as bools, which Python counts as ints
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass

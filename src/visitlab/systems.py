@@ -424,18 +424,47 @@ def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
 
 
 def sample_markov_batch(spec: FiniteMarkovSpec, n: int, rngs) -> np.ndarray:
-    """Stationary paths, a C-contiguous ``(rows, n)`` int64 array.
+    """Stationary paths, a C-contiguous ``(rows, n)`` array of state indices.
 
-    Row i draws n uniforms from rngs[i]: the first picks the stationary
-    start, each later one takes an inverse-CDF step (:func:`_step_columns`).
+    The dtype is the smallest unsigned one that holds every state (uint8 up
+    to 256 states).  Row i draws n uniforms from rngs[i]: the first picks the
+    stationary start, each later one takes an inverse-CDF step
+    (:func:`_step_columns`).
     """
     return _step_columns(rngs, n, markov_stationary(spec), spec.matrix)
 
 
-# Chains with at most this many states step through one 1-D gather per
-# cumulative threshold column; larger ones gather whole cumulative rows (the
-# two cost the same at about 20-28 states).
+# Chains with too many distinct thresholds for :func:`_bucket_table` step
+# through one 1-D gather per cumulative threshold column if they have at most
+# this many states; larger ones gather whole cumulative rows (the two cost the
+# same at about 20-28 states).
 _THRESHOLD_STATES = 24
+
+
+# uniforms per row block bucketed by :func:`_step_columns` (512 kB of float64,
+# so that a block stays in cache for all of its compare-and-add passes)
+_BLOCK_UNIFORMS = 1 << 16
+
+
+def _bucket_table(cum: np.ndarray):
+    """``(breaks, lut)`` for stepping by table lookup, or None if it does not fit.
+
+    ``breaks`` holds the distinct thresholds ``cum[:, :k-1]`` and bucket b the
+    uniforms u with exactly b breaks at or below u.  ``lut[b * k + s]`` (uint8)
+    counts the thresholds of row s at or below ``breaks[b - 1]``: as every
+    threshold is a break, that is the count at or below u, the next state.
+    The bucket index b * k + s must fit in a uint8.  Where it does, a break
+    costs one compare-and-add pass over a cached block of uniforms, far less
+    than a threshold column's gather and compare at every step, so the lookup
+    is the faster route for every such chain (timed up to 16 states).
+    """
+    k = cum.shape[0]
+    breaks = np.unique(cum[:, : k - 1])
+    if (breaks.size + 1) * k > 256:
+        return None
+    lower = np.concatenate(([-np.inf], breaks))
+    lut = (cum[None, :, : k - 1] <= lower[:, None, None]).sum(axis=2)
+    return breaks, lut.astype(np.uint8).ravel()
 
 
 def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -444,33 +473,71 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     Row i draws its n uniforms from rngs[i]: the first picks the start from
     the ``stationary`` law, each later one steps from state s to the number
     of cumulative thresholds ``cum[s]`` at or below it, as
-    ``searchsorted(cum[s], u, "right")`` does.  The uniforms are stepped
-    column by column in an ``(n, rows)`` buffer, and each step's states
-    overwrite the column of uniforms they were drawn from.
+    ``searchsorted(cum[s], u, "right")`` does.  States are stored in the
+    smallest unsigned dtype that holds them and stepped column by column in
+    an ``(n, rows)`` array, transposed once at the end.
+
+    Chains with few distinct thresholds (:func:`_bucket_table`) bucket the
+    uniforms as they are drawn, a cached block of rows at a time, into uint8
+    codes; after one transpose of the codes each column costs two uint8
+    passes: add the previous states to its codes, look the sums up.  Other
+    chains compare each column of a transposed float64 copy of the uniforms
+    with the thresholds of the previous states.
     """
-    u = _row_uniforms(rngs, n)
-    buf = u.T.copy()
-    del u
-    states = buf.view(np.int64)
     cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
-    states[0] = np.searchsorted(cdf, buf[0], side="right")
     cum = np.cumsum(matrix, axis=1)
     cum[:, -1] = 1.0
     k = cum.shape[1]
+    table = _bucket_table(cum)
+    if table is not None:
+        breaks, lut = table
+        rows, per = len(rngs), max(1, _BLOCK_UNIFORMS // n)
+        codes = np.zeros((rows, n), dtype=np.uint8)
+        start = np.empty(rows, dtype=np.intp)
+        u = np.empty((min(per, rows), n))
+        below = np.empty(u.shape, dtype=bool)
+        for lo in range(0, rows, per):
+            part = codes[lo : lo + per]
+            block, flags = u[: len(part)], below[: len(part)]
+            for i, rng in enumerate(rngs[lo : lo + per]):
+                rng.random(out=block[i])
+            start[lo : lo + len(part)] = np.searchsorted(cdf, block[:, 0], side="right")
+            for brk in breaks:
+                part += np.less_equal(brk, block, out=flags).view(np.uint8)
+            part *= k
+        del u, below
+        states = codes.T.copy()
+        del codes
+        # column t holds its bucket code times k until it is overwritten by
+        # the state that lut gives for that code and the state at t - 1
+        # (the sums are valid indices, so "clip" only skips a bounds check)
+        states[0] = start
+        for t in range(1, n):
+            col = states[t]
+            np.add(col, states[t - 1], out=col)
+            lut.take(col, out=col, mode="clip")
+        return np.ascontiguousarray(states.T)
+    u = _row_uniforms(rngs, n)
+    buf = u.T.copy()
+    del u
+    states = np.empty(buf.shape, dtype=np.min_scalar_type(k - 1))
+    # the previous states as gather indices, converted once per column
+    s = np.searchsorted(cdf, buf[0], side="right")
+    states[0] = s
     if k <= _THRESHOLD_STATES:
         # no uniform reaches the last threshold (1.0), so it is skipped
-        # unless it is the only one; the counts (< k) are summed as int8
-        first, *rest = [np.ascontiguousarray(cum[:, j]) for j in range(max(k - 1, 1))]
+        first, *rest = [np.ascontiguousarray(cum[:, j]) for j in range(k - 1)]
         for t in range(1, n):
-            s, col = states[t - 1], buf[t]
-            count = (first.take(s) <= col).view(np.int8)
+            col, count = buf[t], states[t]
+            np.less_equal(first.take(s), col, out=count.view(bool))
             for thr in rest:
-                count += (thr.take(s) <= col).view(np.int8)
-            states[t] = count
+                count += (thr.take(s) <= col).view(np.uint8)
+            s[:] = count
     else:
         for t in range(1, n):
-            states[t] = (cum[states[t - 1]] <= buf[t][:, None]).sum(axis=1)
+            s = (cum[s] <= buf[t][:, None]).sum(axis=1)
+            states[t] = s
     return np.ascontiguousarray(states.T)
 
 
@@ -634,7 +701,10 @@ def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarr
     """Stationary paths of the coupled chain, C-contiguous ``(rows, n, n_chains)``.
 
     Draws like :func:`sample_markov_batch` on the pair kernel: row i's first
-    uniform picks the initial tuple from the coupled stationary law.
+    uniform picks the initial tuple from the coupled stationary law.  The
+    tuple codes come from :func:`_step_columns` in the smallest unsigned dtype
+    that holds them (uint8 up to 256 tuples, so binary pairs take its lookup
+    route); :func:`decode_states` turns them into int64 components.
     """
     codes = _step_columns(rngs, n, pair_stationary(spec), pair_kernel(spec))
     return decode_states(codes, spec.n_states, spec.n_chains)
@@ -928,10 +998,11 @@ def itinerary_chain(spec: IntervalMapSpec) -> FiniteMarkovSpec:
 
 
 def sample_itinerary_batch(spec: IntervalMapSpec, n: int, rngs) -> np.ndarray:
-    """Stationary itineraries, a C-contiguous ``(rows, n)`` int64 array of cells.
+    """Stationary itineraries, a C-contiguous ``(rows, n)`` array of cells.
 
     Draws like :func:`sample_markov_batch` on :func:`itinerary_chain`, started
-    from the exact :func:`interval_symbol_stationary` law.
+    from the exact :func:`interval_symbol_stationary` law; the cells come in
+    the smallest unsigned dtype that holds them (uint8 up to 256 cells).
     """
     start, chain = _itinerary(spec)
     return _step_columns(rngs, n, start, chain.matrix)
@@ -1070,6 +1141,9 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
 
     Returns a C-contiguous array, ``(rows, n)``, or ``(rows, n, n_chains)``
     for product chains and Doeblin chains.  Row i depends on rngs[i] alone.
+    Finite Markov chains and interval-map itineraries hold their states in
+    the smallest unsigned dtype that fits them (uint8 up to 256 states);
+    product chains decode their tuple codes into int64 components.
     The system's sampler in ``_SAMPLERS`` either steps all rows at once
     (finite Markov and product chains, interval maps through their cell
     itinerary, constant-reset house-of-cards chains and sign products) or

@@ -123,6 +123,30 @@ def test_negative_seed_exits_three(tmp_path, capsys):
     assert "experiment.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--config", "x.yaml", "--seed", "abc"], "invalid int value: 'abc'"),
+        (["compare"], "the following arguments are required: --config"),
+        (["frobnicate", "--config", "x.yaml"], "invalid choice: 'frobnicate'"),
+    ],
+    ids=["bad seed", "no config", "unknown verb"],
+)
+def test_usage_errors_exit_three(argv, message, capsys):
+    # exit 2 means a comparison exceeded its tolerance, so usage errors may not use it
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: visitlab") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert main(["compare", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_resource_guard_exits_four(tmp_path, capsys):
     cfg = tmp_path / "huge.yaml"
     cfg.write_text(CONFIG.replace("sweep: [6]", "sweep: [40]"))

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 
@@ -150,6 +151,35 @@ def test_validation_failures_name_the_path():
         config_from_mapping(
             _doc(target={"kind": "run-length", "level": 1, "sweep": [0]})
         )
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        (_doc(experiment={"t": 2.0, "samples": 1000, "seed": True}), "experiment.seed"),
+        (_doc(experiment={"t": 2.0, "samples": True, "seed": 7}), "experiment.samples"),
+        (_doc(system={"kind": "sign-product", "plus_prob": False},
+              target={"kind": "sign-cylinder", "word_cycle": [1], "sweep": [4]}), "system.plus_prob"),
+        (_doc(target={"kind": "run-length", "level": 1, "sweep": [4, True]}), "target.sweep[1]"),
+    ],
+)
+def test_yaml_booleans_are_not_numbers(doc, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_mapping(doc)
+
+
+def test_yaml_boolean_file_exits_three(tmp_path, capsys):
+    from visitlab.cli import main
+
+    cfg = tmp_path / "bool.yaml"
+    cfg.write_text(
+        "experiment: {t: 2.0, samples: 100, seed: yes}\n"
+        "system: {kind: house-of-cards, reset: 0.5}\n"
+        "target: {kind: run-length, level: 1, sweep: [4]}\n"
+    )
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "experiment.seed" in err and "Traceback" not in err
 
 
 def test_geo_sweep_takes_floats_others_ints():

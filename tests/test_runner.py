@@ -384,3 +384,59 @@ def test_cluster_tables_are_pinned(name):
         ]
     canonical = json.dumps(tables, sort_keys=True).encode()
     assert hashlib.sha256(canonical).hexdigest() == digest
+
+
+# the empirical entry (W pmf, moments, cluster summaries) of compares on each
+# finite-chain sampler route, pinned by the sha256 of its canonical JSON: a
+# change of how chains are stepped must leave every drawn path unchanged
+_CHAIN_PINS = {
+    "markov + cylinder, criterion 07's chain": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
+            "system": {"kind": "markov",
+                       "matrix": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]},
+            "target": {"kind": "cylinder", "word_cycle": [1], "sweep": [6]},
+        },
+        "5d232056495d75c8630638b5cf81d8713b875e955b85e0ab0ab403044d30b891",
+    ),
+    "markov + cylinder, dense 6-state chain": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
+            "system": {"kind": "markov",
+                       "matrix": [[0.3, 0.1, 0.2, 0.1, 0.2, 0.1],
+                                  [0.15, 0.25, 0.05, 0.2, 0.1, 0.25],
+                                  [0.1, 0.1, 0.4, 0.1, 0.15, 0.15],
+                                  [0.05, 0.3, 0.1, 0.35, 0.1, 0.1],
+                                  [0.2, 0.05, 0.15, 0.1, 0.45, 0.05],
+                                  [0.1, 0.2, 0.1, 0.25, 0.05, 0.3]]},
+            "target": {"kind": "cylinder", "word_cycle": [4], "sweep": [3]},
+        },
+        "fbfa96f4100a386cdcd9c3f51c4f4c187049cf8b7e8e0c6cc8654f9c7beae738",
+    ),
+    "interval-map + cylinder": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
+            "system": {"kind": "interval-map", "breaks": [0, "1/3", "2/3", 1],
+                       "slopes": [3, -2, 3], "intercepts": [0, "5/3", -2]},
+            "target": {"kind": "cylinder", "word_cycle": [2], "sweep": [4]},
+        },
+        "2cc79947db56217c287183107742ff6181c7cf8d61115f2edaee68f464d82df3",
+    ),
+    "product-chain + sync-cylinder, maximal coupling": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
+            "system": {"kind": "product-chain", "coupling": "maximal",
+                       "components": [[[0.2, 0.8], [0.3, 0.7]], [[0.8, 0.2], [0.1, 0.9]]]},
+            "target": {"kind": "sync-cylinder", "sweep": [4]},
+        },
+        "ca668a4352eba39d0fe4537cb5978c9a5f5afec2cff3d17b6a6c71771bb99e8a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHAIN_PINS))
+def test_chain_compares_are_pinned(name):
+    doc, digest = _CHAIN_PINS[name]
+    body = json.loads(report_body(run_experiment(_cfg(doc), "compare")))
+    canonical = json.dumps(body["results"][0]["empirical"], sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == digest

@@ -42,6 +42,7 @@ F = Fraction
 # two-state reference pair used across the coupling checks
 Q1 = np.array([[0.2, 0.8], [0.3, 0.7]])
 Q2 = np.array([[0.8, 0.2], [0.1, 0.9]])
+CRITERION_07 = np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]])
 
 # the three-branch expanding map whose squared-transfer spectrum is frozen
 # in the prediction tests: slopes (3, -2, 3) over breaks (0, 1/3, 2/3, 1)
@@ -218,23 +219,78 @@ def test_interval_map_invariant_requires_an_irreducible_itinerary():
         interval_map_invariant(halves)
 
 
+def _chain_with_breaks(k, breaks):
+    # dense chain whose rows' k - 1 cumulative thresholds are multiples of
+    # 1/64 (so cumsum reproduces them exactly) taking ``breaks`` distinct values
+    pool = np.arange(1, breaks + 1) / 64
+    cum = [np.sort(np.roll(pool, -(k - 1) * s)[: k - 1]) for s in range(k)]
+    return FiniteMarkovSpec(np.diff(np.column_stack([np.zeros(k), cum, np.ones(k)]), axis=1))
+
+
+def _route(matrix):
+    # the stepper route that _step_columns takes for this transition matrix
+    cum = np.cumsum(matrix, axis=1)
+    cum[:, -1] = 1.0
+    if systems._bucket_table(cum) is not None:
+        return "lookup"
+    return "threshold" if len(cum) <= systems._THRESHOLD_STATES else "rows"
+
+
+def _sparse_ring(m):
+    # a dense ring chain with a third of its entries zeroed: tied thresholds
+    q = _ring_chain(m).matrix.copy()
+    q[np.arange(m)[:, None], (np.arange(m)[:, None] + np.arange(2, m, 3)) % m] = 0.0
+    return FiniteMarkovSpec(q / q.sum(axis=1, keepdims=True))
+
+
 def test_markov_batch_matches_row_loop():
     cases = [
-        (FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]])), 5, 30),
-        # criterion 07's chain
-        (FiniteMarkovSpec(np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]])), 64, 500),
-        # zero entries give tied cumulative thresholds
-        (FiniteMarkovSpec(np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.3, 0.7, 0.0]])), 64, 200),
-        (FiniteMarkovSpec(np.array([[1.0]])), 4, 20),
+        (FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]])), "lookup", 5, 30),
+        (FiniteMarkovSpec(CRITERION_07), "lookup", 64, 500),
+        # zero entries give tied and zero cumulative thresholds
+        (FiniteMarkovSpec(np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.3, 0.7, 0.0]])), "lookup", 64, 200),
+        (FiniteMarkovSpec(np.array([[1.0]])), "lookup", 4, 20),
+        # the bucket index b * k + s fills a uint8 exactly, then overflows it
+        (_chain_with_breaks(8, 31), "lookup", 32, 200),
+        (_chain_with_breaks(8, 32), "threshold", 32, 200),
+        (_chain_with_breaks(16, 15), "lookup", 32, 200),
+        (_chain_with_breaks(16, 16), "threshold", 32, 200),
+        (_ring_chain(7), "threshold", 32, 200),
+        (_sparse_ring(9), "threshold", 32, 200),
         # at and above the threshold-count crossover
-        (_ring_chain(systems._THRESHOLD_STATES), 16, 200),
-        (_ring_chain(systems._THRESHOLD_STATES + 6), 16, 200),
+        (_ring_chain(systems._THRESHOLD_STATES), "threshold", 16, 200),
+        (_ring_chain(systems._THRESHOLD_STATES + 6), "rows", 16, 200),
+        (_sparse_ring(systems._THRESHOLD_STATES + 6), "rows", 16, 200),
+        # few distinct thresholds: the lookup serves a 30-state chain too
+        (FiniteMarkovSpec(_lazy_ring(30)), "lookup", 16, 200),
     ]
-    for spec, rows, n in cases:
+    for spec, route, rows, n in cases:
+        assert _route(spec.matrix) == route, spec.n_states
         batch = sample_markov_batch(spec, n, [trajectory_rng(7, i) for i in range(rows)])
         assert batch.shape == (rows, n) and batch.flags.c_contiguous
+        assert batch.dtype == np.uint8
         ref = _reference_rows(markov_stationary(spec), spec.matrix, n, rows)
-        assert np.array_equal(batch, ref), spec.n_states
+        assert np.array_equal(batch, ref), (spec.n_states, route)
+
+
+def test_markov_batch_widens_past_256_states():
+    spec = FiniteMarkovSpec(_lazy_ring(300))
+    assert _route(spec.matrix) == "rows"
+    batch = sample_markov_batch(spec, 40, [trajectory_rng(7, i) for i in range(8)])
+    assert batch.dtype == np.uint16 and batch.flags.c_contiguous
+    assert np.array_equal(batch, _reference_rows(markov_stationary(spec), spec.matrix, 40, 8))
+
+
+def _check_product_chain(spec, route, rows=32, n=300):
+    stationary, kernel = pair_stationary(spec), pair_kernel(spec)
+    assert _route(kernel) == route
+    codes = systems._step_columns([trajectory_rng(7, i) for i in range(rows)], n, stationary, kernel)
+    assert codes.dtype == np.uint8 and codes.flags.c_contiguous
+    ref = _reference_rows(stationary, kernel, n, rows)
+    assert np.array_equal(codes, ref)
+    batch = sample_product_chain_batch(spec, n, [trajectory_rng(7, i) for i in range(rows)])
+    assert batch.shape == (rows, n, spec.n_chains)
+    assert np.array_equal(batch, _decode_reference(ref, spec.n_states, spec.n_chains))
 
 
 @pytest.mark.parametrize(
@@ -242,10 +298,13 @@ def test_markov_batch_matches_row_loop():
 )
 def test_product_chain_batch_matches_row_loop(coupling, gamma):
     spec = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), coupling, gamma=gamma)
-    batch = sample_product_chain_batch(spec, 300, [trajectory_rng(7, i) for i in range(32)])
-    assert batch.shape == (32, 300, 2)
-    codes = _reference_rows(pair_stationary(spec), pair_kernel(spec), 300, 32)
-    assert np.array_equal(batch, _decode_reference(codes, 2, 2))
+    _check_product_chain(spec, "lookup")
+
+
+def test_larger_product_chains_match_row_loop():
+    three = _ring_chain(3)
+    _check_product_chain(ProductChainSpec((three, FiniteMarkovSpec(CRITERION_07)), "maximal"), "threshold")
+    _check_product_chain(ProductChainSpec((three,) * 3), "rows", n=100)
 
 
 @pytest.mark.parametrize("name", ["example", "unequal", "doubling"])
@@ -253,8 +312,10 @@ def test_itinerary_batch_matches_row_loop(name):
     spec = {"example": EXAMPLE_MAP, "unequal": UNEQUAL_MAP, "doubling": DOUBLING_MAP}[name]
     batch = sample_itinerary_batch(spec, 200, [trajectory_rng(7, i) for i in range(32)])
     assert batch.shape == (32, 200) and batch.flags.c_contiguous
+    assert batch.dtype == np.uint8
     start = np.array([float(p) for p in interval_symbol_stationary(spec)])
     matrix = np.array(spec.itinerary_matrix_exact(), dtype=float)
+    assert _route(matrix) == "lookup"
     assert np.array_equal(batch, _reference_rows(start, matrix, 200, 32))
 
 
@@ -463,7 +524,7 @@ def test_interval_itinerary_law():
     assert np.array_equal(itinerary_chain(EXAMPLE_MAP).matrix, [[1 / 3] * 3, [0, 0.5, 0.5], [1 / 3] * 3])
     rows = 4000
     cells = sample_paths(EXAMPLE_MAP, 30, trajectory_rngs(2, 0, rows))
-    assert cells.shape == (rows, 30) and cells.dtype == np.int64
+    assert cells.shape == (rows, 30) and cells.dtype == np.uint8
     assert set(np.unique(cells)) <= {0, 1, 2}
     # branch 1 never covers cell 0
     assert not np.any((cells[:, :-1] == 1) & (cells[:, 1:] == 0))
