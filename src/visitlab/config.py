@@ -78,8 +78,19 @@ TARGET_KINDS = (
 )
 
 
+# Largest target size: a target's measure and its windows walk it one step
+# at a time, so a size far beyond any path the step guard admits would only
+# exhaust time or memory before the run is refused.
+_MAX_TARGET_SIZE = 1_000_000
+
+
 def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
+
+
+def _require_walkable(sizes: tuple, path: str) -> None:
+    if any(v > _MAX_TARGET_SIZE for v in sizes):
+        _fail(path, f"target sizes above {_MAX_TARGET_SIZE:,} are refused")
 
 
 def _as_fraction(value, path: str) -> Fraction:
@@ -269,6 +280,7 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
         sweep = tuple(_as_int(v, f"target.sweep[{i}]") for i, v in enumerate(sweep_raw))
         if any(v < 1 for v in sweep):
             _fail("target.sweep", "target sizes must be >= 1")
+        _require_walkable(sweep, "target.sweep")
 
     stein = None
     if "stein" in doc:
@@ -299,6 +311,7 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
             _as_int(v, f"stein.sweep[{i}]")
             for i, v in enumerate(_as_list(sec.get("sweep", list(sweep)), "stein.sweep"))
         )
+        _require_walkable(ssweep, "stein.sweep")
         stein = SteinSection(profile=profile, mode=mode, window_policy=policy, sweep=ssweep)
 
     cfg = ExperimentConfig(

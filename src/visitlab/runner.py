@@ -29,6 +29,7 @@ from .errors import (
     InsufficientDataError,
     ResourceLimitError,
     SpecError,
+    StructureError,
 )
 from .predictions import PredictionResult, SteinBracketInputs, predict_for, stein_bracket
 from .stats import (
@@ -208,9 +209,12 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
     for index, sweep_value in enumerate(cfg.sweep):
         target = cfg.build_target(sweep_value)
         entry = {"sweep_value": sweep_value}
-        mu = measure(target, system, samples=min(cfg.samples, 200_000), seed=cfg.seed)
+        try:
+            mu = measure(target, system, samples=min(cfg.samples, 200_000), seed=cfg.seed)
+            horizon = kac_horizon(cfg.t, mu.value)
+        except (SpecError, StructureError) as exc:
+            raise type(exc)(f"sweep value {sweep_value}: {exc}") from None
         entry["measure"] = {"value": mu.value, "se": mu.se, "method": mu.method}
-        horizon = kac_horizon(cfg.t, mu.value)
         entry["horizon"] = horizon
         if cfg.window_two_sided is not None and cfg.window_two_sided >= cfg.t / mu.value:
             raise ConfigError(

@@ -24,7 +24,10 @@ def kac_horizon(t: float, mu_value: float) -> int:
         raise SpecError("target measure must be positive")
     if t <= 0.0:
         raise SpecError("time scale t must be positive")
-    return int(np.floor(t / mu_value))
+    horizon = np.floor(t / mu_value)
+    if not np.isfinite(horizon):
+        raise SpecError(f"the Kac horizon t / mu = {t} / {mu_value:.3g} overflows a float")
+    return int(horizon)
 
 
 def _require_next(first, second) -> None:
@@ -255,16 +258,18 @@ def estimate_tables(
             counted.append((kind, num, den, count, window))
     if not counted:
         return tables
-    # per resample, the weighted column sums of each counted table's numerator
-    # rows and then its denominator; every weight and count is an integer
-    # below 2**53, so each sum is exact in any order
+    # per resample (a row of weights), the weighted column sums of each
+    # counted table's numerator rows and then its denominator, all in one
+    # matrix product; every weight and count is an integer below 2**53, so
+    # each sum is exact in any order
     columns = np.column_stack([c for _, num, den, *_ in counted for c in (num, den)])
     columns = columns.astype(np.float64)
     m = stats.total
     rng = np.random.default_rng(seed)
-    sums = np.empty((resamples, columns.shape[1]))
-    for b in range(resamples):
-        sums[b] = np.bincount(rng.integers(0, m, m), minlength=m) @ columns
+    weights = np.empty((resamples, m))
+    for row in weights:
+        row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
+    sums = weights @ columns
     ell = np.arange(1, stats.cap + 2, dtype=np.float64)
     lo = 0
     for kind, num, _, count, window in counted:

@@ -170,6 +170,26 @@ def _row_uniforms(rngs, n: int) -> np.ndarray:
     return u
 
 
+# uniforms per row tile of :func:`_row_tiles` (512 kB of float64, so that a
+# tile stays in cache for every pass its sampler makes over it)
+_BLOCK_UNIFORMS = 1 << 16
+
+
+def _row_tiles(rngs, n: int):
+    """Yield ``(lo, tile)``: row i of ``tile`` is ``rngs[lo + i].random(n)``.
+
+    The tiles cover the rows in order, ``_BLOCK_UNIFORMS // n`` rows each (at
+    least one), and all are views of one buffer that the next tile overwrites.
+    """
+    rows, per = len(rngs), max(1, _BLOCK_UNIFORMS // n)
+    buf = np.empty((min(per, rows), n))
+    for lo in range(0, rows, per):
+        tile = buf[: min(per, rows - lo)]
+        for row, rng in zip(tile, rngs[lo : lo + per]):
+            rng.random(out=row)
+        yield lo, tile
+
+
 # ---------------------------------------------------------------------------
 # house-of-cards chains
 # ---------------------------------------------------------------------------
@@ -288,11 +308,14 @@ def hoc_stationary(
 
 
 def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
-    """Stationary paths, a C-contiguous ``(rows, n)`` int64 array.
+    """Stationary paths, a C-contiguous ``(rows, n)`` array of states.
 
     Row i draws n uniforms from rngs[i]: the first picks the stationary
     start, and each later one resets the chain from state x to 0 when it
-    lies below r_x, else climbs to x + 1.  The ``constant`` family runs the
+    lies below r_x, else climbs to x + 1.  A start lies below ``top``, the
+    size of the truncated stationary table, and a path climbs at most n - 1
+    states, so every state is below ``top + n``; the dtype is the smallest
+    unsigned one that holds ``top + n``.  The ``constant`` family runs the
     reset-anchor scan of :func:`sample_house_of_cards_batch` over all rows at
     once; the other families step each row with :func:`_climb_or_reset`.
     """
@@ -302,15 +325,18 @@ def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
 
 
 def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
-    """One stationary path per generator, each stepped state by state."""
+    """One stationary path per generator, each stepped state by state.
+
+    The dtype is that of :func:`sample_house_of_cards`.
+    """
     law = _hoc_law_cache(spec)
+    top = law.probs.size
     cdf = np.cumsum(law.probs)
-    # a path starts below law.probs.size and climbs at most n - 1 states
-    r_table = spec.reset_probs(np.arange(n + law.probs.size)).tolist()
-    states = np.empty((len(rngs), n), dtype=np.int64)
+    r_table = spec.reset_probs(np.arange(top + n)).tolist()
+    states = np.empty((len(rngs), n), dtype=np.min_scalar_type(top + n))
     for row, rng in zip(states, rngs):
         u = rng.random(n).tolist()
-        x = min(int(np.searchsorted(cdf, u[0], side="right")), law.probs.size - 1)
+        x = min(int(np.searchsorted(cdf, u[0], side="right")), top - 1)
         path = [x]
         for uj in u[1:]:
             x = 0 if uj < r_table[x] else x + 1
@@ -322,26 +348,32 @@ def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
 def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
     """Reset-anchor scan for the ``constant`` family, all rows at once.
 
-    Returns a C-contiguous ``(rows, n)`` int64 array whose row i equals
-    row i of ``_climb_or_reset(spec, n, rngs)``: the same n uniforms, the
-    stationary start and then n - 1 resets.  The scan runs in place over an
-    int64 view of the uniforms.
+    Returns a C-contiguous ``(rows, n)`` array, in the dtype of
+    :func:`sample_house_of_cards`, whose row i equals row i of
+    ``_climb_or_reset(spec, n, rngs)``: the same n uniforms, the stationary
+    start and then n - 1 resets.  The uniforms are drawn one cached row tile
+    at a time (:func:`_row_tiles`) and each tile is scanned in place in its
+    rows of the output.
     """
     if spec.kind != "constant":
         raise SpecError("batch house-of-cards sampling needs a constant reset")
-    u = _row_uniforms(rngs, n)
     law = _hoc_law_cache(spec)
     top = law.probs.size  # above every start state
-    init = np.minimum(np.searchsorted(np.cumsum(law.probs), u[:, 0], side="right"), top - 1)
-    resets = u[:, 1:] < spec.params[0]
+    cdf = np.cumsum(law.probs)
+    paths = np.empty((len(rngs), n), dtype=np.min_scalar_type(top + n))
     # anchors shifted up by top: the start plants top - init, a reset at
-    # column t plants t + top, and a column without a reset holds 0
-    shifted = np.arange(top, top + n, dtype=np.int64)
-    anchor = u.view(np.int64)
-    anchor[:, 0] = top - init
-    np.multiply(resets, shifted[1:], out=anchor[:, 1:])
-    np.maximum.accumulate(anchor, axis=1, out=anchor)
-    return np.subtract(shifted, anchor, out=anchor)
+    # column t plants t + top, and a column without a reset holds 0; the
+    # running maximum of the anchors, subtracted from t + top, is the state
+    shifted = np.arange(top, top + n, dtype=paths.dtype)
+    for lo, u in _row_tiles(rngs, n):
+        anchor = paths[lo : lo + len(u)]
+        init = np.minimum(np.searchsorted(cdf, u[:, 0], side="right"), top - 1)
+        anchor[:, 0] = top - init
+        np.less(u[:, 1:], spec.params[0], out=anchor[:, 1:])
+        anchor[:, 1:] *= shifted[1:]
+        np.maximum.accumulate(anchor, axis=1, out=anchor)
+        np.subtract(shifted, anchor, out=anchor)
+    return paths
 
 
 _HOC_LAWS: dict[tuple, StationaryLaw] = {}
@@ -441,11 +473,6 @@ def sample_markov_batch(spec: FiniteMarkovSpec, n: int, rngs) -> np.ndarray:
 _THRESHOLD_STATES = 24
 
 
-# uniforms per row block bucketed by :func:`_step_columns` (512 kB of float64,
-# so that a block stays in cache for all of its compare-and-add passes)
-_BLOCK_UNIFORMS = 1 << 16
-
-
 def _bucket_table(cum: np.ndarray):
     """``(breaks, lut)`` for stepping by table lookup, or None if it does not fit.
 
@@ -478,11 +505,11 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     an ``(n, rows)`` array, transposed once at the end.
 
     Chains with few distinct thresholds (:func:`_bucket_table`) bucket the
-    uniforms as they are drawn, a cached block of rows at a time, into uint8
-    codes; after one transpose of the codes each column costs two uint8
-    passes: add the previous states to its codes, look the sums up.  Other
-    chains compare each column of a transposed float64 copy of the uniforms
-    with the thresholds of the previous states.
+    uniforms as they are drawn, one cached row tile (:func:`_row_tiles`) at
+    a time, into uint8 codes; after one transpose of the codes each column
+    costs two uint8 passes: add the previous states to its codes, look the
+    sums up.  Other chains compare each column of a transposed float64 copy
+    of the uniforms with the thresholds of the previous states.
     """
     cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
@@ -492,21 +519,15 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     table = _bucket_table(cum)
     if table is not None:
         breaks, lut = table
-        rows, per = len(rngs), max(1, _BLOCK_UNIFORMS // n)
-        codes = np.zeros((rows, n), dtype=np.uint8)
-        start = np.empty(rows, dtype=np.intp)
-        u = np.empty((min(per, rows), n))
-        below = np.empty(u.shape, dtype=bool)
-        for lo in range(0, rows, per):
-            part = codes[lo : lo + per]
-            block, flags = u[: len(part)], below[: len(part)]
-            for i, rng in enumerate(rngs[lo : lo + per]):
-                rng.random(out=block[i])
-            start[lo : lo + len(part)] = np.searchsorted(cdf, block[:, 0], side="right")
+        codes = np.zeros((len(rngs), n), dtype=np.uint8)
+        start = np.empty(len(rngs), dtype=np.intp)
+        for lo, block in _row_tiles(rngs, n):
+            part = codes[lo : lo + len(block)]
+            flags = np.empty(block.shape, dtype=bool)
+            start[lo : lo + len(block)] = np.searchsorted(cdf, block[:, 0], side="right")
             for brk in breaks:
                 part += np.less_equal(brk, block, out=flags).view(np.uint8)
             part *= k
-        del u, below
         states = codes.T.copy()
         del codes
         # column t holds its bucket code times k until it is overwritten by
@@ -1142,8 +1163,10 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
     Returns a C-contiguous array, ``(rows, n)``, or ``(rows, n, n_chains)``
     for product chains and Doeblin chains.  Row i depends on rngs[i] alone.
     Finite Markov chains and interval-map itineraries hold their states in
-    the smallest unsigned dtype that fits them (uint8 up to 256 states);
-    product chains decode their tuple codes into int64 components.
+    the smallest unsigned dtype that fits them (uint8 up to 256 states), and
+    house-of-cards chains in the smallest one that holds every state a path
+    of n steps can reach (:func:`sample_house_of_cards`); product chains
+    decode their tuple codes into int64 components.
     The system's sampler in ``_SAMPLERS`` either steps all rows at once
     (finite Markov and product chains, interval maps through their cell
     itinerary, constant-reset house-of-cards chains and sign products) or

@@ -196,8 +196,33 @@ def test_zero_measure_target_exits_three_without_monte_carlo(tmp_path, capsys, m
     cfg = tmp_path / "zero.yaml"
     cfg.write_text(CONFIG.replace("reset: 0.5", "reset: 1"))
     assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
-    assert "zero stationary measure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep value 6: ") and "zero stationary measure" in err
 
+
+@pytest.mark.parametrize("verb", ["predict", "compare"])
+def test_underflowing_measure_exits_three_naming_the_sweep_value(verb, tmp_path, capsys):
+    # 0.7**1999 is a subnormal float, so t / mu overflows to infinity
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text(
+        "experiment: {t: 2.0, samples: 64, seed: 1, tolerance: 0.1}\n"
+        "system: {kind: markov, matrix: [[0.5, 0.5], [0.3, 0.7]]}\n"
+        "target: {kind: cylinder, word_cycle: [1], sweep: [2000]}\n"
+    )
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep value 2000: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["predict", "compare"])
+def test_absurd_target_size_exits_three(verb, tmp_path, capsys):
+    cfg = tmp_path / "absurd.yaml"
+    cfg.write_text(CONFIG.replace("sweep: [6]", "sweep: [1e300]"))
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: target.sweep: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("verb", ["compare", "bound"])

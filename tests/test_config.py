@@ -197,6 +197,20 @@ def test_geo_sweep_takes_floats_others_ints():
         config_from_mapping(bad)
 
 
+def test_target_sizes_are_bounded():
+    # a cylinder of 10**300 letters would be built letter by letter at load time
+    word = {"kind": "cylinder", "word_cycle": [1]}
+    chain = {"kind": "markov", "matrix": [[0.5, 0.5], [0.3, 0.7]]}
+    assert config_from_mapping(_doc(system=chain, target={**word, "sweep": [1_000_000]})).sweep == (
+        1_000_000,
+    )
+    with pytest.raises(ConfigError, match=r"^target\.sweep: target sizes above 1,000,000"):
+        config_from_mapping(_doc(system=chain, target={**word, "sweep": [1e300]}))
+    profile = {"profile": {"kind": "geometric", "scale": 1.0, "rate": 0.5}}
+    with pytest.raises(ConfigError, match=r"^stein\.sweep: target sizes above 1,000,000"):
+        config_from_mapping(_doc(stein={**profile, "sweep": [4, 1_000_001]}))
+
+
 def test_system_construction_errors_become_config_errors():
     doc = _doc(system={"kind": "house-of-cards", "reset": 1.7})
     with pytest.raises(ConfigError):

@@ -387,9 +387,19 @@ def test_cluster_tables_are_pinned(name):
 
 
 # the empirical entry (W pmf, moments, cluster summaries) of compares on each
-# finite-chain sampler route, pinned by the sha256 of its canonical JSON: a
-# change of how chains are stepped must leave every drawn path unchanged
+# finite-chain sampler route and on the constant-reset house-of-cards scan,
+# pinned by the sha256 of its canonical JSON: a change of how chains are
+# stepped must leave every drawn path unchanged
 _CHAIN_PINS = {
+    "house-of-cards + run-length": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1,
+                           "window_forward": 20, "window_two_sided": 20},
+            "system": {"kind": "house-of-cards", "reset": 0.5},
+            "target": {"kind": "run-length", "level": 1, "sweep": [6]},
+        },
+        "8f3bfabfbc965d289ead0115bc4c4fc2aba211866403c3d13ed61d45741966bd",
+    ),
     "markov + cylinder, criterion 07's chain": (
         {
             "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},

@@ -394,7 +394,8 @@ _ROW_STEPPED_PINS = [
 @pytest.mark.parametrize("spec, rows", _ROW_STEPPED_PINS, ids=["drifting", "alternating", "smith"])
 def test_row_stepped_streams_are_pinned(spec, rows):
     paths = sample_paths(spec, 24, trajectory_rngs(9, 0, 3))
-    assert paths.dtype == np.int64
+    # house-of-cards tables of 4,097 and 1,172 states: top + 24 needs uint16
+    assert paths.dtype == (np.int64 if isinstance(spec, RegenerativeSpec) else np.uint16)
     assert paths.tolist() == rows
 
 
@@ -426,16 +427,32 @@ def test_trajectory_rngs_reject_negative_seeds():
         trajectory_rngs(1, -4, 4)
 
 
-@pytest.mark.parametrize("reset", [0.05, 0.5, 1.0])
+# reset -> (path length, rows, dtype).  A row tile holds _BLOCK_UNIFORMS // n
+# rows, so 57, 700 and 4306 steps span several tiles with a partial last one,
+# and 70,000 steps (above _BLOCK_UNIFORMS) put one row in each tile.  The
+# stationary table has 4,097 states at reset 0.05, 1,075 at 0.5, 538 at 0.75,
+# 162 at 0.99 and 1 at 1, so top + n crosses 255 and 65,535 between cases.
+_HOC_BATCH_CASES = {
+    0.05: [(1, 12, np.uint16), (4306, 40, np.uint16)],
+    0.5: [(2, 12, np.uint16), (57, 3000, np.uint16), (64460, 3, np.uint16),
+          (64461, 3, np.uint32), (70000, 3, np.uint32)],
+    0.75: [(700, 300, np.uint16)],
+    0.99: [(93, 700, np.uint8), (94, 700, np.uint16)],
+    1.0: [(1, 12, np.uint8), (254, 12, np.uint8), (255, 12, np.uint16)],
+}
+
+
+@pytest.mark.parametrize("reset", list(_HOC_BATCH_CASES))
 def test_house_of_cards_batch_matches_solo(reset):
     spec = HouseOfCardsSpec.constant(reset)
-    for n in (1, 2, 57, 4306):
-        batch = sample_house_of_cards_batch(spec, n, trajectory_rngs(7, 0, 12))
-        assert batch.shape == (12, n) and batch.flags.c_contiguous
-        assert batch.dtype == np.int64
+    for n, rows, dtype in _HOC_BATCH_CASES[reset]:
+        batch = sample_house_of_cards_batch(spec, n, trajectory_rngs(7, 0, rows))
+        assert batch.shape == (rows, n) and batch.flags.c_contiguous
+        assert batch.dtype == dtype, n
         # the per-row stepper that drifting and alternating chains run
-        rows = systems._climb_or_reset(spec, n, [trajectory_rng(7, i) for i in range(12)])
-        assert np.array_equal(batch, np.stack(rows)), n
+        solo = systems._climb_or_reset(spec, n, [trajectory_rng(7, i) for i in range(rows)])
+        assert solo.dtype == dtype, n
+        assert np.array_equal(batch, solo), n
 
 
 def test_house_of_cards_batch_needs_constant_reset():
