@@ -97,16 +97,4 @@ from .targets import (
     sign_cylinder_measure,
 )
 from .config import ExperimentConfig, config_from_mapping, load_config
-from .runner import (
-    cmd_bound,
-    cmd_compare,
-    cmd_predict,
-    cmd_simulate,
-    cmd_sweep,
-    exit_code_for,
-    predict_for,
-    report_body,
-    run_experiment,
-    write_bound_report,
-    write_report,
-)
+from .runner import exit_code_for, predict_for, report_body, run_experiment, write_report

@@ -18,24 +18,7 @@ import sys
 
 from .errors import ConfigError, ResourceLimitError, VisitlabError
 from .config import load_config
-from .runner import (
-    cmd_bound,
-    cmd_compare,
-    cmd_predict,
-    cmd_simulate,
-    cmd_sweep,
-    exit_code_for,
-    write_bound_report,
-    write_report,
-)
-
-_VERBS = {
-    "predict": cmd_predict,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "bound": cmd_bound,
-    "sweep": cmd_sweep,
-}
+from .runner import VERBS, exit_code_for, run_experiment, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Predict and verify visit-count laws for shrinking targets.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _VERBS:
+    for verb in VERBS:
         p = sub.add_parser(verb, help=f"run the {verb} pipeline")
         p.add_argument("--config", required=True, help="YAML experiment file")
         p.add_argument("--seed", type=int, default=None, help="override experiment.seed")
@@ -82,14 +65,14 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"cannot use {out_dir!r} as the output directory: {exc.strerror}"
             ) from exc
-        report = _VERBS[args.verb](cfg)
-        if args.verb == "bound":
-            written = write_bound_report(report, out_dir)
-        else:
+        report = run_experiment(cfg, args.verb)
+        try:
             written = write_report(report, out_dir, args.verb)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
         for path in written:
             print(f"wrote {path}")
-        code = exit_code_for(report) if args.verb in ("compare", "sweep") else 0
+        code = exit_code_for(report)
         if code == 2:
             print("comparison FAILED the configured tolerance", file=sys.stderr)
         return code

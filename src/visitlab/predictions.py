@@ -609,7 +609,12 @@ def stein_bracket(inputs: SteinBracketInputs, mode: str = "phi") -> dict:
     if mode not in ("phi", "psi"):
         raise SpecError("mode must be 'phi' or 'psi'")
     k_w, n, mu, t = inputs.k_window, inputs.n, inputs.mu, inputs.t
-    hi = int(math.floor(t / mu)) - 1
+    ratio = t / mu
+    if not math.isfinite(ratio):
+        raise SpecError(f"t / mu = {t} / {mu:.3g} overflows a float")
+    hi = int(math.floor(ratio)) - 1
+    if hi > np.iinfo(np.int64).max:
+        raise SpecError(f"the Delta range up to t/mu - 1 = {hi:.3g} exceeds a 64-bit integer")
     lo = k_w + 1
     if hi < lo:
         raise SpecError("empty Delta range: need K < t/mu with room to spare")

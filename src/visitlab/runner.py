@@ -1,4 +1,4 @@
-"""Experiment orchestration: predict, simulate across workers, compare.
+"""Experiment orchestration: the five verbs, simulation across workers, reports.
 
 A run is a pure function of (config, seed): trajectories are generated from a
 counter-based seed schedule in fixed blocks, worker results are merged in
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from contextlib import contextmanager
@@ -199,21 +198,42 @@ def _jsonable(node):
     return node
 
 
+VERBS = ("predict", "simulate", "compare", "bound", "sweep")
+
+
 def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
-    """Execute one verb over the config's sweep list and assemble the report."""
-    if mode not in ("predict", "simulate", "compare", "sweep"):
+    """Execute one verb over its sweep list and assemble the report.
+
+    ``bound`` walks the stein section's sweep and tabulates one error bracket
+    per target size; the other verbs walk the target sweep.
+    """
+    if mode not in VERBS:
         raise ConfigError(f"unknown run mode {mode!r}")
+    if mode == "bound" and cfg.stein is None:
+        raise ConfigError("bound runs need a stein section with a mixing profile")
     started = time.perf_counter()
     system = cfg.build_system()
     results = []
-    for index, sweep_value in enumerate(cfg.sweep):
+    for index, sweep_value in enumerate(cfg.stein.sweep if mode == "bound" else cfg.sweep):
         target = cfg.build_target(sweep_value)
-        entry = {"sweep_value": sweep_value}
         try:
             mu = measure(target, system, samples=min(cfg.samples, 200_000), seed=cfg.seed)
             horizon = kac_horizon(cfg.t, mu.value)
         except (SpecError, StructureError) as exc:
             raise type(exc)(f"sweep value {sweep_value}: {exc}") from None
+        if mode == "bound":
+            out = _stein_for(cfg, system, target, sweep_value, mu.value)
+            if "error" in out:
+                raise SpecError(f"bracket at n={sweep_value}: {out['error']}")
+            results.append({
+                "n": sweep_value,
+                "mu": mu.value,
+                "argmin_delta": out["argmin_delta"],
+                "value": out["value"],
+                "k_window": out["k_window"],
+            })
+            continue
+        entry = {"sweep_value": sweep_value}
         entry["measure"] = {"value": mu.value, "se": mu.se, "method": mu.method}
         entry["horizon"] = horizon
         if cfg.window_two_sided is not None and cfg.window_two_sided >= cfg.t / mu.value:
@@ -262,6 +282,9 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
             "workers": cfg.workers,
         },
     }
+    if mode == "bound":
+        values = [row["value"] for row in results]
+        report["monotone_decreasing"] = all(b < a for a, b in zip(values, values[1:]))
     return report
 
 
@@ -309,14 +332,14 @@ def _sweep_token(value) -> str:
 
 
 def write_report(report: dict, out_dir: str, mode: str) -> list:
-    """Write the JSON report plus per-sweep CSV tables; returns paths."""
+    """Write the JSON report plus the verb's CSV tables; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     results = report["results"]
     for entry in results:
-        token = _sweep_token(entry["sweep_value"])
         pmfs = entry.pop("_pmfs", None)
         if pmfs is not None:
+            token = _sweep_token(entry["sweep_value"])
             emp, pred_pmf = pmfs
             if pred_pmf is not None:
                 path = os.path.join(out_dir, f"predicted_pmf_{token}.csv")
@@ -345,6 +368,14 @@ def write_report(report: dict, out_dir: str, mode: str) -> list:
                     repr(entry["stein"]["value"]) if "stein" in entry and "value" in entry["stein"] else "",
                 ])
         written.append(path)
+    elif mode == "bound":
+        path = os.path.join(out_dir, "bound_table.csv")
+        with _atomic_open(path, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "argmin_delta", "bracket_value"])
+            for row in results:
+                writer.writerow([row["n"], row["argmin_delta"], repr(row["value"])])
+        written.append(path)
     return written
 
 
@@ -355,75 +386,3 @@ def exit_code_for(report: dict) -> int:
         if tv is not None and not tv["pass"]:
             return 2
     return 0
-
-
-def cmd_predict(cfg: ExperimentConfig) -> dict:
-    return run_experiment(cfg, "predict")
-
-
-def cmd_simulate(cfg: ExperimentConfig) -> dict:
-    return run_experiment(cfg, "simulate")
-
-
-def cmd_compare(cfg: ExperimentConfig) -> dict:
-    return run_experiment(cfg, "compare")
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> dict:
-    return run_experiment(cfg, "sweep")
-
-
-def cmd_bound(cfg: ExperimentConfig) -> dict:
-    """Bracket table over the stein sweep; needs a declared mixing profile."""
-    if cfg.stein is None:
-        raise ConfigError("bound runs need a stein section with a mixing profile")
-    started = time.perf_counter()
-    system = cfg.build_system()
-    rows = []
-    for n in cfg.stein.sweep:
-        target = cfg.build_target(n)
-        mu = measure(target, system, samples=min(cfg.samples, 200_000), seed=cfg.seed)
-        out = _stein_for(cfg, system, target, n, mu.value)
-        if "error" in out:
-            raise SpecError(f"bracket at n={n}: {out['error']}")
-        rows.append({
-            "n": int(n),
-            "mu": mu.value,
-            "argmin_delta": out["argmin_delta"],
-            "value": out["value"],
-            "k_window": out["k_window"],
-        })
-    values = [r["value"] for r in rows]
-    report = {
-        "schema": 1,
-        "library": {"name": "visitlab", "version": __version__},
-        "mode": "bound",
-        "config_hash": cfg.canonical_hash(),
-        "config": cfg.normalized,
-        "results": rows,
-        "monotone_decreasing": bool(
-            all(b < a for a, b in zip(values, values[1:]))
-        ),
-        "meta": {
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_clock_s": time.perf_counter() - started,
-            "workers": cfg.workers,
-        },
-    }
-    return report
-
-
-def write_bound_report(report: dict, out_dir: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    path = os.path.join(out_dir, "bound_table.csv")
-    with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "argmin_delta", "bracket_value"])
-        for row in report["results"]:
-            writer.writerow([row["n"], row["argmin_delta"], repr(row["value"])])
-    written.append(path)
-    path = os.path.join(out_dir, "bound_report.json")
-    _write_json(report, path)
-    written.append(path)
-    return written

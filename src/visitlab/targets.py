@@ -382,12 +382,12 @@ def _diag_code(a: int, m: int, chains: int) -> int:
     return code
 
 
-def measure_mc(target, system, samples: int, seed: int, path_len: int | None = None) -> TargetMeasure:
+def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
     """Monte Carlo window frequency with a trajectory-clustered standard error."""
     if samples < 2:
         raise InsufficientDataError("need at least two trajectories", count=samples)
     w = target.window
-    length = path_len if path_len is not None else max(8 * w, w + 63)
+    length = max(8 * w, w + 63)
     means = np.empty(samples)
     batch = 4096
     done = 0

@@ -30,7 +30,6 @@ from visitlab import (
     MixingProfile,
     PolyaAeppliSpec,
     SteinBracketInputs,
-    cmd_compare,
     config_from_mapping,
     coupling_sync_rate,
     cp_pmf,
@@ -454,6 +453,6 @@ def test_criterion_13_worker_determinism():
     bodies = {}
     for workers in (1, 8):
         cfg = config_from_mapping(copy.deepcopy(doc), {"workers": workers})
-        bodies[workers] = report_body(cmd_compare(cfg))
+        bodies[workers] = report_body(run_experiment(cfg, "compare"))
     ok = bodies[1] == bodies[8]
     assert _line("13", ok, f"workers 1 vs 8 report bodies identical: {ok}")

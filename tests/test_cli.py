@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -353,3 +354,44 @@ def test_compare_does_not_import_scipy(tmp_path):
     assert run.returncode == 0, run.stderr[-2000:]
     reports = [json.loads((tmp_path / n / "compare_report.json").read_text()) for n in ("pa", "poisson")]
     assert [r["results"][0]["prediction"]["family"] for r in reports] == ["polya-aeppli", "poisson"]
+
+
+_STEIN = "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n  mode: phi\n  window_policy: half\n"
+
+
+@pytest.mark.parametrize(
+    "name, verb, code, message",
+    [
+        # 0.3**2000 underflows to a subnormal float, so t / mu overflows
+        ("sign-product + sign-cylinder", "bound", 3, "configuration error: sweep value 2000: "),
+        # mu is about 1.4e-194, so t / mu is finite but beyond a 64-bit integer
+        ("markov + cylinder", "predict", 0, None),
+        ("markov + cylinder", "bound", 3, "configuration error: bracket at n=2000: "),
+    ],
+    ids=["sign-cylinder bound", "markov predict", "markov bound"],
+)
+def test_deep_targets_keep_the_exit_contract(name, verb, code, message, tmp_path, capsys):
+    cfg = tmp_path / "deep.yaml"
+    body = re.sub(r"sweep: \[\d+\]", "sweep: [2000]", _PAIR_CONFIGS[name])
+    cfg.write_text("experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.1}\n" + body + _STEIN)
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if message is None:
+        (entry,) = json.loads((tmp_path / "out" / f"{verb}_report.json").read_text())["results"]
+        assert "64-bit integer" in entry["stein"]["error"] and entry["stein"]["k_window"] == 1000
+    else:
+        assert err.startswith(message) and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "verb, squatted", [("compare", "compare_report.json"), ("predict", "predicted_pmf_6.csv")]
+)
+def test_unwritable_report_path_exits_three(verb, squatted, config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / squatted).mkdir(parents=True)
+    assert main([verb, "--config", str(config_path), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write report: ") and squatted in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not list(out.glob("*.tmp")) and (out / squatted).is_dir()

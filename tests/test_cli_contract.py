@@ -1,12 +1,14 @@
 """Property test of the CLI's exit contract: 0, 2, 3 or 4, never a traceback.
 
 Each case takes the tiny config of one pair of the pair table at one target
-size, valid, large or absurd.  Its first example runs that config as it
-is; the others overwrite one more leaf of the document with a value from a
-pool of extreme and malformed values, and run ``predict`` or ``compare`` on
-at most 64 trajectories.
+size, valid, large or absurd, plus a stein section with a geometric
+mixing profile.  Its first example runs that config as it is; the others
+overwrite one more leaf of the document, stein leaves included, with a value
+from a pool of extreme and malformed values, and run one of the five verbs
+on at most 64 trajectories.
 """
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -22,6 +24,8 @@ from visitlab.cli import main
 
 _EXPERIMENT = {"t": 1.0, "seed": 2, "tolerance": 0.1, "workers": 1,
                "window_forward": 3, "window_two_sided": 3}
+_STEIN = {"profile": {"kind": "geometric", "scale": 1.0, "rate": 0.5},
+          "mode": "phi", "window_policy": "half"}
 _SIZES = (3, 2000, 1e300)
 _VALUES = (0, -1, 2, 0.5, 2000, 1e300, float("inf"), float("nan"), "1/3", "x", True, None, [])
 _FIXED = ("kind", "samples", "workers")
@@ -50,11 +54,12 @@ def _put(doc, path, value):
 def _mutations(draw, name, size):
     doc = yaml.safe_load(_PAIR_CONFIGS[name])
     doc["experiment"] = dict(_EXPERIMENT, samples=draw(st.sampled_from((64, 2, 1))))
+    doc["stein"] = copy.deepcopy(_STEIN)
     _put(doc, ("target", "sweep", 0), size)
     leaves = [p for p in _leaves(doc) if p[-1] not in _FIXED]
     if draw(st.booleans()):
         _put(doc, draw(st.sampled_from(leaves)), draw(st.sampled_from(_VALUES)))
-    return draw(st.sampled_from(("predict", "compare"))), doc
+    return draw(st.sampled_from(("predict", "simulate", "compare", "bound", "sweep"))), doc
 
 
 @pytest.mark.parametrize("size", _SIZES)

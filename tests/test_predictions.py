@@ -299,6 +299,12 @@ def test_stein_bracket_needs_room_for_the_gap():
         stein_bracket(inp)
     with pytest.raises(SpecError):
         SteinBracketInputs(prof, 0.5, (0.5,), 2, 1, 1.0)  # outer too short
+    # the Delta grid is int64: t / mu must be finite and floor(t / mu) - 1 fit
+    for mu, t in ((2.0**-64, 1.0), (1e-310, 1.0), (0.5, float("inf")), (0.5, float("nan"))):
+        with pytest.raises(SpecError):
+            stein_bracket(SteinBracketInputs(prof, mu, (mu, mu), 1, 1, t))
+    widest = stein_bracket(SteinBracketInputs(prof, 2.0**-62, (0.5, 0.5), 1, 1, 1.0))
+    assert 2 <= widest["argmin_delta"] <= 2**62 - 1
 
 
 def test_doeblin_alpha2_bound_linear_in_delta():

@@ -26,13 +26,11 @@ from visitlab import (
     SignCylinderTarget,
     SyncCylinderTarget,
     UnsupportedPairError,
-    cmd_bound,
     config_from_mapping,
     exit_code_for,
     predict_for,
     report_body,
     run_experiment,
-    write_bound_report,
     write_report,
 )
 from visitlab import runner
@@ -207,12 +205,12 @@ def test_bound_command_rows(tmp_path):
         "mode": "phi",
         "window_policy": "half",
     }
-    report = cmd_bound(_cfg(doc))
+    report = run_experiment(_cfg(doc), "bound")
     rows = report["results"]
     assert [r["n"] for r in rows] == [10, 16]
     assert rows[1]["value"] < rows[0]["value"]
     assert report["monotone_decreasing"] is True
-    paths = write_bound_report(report, tmp_path)
+    paths = write_report(report, tmp_path, "bound")
     names = {Path(p).name for p in paths}
     assert "bound_table.csv" in names and "bound_report.json" in names
     header = (tmp_path / "bound_table.csv").read_text().splitlines()[0]
@@ -221,7 +219,7 @@ def test_bound_command_rows(tmp_path):
 
 def test_bound_requires_stein_section():
     with pytest.raises(ConfigError):
-        cmd_bound(_cfg())
+        run_experiment(_cfg(), "bound")
 
 
 class _SerialPool:
@@ -320,7 +318,7 @@ def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         write_report(copy.deepcopy(report), tmp_path, "compare")
     with pytest.raises(OSError):
-        write_bound_report({"results": []}, tmp_path)
+        write_report({"results": []}, tmp_path, "bound")
     assert not list(tmp_path.glob("*_report.json"))
     assert not list(tmp_path.glob("*.tmp"))
     monkeypatch.undo()
