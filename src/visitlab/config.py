@@ -78,9 +78,9 @@ TARGET_KINDS = (
 )
 
 
-# Largest target size: a target's measure and its windows walk it one step
-# at a time, so a size far beyond any path the step guard admits would only
-# exhaust time or memory before the run is refused.
+# Largest target size (and run-length level): a target's measure and its
+# windows walk it one step at a time, so a size far beyond any path the step
+# guard admits would only exhaust time or memory before the run is refused.
 _MAX_TARGET_SIZE = 1_000_000
 
 
@@ -281,6 +281,8 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
         if any(v < 1 for v in sweep):
             _fail("target.sweep", "target sizes must be >= 1")
         _require_walkable(sweep, "target.sweep")
+        if tk == "run-length" and _as_int(target.get("level", 1), "target.level") > _MAX_TARGET_SIZE:
+            _fail("target.level", f"run-length levels above {_MAX_TARGET_SIZE:,} are refused")
 
     stein = None
     if "stein" in doc:

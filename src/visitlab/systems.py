@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -136,14 +137,16 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return wide[:, 0::2] | (wide[:, 1::2] << np.uint64(32))
 
 
-def trajectory_rngs(root_seed: int, start: int, count: int) -> list:
+def trajectory_rngs(root_seed: int, start: int, count: int) -> "TrajectoryStreams":
     """``[trajectory_rng(root_seed, start + i) for i in range(count)]``, batched.
 
     Row i is the same generator as ``trajectory_rng(root_seed, start + i)``
     and draws the same stream.  SeedSequence's hash constants advance with
     the number of entropy words, not with their values, so the whole index
     range is hashed at once with array arithmetic (split where the index
-    gains a uint32 word), and each PCG64 is built from its four state words.
+    gains a uint32 word) into each PCG64's four state words; the generators
+    themselves are built only when they are asked for
+    (:class:`TrajectoryStreams`).
     """
     root = _uint32_words(root_seed)
     if start < 0 or count < 0:
@@ -159,11 +162,102 @@ def trajectory_rngs(root_seed: int, start: int, count: int) -> list:
         entropy[:, len(root)] = np.arange(index[0], index[0] + hi - lo, dtype=np.uint32)
         states[lo - start : hi - start] = _seed_sequence_states(entropy)
         lo = hi
-    return [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in states]
+    return TrajectoryStreams(states)
+
+
+class TrajectoryStreams(Sequence):
+    """The generators of :func:`trajectory_rngs`, built on first use.
+
+    Indexing or iterating builds every generator once, from its four PCG64
+    state words, and keeps them, so a generator that has drawn stays where
+    it is.  :meth:`uniforms` computes the streams' first draws without
+    building any generator.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+        self._rngs = None
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def _generators(self) -> list:
+        if self._rngs is None:
+            self._rngs = [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in self._words]
+        return self._rngs
+
+    def __getitem__(self, index):
+        return self._generators()[index]
+
+    def __iter__(self):
+        return iter(self._generators())
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """Time-major ``(n, rows)`` float64: column i is a fresh ``self[i].random(n)``.
+
+        PCG64 (O'Neill, HMC-CS-2014-0905) run as array arithmetic over every
+        stream at once, seeded as numpy's ``pcg64_set_seed`` seeds it: a
+        128-bit LCG state held in uint64 halves, stepped before each draw,
+        whose XSL-RR output x gives the double ``(x >> 11) * 2**-53``.
+        """
+        words = self._words
+        inc_hi = (words[:, 2] << _ONE) | (words[:, 3] >> np.uint64(63))
+        inc_lo = (words[:, 3] << _ONE) | _ONE
+        # from state 0 one step gives inc; add the seed state, step again
+        lo = inc_lo + words[:, 1]
+        hi, lo = _pcg64_step(inc_hi + words[:, 0] + (lo < inc_lo), lo, inc_hi, inc_lo)
+        out = np.empty((n, len(words)))
+        for t in range(n):
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> np.uint64(58)
+            x = (x >> rot) | (x << (-rot & np.uint64(63)))
+            np.multiply((x >> np.uint64(11)).view(np.int64), 2.0**-53, out=out[t])
+        return out
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M_HI, _M_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (2**64 - 1))
+_M_LO_HI, _M_LO_LO = _M_LO >> np.uint64(32), _M_LO & np.uint64(0xFFFFFFFF)
+_LOW32, _S32, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """``state * M + inc mod 2**128`` on uint64 halves (wrapping like the C code)."""
+    # high 64 bits of lo * M_LO, from 32-bit halves
+    a0, a1 = lo & _LOW32, lo >> _S32
+    mid = a1 * _M_LO_LO + ((a0 * _M_LO_LO) >> _S32)
+    cross = a0 * _M_LO_HI + (mid & _LOW32)
+    mulhi = a1 * _M_LO_HI + (mid >> _S32) + (cross >> _S32)
+    new_lo = lo * _M_LO + inc_lo
+    return hi * _M_LO + lo * _M_HI + mulhi + inc_hi + (new_lo < inc_lo), new_lo
+
+
+# A chunk of ``rows`` streams drawing n uniforms each takes the array route
+# (:meth:`TrajectoryStreams.uniforms`) when rows >= _ARRAY_ROWS_PER_DRAW * n.
+# Each of its n steps costs some 30 numpy calls over all rows, while the
+# per-row route pays about 5 us per row to build and call a generator.
+# Best of 5 on a 2-core VM, seeding included, per-row / array ms:
+# 4096 x 16: 24.6 / 2.4, 4096 x 58: 24.9 / 7.8, 4096 x 128: 26.9 / 16.6,
+# 4096 x 256: 19.3 / 25.1, 1024 x 58: 3.7 / 2.7, 1024 x 64: 3.4 / 2.9,
+# 1024 x 128: 4.6 / 5.8, 256 x 16: 0.9 / 0.7, 256 x 58: 1.1 / 3.4,
+# 64 x 58: 0.4 / 1.6.  Chunks hold at most 4096 rows, so the only shapes
+# the rule gets wrong lie at its edge, where the two routes are close.
+_ARRAY_ROWS_PER_DRAW = 16
+
+
+def _array_route(rngs, n: int) -> bool:
+    """Whether the first n uniforms of ``rngs`` come from one array pass."""
+    return isinstance(rngs, TrajectoryStreams) and len(rngs) >= _ARRAY_ROWS_PER_DRAW * n
 
 
 def _row_uniforms(rngs, n: int) -> np.ndarray:
-    """``(rows, n)`` uniforms whose row i is ``rngs[i].random(n)``."""
+    """``(rows, n)`` uniforms whose row i is ``rngs[i].random(n)``.
+
+    On the array route this is the transpose of the time-major array, so
+    ``.T`` of it is C-contiguous.
+    """
+    if _array_route(rngs, n):
+        return rngs.uniforms(n).T
     u = np.empty((len(rngs), n))
     for i, rng in enumerate(rngs):
         rng.random(out=u[i])
@@ -173,6 +267,19 @@ def _row_uniforms(rngs, n: int) -> np.ndarray:
 # uniforms per row tile of :func:`_row_tiles` (512 kB of float64, so that a
 # tile stays in cache for every pass its sampler makes over it)
 _BLOCK_UNIFORMS = 1 << 16
+
+
+def _uniform_tiles(rngs, n: int):
+    """Yield ``(lo, tile)``: row i of ``tile`` is ``rngs[lo + i].random(n)``.
+
+    The fixed-draw samplers that work tile by tile draw here.  On the array
+    route one tile covers every row, and its transpose is the C-contiguous
+    time-major array; otherwise the tiles are those of :func:`_row_tiles`.
+    """
+    if _array_route(rngs, n):
+        yield 0, rngs.uniforms(n).T
+    else:
+        yield from _row_tiles(rngs, n)
 
 
 def _row_tiles(rngs, n: int):
@@ -351,8 +458,8 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
     Returns a C-contiguous ``(rows, n)`` array, in the dtype of
     :func:`sample_house_of_cards`, whose row i equals row i of
     ``_climb_or_reset(spec, n, rngs)``: the same n uniforms, the stationary
-    start and then n - 1 resets.  The uniforms are drawn one cached row tile
-    at a time (:func:`_row_tiles`) and each tile is scanned in place in its
+    start and then n - 1 resets.  The uniforms come one cached row tile at
+    a time (:func:`_uniform_tiles`) and each tile is scanned in place in its
     rows of the output.
     """
     if spec.kind != "constant":
@@ -365,7 +472,7 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
     # column t plants t + top, and a column without a reset holds 0; the
     # running maximum of the anchors, subtracted from t + top, is the state
     shifted = np.arange(top, top + n, dtype=paths.dtype)
-    for lo, u in _row_tiles(rngs, n):
+    for lo, u in _uniform_tiles(rngs, n):
         anchor = paths[lo : lo + len(u)]
         init = np.minimum(np.searchsorted(cdf, u[:, 0], side="right"), top - 1)
         anchor[:, 0] = top - init
@@ -505,11 +612,13 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     an ``(n, rows)`` array, transposed once at the end.
 
     Chains with few distinct thresholds (:func:`_bucket_table`) bucket the
-    uniforms as they are drawn, one cached row tile (:func:`_row_tiles`) at
-    a time, into uint8 codes; after one transpose of the codes each column
-    costs two uint8 passes: add the previous states to its codes, look the
-    sums up.  Other chains compare each column of a transposed float64 copy
-    of the uniforms with the thresholds of the previous states.
+    uniforms as they are drawn, one cached row tile (:func:`_uniform_tiles`)
+    at a time, into uint8 codes; after one transpose of the codes each
+    column costs two uint8 passes: add the previous states to its codes,
+    look the sums up.  Other chains compare each column of a transposed
+    float64 copy of the uniforms with the thresholds of the previous states.
+    On the array route the uniforms, and so the codes, are time-major
+    already, and neither transpose copies.
     """
     cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
@@ -519,16 +628,17 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     table = _bucket_table(cum)
     if table is not None:
         breaks, lut = table
-        codes = np.zeros((len(rngs), n), dtype=np.uint8)
+        # time-major on the array route, where the transpose below is a view
+        codes = np.zeros((len(rngs), n), np.uint8, order="F" if _array_route(rngs, n) else "C")
         start = np.empty(len(rngs), dtype=np.intp)
-        for lo, block in _row_tiles(rngs, n):
+        for lo, block in _uniform_tiles(rngs, n):
             part = codes[lo : lo + len(block)]
-            flags = np.empty(block.shape, dtype=bool)
+            flags = np.empty_like(block, dtype=bool)
             start[lo : lo + len(block)] = np.searchsorted(cdf, block[:, 0], side="right")
             for brk in breaks:
                 part += np.less_equal(brk, block, out=flags).view(np.uint8)
             part *= k
-        states = codes.T.copy()
+        states = np.ascontiguousarray(codes.T)
         del codes
         # column t holds its bucket code times k until it is overwritten by
         # the state that lut gives for that code and the state at t - 1
@@ -540,7 +650,7 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
             lut.take(col, out=col, mode="clip")
         return np.ascontiguousarray(states.T)
     u = _row_uniforms(rngs, n)
-    buf = u.T.copy()
+    buf = np.ascontiguousarray(u.T)
     del u
     states = np.empty(buf.shape, dtype=np.min_scalar_type(k - 1))
     # the previous states as gather indices, converted once per column
@@ -755,6 +865,9 @@ class RegenerativeSpec:
         symbols = tuple(int(a) for a in self.symbols)
         if len(symbols) == 0 or len(set(symbols)) != len(symbols):
             raise SpecError("symbols must be distinct and nonempty")
+        # paths hold the symbols as int64
+        if not all(-(2**63) <= a < 2**63 for a in symbols):
+            raise SpecError("symbols must fit in int64")
         if any(symbols[i] >= symbols[i + 1] for i in range(len(symbols) - 1)):
             raise SpecError("symbols must be strictly increasing")
         probs = np.asarray(self.symbol_probs, dtype=float)
@@ -1128,10 +1241,18 @@ class FactorProductSpec:
 def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.ndarray:
     """n product symbols (+-1) per row, a C-contiguous ``(rows, n)`` int64 array.
 
-    Row i draws n + 1 sign uniforms from rngs[i].
+    Row i draws n + 1 sign uniforms from rngs[i], and sign j is +1 where
+    uniform j lies below ``plus_prob``.
     """
-    x = np.where(_row_uniforms(rngs, n + 1) < spec.plus_prob, np.int64(1), np.int64(-1))
-    return x[:, :-1] * x[:, 1:]
+    out = np.empty((len(rngs), n), dtype=np.int64)
+    for lo, u in _uniform_tiles(rngs, n + 1):
+        plus = u < spec.plus_prob
+        # x_j * x_(j+1) is +1 exactly where the two signs agree
+        part = out[lo : lo + len(u)]
+        np.equal(plus[:, :-1], plus[:, 1:], out=part)
+        part *= 2
+        part -= 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,29 @@ def test_absurd_target_size_exits_three(verb, tmp_path, capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("verb", ["predict", "simulate", "compare"])
+def test_huge_run_length_level_exits_three(verb, tmp_path, capsys):
+    cfg = tmp_path / "level.yaml"
+    cfg.write_text(CONFIG.replace("level: 1", "level: 1e300"))
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: target.level: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["predict", "simulate", "compare"])
+def test_regenerative_symbol_beyond_int64_exits_three(verb, tmp_path, capsys):
+    cfg = tmp_path / "symbols.yaml"
+    cfg.write_text(
+        "experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n"
+        + _PAIR_CONFIGS["regenerative + half-line"].replace("symbols: [0, 1, 2]", "symbols: [0, 1, 1e300]")
+    )
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "int64" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("verb", ["compare", "bound"])
 def test_unusable_out_dir_exits_three_before_simulating(verb, tmp_path, capsys, monkeypatch):
     def no_simulation(*args, **kwargs):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from visitlab import (
     sync_kernel,
     trajectory_rng,
 )
-from visitlab import systems
+from visitlab import runner, systems
+from visitlab.config import load_config
 from visitlab.errors import NonStationaryError
 from visitlab.systems import (
     hoc_stationary,
@@ -413,11 +415,30 @@ def test_trajectory_rngs_equal_trajectory_rng(root):
     for start, count in ((0, 40), (2**48, 40), (2**32 - 20, 40)):
         batch = trajectory_rngs(root, start, count)
         assert len(batch) == count
+        # the array pass, and the uniforms helper on both sides of the route
+        # crossover: 40 rows take the array route up to n = 2
+        for n in (1, 2, 3, 57, 58):
+            ref = np.stack([trajectory_rng(root, start + i).random(n) for i in range(count)], axis=1)
+            assert np.array_equal(batch.uniforms(n), ref), (start, n)
+            fresh = trajectory_rngs(root, start, count)
+            assert systems._array_route(fresh, n) == (n <= 2)
+            assert np.array_equal(systems._row_uniforms(fresh, n), ref.T), (start, n)
         for i, rng in enumerate(batch):
             ref = trajectory_rng(root, start + i)
             assert rng.bit_generator.state == ref.bit_generator.state, (start, i)
             assert np.array_equal(rng.random(3), ref.random(3))
-    assert trajectory_rngs(root, 5, 0) == []
+    empty = trajectory_rngs(root, 5, 0)
+    assert len(empty) == 0 and list(empty) == []
+    assert empty.uniforms(4).shape == (4, 0)
+
+
+def test_trajectory_streams_keep_their_generators():
+    streams = trajectory_rngs(3, 0, 4)
+    first = streams[1].random(2)
+    # the same generator again, advanced by its draws
+    assert streams[1] is list(streams)[1]
+    assert np.array_equal(streams[1].random(2), trajectory_rng(3, 1).random(4)[2:])
+    assert np.array_equal(streams.uniforms(2)[:, 1], first)
 
 
 def test_trajectory_rngs_reject_negative_seeds():
@@ -471,6 +492,92 @@ def test_sign_product_batch_matches_solo():
         for i, row in enumerate(batch):
             x = np.where(trajectory_rng(7, i).random(n + 1) < 0.3, 1, -1)
             assert np.array_equal(row, x[:-1] * x[1:]), (n, i)
+
+
+# Array-route cases: rows >= _ARRAY_ROWS_PER_DRAW * n, so TrajectoryStreams
+# draw in one array pass, while a list of the same generators draws row by
+# row.  Each pair is (rows, n): 1024 rows reach n = 64 uniforms per row.
+_ARRAY_ROWS = 1024
+
+
+def _streams_and_list(rows, seed=7):
+    return trajectory_rngs(seed, 0, rows), [trajectory_rng(seed, i) for i in range(rows)]
+
+
+def test_sign_product_array_route_matches_generators():
+    spec = FactorProductSpec(0.3)
+    for n in (1, 57, 63, 64):
+        streams, rngs = _streams_and_list(_ARRAY_ROWS)
+        assert systems._array_route(streams, n + 1) == (n < 64)
+        batch = sample_factor_product_batch(spec, n, streams)
+        assert batch.flags.c_contiguous and batch.dtype == np.int64
+        assert np.array_equal(batch, sample_factor_product_batch(spec, n, rngs)), n
+
+
+def test_house_of_cards_array_route_matches_generators():
+    for reset, n in ((0.5, 1), (0.5, 57), (0.05, 64), (0.99, 40), (1.0, 16)):
+        spec = HouseOfCardsSpec.constant(reset)
+        streams, rngs = _streams_and_list(_ARRAY_ROWS)
+        assert systems._array_route(streams, n)
+        batch = sample_house_of_cards_batch(spec, n, streams)
+        assert batch.flags.c_contiguous
+        assert np.array_equal(batch, systems._climb_or_reset(spec, n, rngs)), (reset, n)
+
+
+def test_step_columns_array_route_matches_generators():
+    cases = [
+        (CRITERION_07, "lookup"),
+        (_chain_with_breaks(8, 31).matrix, "lookup"),
+        (_ring_chain(7).matrix, "threshold"),
+        (_ring_chain(systems._THRESHOLD_STATES + 6).matrix, "rows"),
+        (_lazy_ring(300), "rows"),
+    ]
+    for matrix, route in cases:
+        assert _route(matrix) == route
+        stationary = markov_stationary(matrix)
+        for n in (1, 2, 64):
+            streams, rngs = _streams_and_list(_ARRAY_ROWS)
+            assert systems._array_route(streams, n)
+            batch = systems._step_columns(streams, n, stationary, matrix)
+            assert batch.flags.c_contiguous and batch.shape == (_ARRAY_ROWS, n)
+            ref = systems._step_columns(rngs, n, stationary, matrix)
+            assert batch.dtype == ref.dtype and np.array_equal(batch, ref), (route, n)
+
+
+def test_chain_samplers_array_route_match_generators():
+    product = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
+    for sampler, spec in (
+        (sample_product_chain_batch, product),
+        (sample_itinerary_batch, EXAMPLE_MAP),
+        (sample_itinerary_batch, DOUBLING_MAP),
+    ):
+        streams, rngs = _streams_and_list(_ARRAY_ROWS)
+        batch = sampler(spec, 60, streams)
+        assert batch.flags.c_contiguous
+        assert np.array_equal(batch, sampler(spec, 60, rngs)), type(spec).__name__
+
+
+class _FirstChunk(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "workload, array_route",
+    [("sign-short", True), ("markov-pool", False), ("runlength-long", False)],
+)
+def test_benchmark_chunks_take_their_routes(workload, array_route, monkeypatch):
+    # stop at the first chunk that the runner samples, and read its shape
+    def first_chunk(system, n, rngs):
+        draws = n + 1 if isinstance(system, FactorProductSpec) else n
+        raise _FirstChunk(len(rngs), draws, systems._array_route(rngs, draws))
+
+    monkeypatch.setattr(runner, "sample_paths", first_chunk)
+    path = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{workload}.yaml"
+    with pytest.raises(_FirstChunk) as chunk:
+        runner.run_experiment(load_config(str(path), {"workers": 1}), "compare")
+    rows, draws, taken = chunk.value.args
+    assert taken == array_route, (rows, draws)
+    assert taken == (rows >= systems._ARRAY_ROWS_PER_DRAW * draws)
 
 
 def _decode_reference(codes, m_states, n_chains):

@@ -27,6 +27,7 @@ from visitlab import (
     outer_target,
     sign_cylinder_measure,
 )
+from visitlab import systems
 from visitlab.targets import TargetMeasure, _match_word, _window_all, interval_cylinder_measure
 
 F = Fraction
@@ -197,6 +198,18 @@ def test_measure_falls_back_to_monte_carlo():
     assert got.method == "monte-carlo"
     # stationary P(1,1,1) = 0.8 * 0.64: loose sanity band only
     assert 0.3 < got.value < 0.7
+
+
+def test_measure_mc_streams_are_pinned():
+    # a simulate-only pair: its first batch of 4096 paths of 66 steps draws
+    # in one array pass, the last 904 row by row; the reprs pin both
+    chain = FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]]))
+    target = RunLengthTarget(2, level=1)
+    length = max(8 * target.window, target.window + 63)
+    assert systems._array_route(systems.trajectory_rngs(5, 0, 4096), length)
+    assert not systems._array_route(systems.trajectory_rngs(5, 0, 904), length)
+    got = measure_mc(target, chain, samples=5000, seed=5)
+    assert (repr(got.value), repr(got.se)) == ("0.48101875", "0.0014960401567697416")
 
 
 def test_target_validation():
