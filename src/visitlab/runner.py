@@ -98,7 +98,7 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
          path_len, ext_horizon, horizon, window_f, window_k, cfg.cluster_cap)
         for start in range(0, cfg.samples, _BLOCK)
     ]
-    workers = min(cfg.workers, os.cpu_count() or 1, len(blocks))
+    workers = min(cfg.workers, _usable_cpus(), len(blocks))
     if workers == 1:
         results = [_simulate_block(b) for b in blocks]
     else:
@@ -116,6 +116,13 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
                 "so retry with fewer workers (--jobs) or samples"
             ) from exc
     return (*_merge_ranges(results), path_len)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _derived_seed(root_seed: int, stream: int, index: int) -> int:

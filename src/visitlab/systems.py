@@ -459,8 +459,10 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
     :func:`sample_house_of_cards`, whose row i equals row i of
     ``_climb_or_reset(spec, n, rngs)``: the same n uniforms, the stationary
     start and then n - 1 resets.  The uniforms come one cached row tile at
-    a time (:func:`_uniform_tiles`) and each tile is scanned in place in its
-    rows of the output.
+    a time (:func:`_uniform_tiles`), and each tile plants its anchors in its
+    rows of the output.  :func:`_last_anchor` then finds every column's last
+    anchor by a doubling scan, one row tile of the output at a time,
+    ping-ponging with one scratch tile of at most 512 kB.
     """
     if spec.kind != "constant":
         raise SpecError("batch house-of-cards sampling needs a constant reset")
@@ -468,9 +470,10 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
     top = law.probs.size  # above every start state
     cdf = np.cumsum(law.probs)
     paths = np.empty((len(rngs), n), dtype=np.min_scalar_type(top + n))
-    # anchors shifted up by top: the start plants top - init, a reset at
-    # column t plants t + top, and a column without a reset holds 0; the
-    # running maximum of the anchors, subtracted from t + top, is the state
+    # anchors shifted up by top: the start plants top - init (between 1 and
+    # top), a reset at column t plants t + top, and a column without a reset
+    # holds 0; the last anchor at or before t, subtracted from t + top, is
+    # the state at t
     shifted = np.arange(top, top + n, dtype=paths.dtype)
     for lo, u in _uniform_tiles(rngs, n):
         anchor = paths[lo : lo + len(u)]
@@ -478,9 +481,41 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
         anchor[:, 0] = top - init
         np.less(u[:, 1:], spec.params[0], out=anchor[:, 1:])
         anchor[:, 1:] *= shifted[1:]
-        np.maximum.accumulate(anchor, axis=1, out=anchor)
-        np.subtract(shifted, anchor, out=anchor)
+    # scan tiles hold as many bytes as a uniform tile (512 kB): each pass
+    # costs a few numpy calls, and over a uniform tile's rows alone (15 x
+    # 4306 uint16 states) that overhead made rare resets no faster than a
+    # serial running maximum
+    per = max(1, _BLOCK_UNIFORMS * 8 // (n * paths.itemsize))
+    scratch = np.empty((min(per, len(paths)), n), dtype=paths.dtype)
+    for lo in range(0, len(paths), per):
+        tile = paths[lo : lo + per]
+        np.subtract(shifted, _last_anchor(tile, scratch), out=tile)
     return paths
+
+
+def _last_anchor(anchor: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Running maximum of ``anchor`` along its rows, held in ``anchor`` or ``scratch``.
+
+    ``anchor`` is a C-contiguous ``(rows, n)`` tile whose nonzero entries
+    strictly increase along each row and whose column 0 is nonzero;
+    ``scratch`` has at least as many rows and the same dtype.  Returns the
+    one of the two (a view of ``scratch`` cut to ``rows``) whose entry t is
+    ``np.maximum.accumulate(anchor, axis=1)[:, t]``; the other is overwritten.
+    """
+    # Hillis-Steele doubling: after the pass with span s, entry t holds the
+    # maximum of columns max(0, t - 2s + 1)..t.  Since the anchors increase
+    # along a row, a nonzero maximum there is the last anchor at or before
+    # t, which is the running maximum, so the scan may stop once no entry is
+    # 0; column 0 is nonzero, so it stops by span >= n at the latest.
+    # (min() == 0 tests that at a third of the cost of all().)
+    cur, nxt = anchor, scratch[: len(anchor)]
+    span, n = 1, anchor.shape[1]
+    while span < n and cur.min() == 0:
+        nxt[:, :span] = cur[:, :span]
+        np.maximum(cur[:, span:], cur[:, :-span], out=nxt[:, span:])
+        cur, nxt = nxt, cur
+        span *= 2
+    return cur
 
 
 _HOC_LAWS: dict[tuple, StationaryLaw] = {}

@@ -366,8 +366,8 @@ assert not loaded, loaded
 
 
 def test_compare_does_not_import_scipy(tmp_path):
-    # scipy costs about 0.3 s of cold start and only the polynomial Stein profile
-    # needs it; the process pool's modules cost about 20 ms and only workers > 1 do
+    # scipy costs about 0.3 s of cold start and visitlab does not depend on it;
+    # the process pool's modules cost about 20 ms and only workers > 1 need them
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from visitlab import (
     stein_bracket,
     word_overlap_period,
 )
+from visitlab.predictions import hurwitz_zeta
 
 F = Fraction
 
@@ -271,6 +273,30 @@ def test_mixing_profile_values_and_tails():
         MixingProfile("polynomial", 1.0, 1.0)
     with pytest.raises(SpecError):
         MixingProfile("banana", 1.0, 2.0)
+
+
+def test_hurwitz_zeta_exact_values_and_shift():
+    assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+    assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi**4 / 90, rel=1e-15)
+    for s in (1.0001, 1.5, 2.0, 3.7, 12.0, 40.0):
+        for a in (0.5, 1.0, 3.25, 17.0, 1e4, 1e9):
+            assert hurwitz_zeta(s, a) == pytest.approx(a**-s + hurwitz_zeta(s, a + 1.0), rel=1e-14)
+
+
+def test_polynomial_tail_needs_no_scipy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    assert MixingProfile("polynomial", 1.0, 2.0).tail(1) == pytest.approx(math.pi**2 / 6, rel=1e-15)
+
+
+def test_hurwitz_zeta_gives_scipys_doubles():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(3)
+    svals = 1.0 + 10.0 ** rng.uniform(-4.0, 1.6, 3000)
+    avals = 10.0 ** rng.uniform(-2.0, 10.0, 3000)
+    avals[::2] = np.ceil(avals[::2])  # MixingProfile.tail asks at integers
+    for s, a in zip(svals.tolist(), avals.tolist()):
+        assert hurwitz_zeta(s, a) == float(special.zeta(s, a)), (s, a)
 
 
 def _stein_inputs(n, t=2.0):

@@ -251,13 +251,26 @@ class _SerialPool:
     ],
 )
 def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samples, pool_size):
+    # a platform without affinity masks: the cap is the CPU count
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     _SerialPool.sizes = []
     report = run_experiment(_cfg(workers=workers, samples=samples), "simulate")
     assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
     serial = run_experiment(_cfg(workers=1, samples=samples), "simulate")
     assert report_body(report) == report_body(serial)
+
+
+@pytest.mark.parametrize("mask, pool_size", [({0}, None), ({0, 5}, 2)])
+def test_workers_are_clamped_to_the_affinity_mask(monkeypatch, mask, pool_size):
+    # a run pinned to one CPU stays serial however many CPUs the machine has
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: mask, raising=False)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
+    _SerialPool.sizes = []
+    run_experiment(_cfg(workers=8, samples=9000), "simulate")
+    assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
 
 
 class _BrokenPool(_SerialPool):
@@ -269,7 +282,7 @@ class _BrokenPool(_SerialPool):
 
 def test_worker_crash_exits_four(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(HOC_DOC))
     args = ["simulate", "--config", str(cfg), "--jobs", "2", "--samples", "6000"]

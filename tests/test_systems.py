@@ -448,12 +448,20 @@ def test_trajectory_rngs_reject_negative_seeds():
         trajectory_rngs(1, -4, 4)
 
 
-# reset -> (path length, rows, dtype).  A row tile holds _BLOCK_UNIFORMS // n
-# rows, so 57, 700 and 4306 steps span several tiles with a partial last one,
-# and 70,000 steps (above _BLOCK_UNIFORMS) put one row in each tile.  The
-# stationary table has 4,097 states at reset 0.05, 1,075 at 0.5, 538 at 0.75,
-# 162 at 0.99 and 1 at 1, so top + n crosses 255 and 65,535 between cases.
+# reset -> (path length, rows, dtype).  A uniform tile holds _BLOCK_UNIFORMS
+# // n rows, so 57, 700, 3000 and 4306 steps span several tiles with a
+# partial last one, and 70,000 steps (above _BLOCK_UNIFORMS) put one row in
+# each tile.  A scan tile holds 512 kB of states: 3000 steps at 100 rows,
+# 8192 and 64,461 steps (uint32) and 70,000 steps span several.
+# The stationary table has 57,345 states at reset 0.0005, 16,385 at 0.002,
+# 4,097 at 0.05, 1,075 at 0.5, 538 at 0.75, 162 at 0.99 and 1 at 1, so top + n
+# crosses 255 and 65,535 between cases.  Rare resets make the doubling scan
+# run many passes: rows go hundreds of columns between anchors, and at reset
+# 0.0005 some of 40 rows of 4306 steps never reset after their start
+# (0.9995**4305 is about 0.12).
 _HOC_BATCH_CASES = {
+    0.0005: [(1, 7, np.uint16), (2, 7, np.uint16), (4306, 40, np.uint16), (8192, 20, np.uint32)],
+    0.002: [(3000, 100, np.uint16)],
     0.05: [(1, 12, np.uint16), (4306, 40, np.uint16)],
     0.5: [(2, 12, np.uint16), (57, 3000, np.uint16), (64460, 3, np.uint16),
           (64461, 3, np.uint32), (70000, 3, np.uint32)],
@@ -474,6 +482,28 @@ def test_house_of_cards_batch_matches_solo(reset):
         solo = systems._climb_or_reset(spec, n, [trajectory_rng(7, i) for i in range(rows)])
         assert solo.dtype == dtype, n
         assert np.array_equal(batch, solo), n
+
+
+def test_house_of_cards_array_route_rare_resets_match_generators():
+    # 3000 rows of 128 steps: one array-route tile, scanned as 2048 + 952 rows
+    spec = HouseOfCardsSpec.constant(0.002)
+    streams, rngs = _streams_and_list(3000)
+    assert systems._array_route(streams, 128)
+    batch = sample_house_of_cards_batch(spec, 128, streams)
+    assert np.array_equal(batch, systems._climb_or_reset(spec, 128, rngs))
+
+
+@pytest.mark.parametrize("dtype, top", [(np.uint8, 100), (np.uint16, 3000), (np.uint32, 70000)])
+def test_last_anchor_is_the_running_maximum(dtype, top):
+    rng = np.random.default_rng(5)
+    for rows, n, reset in ((9, 1, 0.5), (9, 2, 0.5), (6, 150, 0.0), (6, 150, 0.01), (6, 150, 0.3),
+                           (5, 155, 1.0), (4, 131, 0.05)):
+        anchor = np.where(rng.random((rows, n)) < reset, np.arange(top, top + n), 0).astype(dtype)
+        anchor[:, 0] = rng.integers(1, top + 1, rows)
+        want = np.maximum.accumulate(anchor, axis=1)
+        scratch = np.empty((rows + 3, n), dtype=dtype)
+        got = systems._last_anchor(anchor, scratch)
+        assert got.dtype == dtype and np.array_equal(got, want), (rows, n, reset)
 
 
 def test_house_of_cards_batch_needs_constant_reset():
