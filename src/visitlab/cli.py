@@ -79,6 +79,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's message names the allocation it could not make
+        failed = str(exc) or "an allocation failed"
+        print(f"resource guard: out of memory ({failed}); shrink samples or the target",
+              file=sys.stderr)
+        return 4
     except VisitlabError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3

@@ -285,7 +285,7 @@ def cp_sample(spec: CompoundPoissonSpec, seed, size: int = 1) -> np.ndarray:
     """
     if size < 1:
         raise SpecError("size must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     counts = rng.poisson(spec.total_rate, size=size)
     out = np.zeros(size, dtype=np.int64)
     n_clusters = int(counts.sum())

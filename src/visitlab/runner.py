@@ -40,12 +40,12 @@ from .stats import (
     estimate_tables,
     kac_horizon,
 )
-from .systems import sample_paths, trajectory_rngs
+# perfbench/traced.py reads the chunk rule's _CHUNK_ELEMS from this module
+from .systems import _CHUNK_ELEMS, path_chunks
 from .targets import hits, measure, outer_measures
 
 _BLOCK = 4096
 _STEP_GUARD = 10_000_000_000  # total simulated steps per sweep value
-_CHUNK_ELEMS = 1 << 22
 
 # derived-seed streams, disjoint from the trajectory index range
 _STREAM_ALPHA = 2**49
@@ -65,16 +65,13 @@ def _merge_ranges(parts):
 def _simulate_block(args):
     (system, target, seed, start, count, path_len, ext_horizon, horizon,
      window_f, window_k, cap) = args
-    rows_per = max(1, _CHUNK_ELEMS // max(path_len, 1))
     parts = []
-    for off in range(0, count, rows_per):
-        take = min(rows_per, count - off)
-        paths = sample_paths(system, path_len, trajectory_rngs(seed, start + off, take))
+    for first, paths in path_chunks(system, path_len, seed, start, count):
         ind = hits(paths, target, ext_horizon)
         stats = None if window_f is None else collect_cluster_stats(
-            ind, window_f, window_k, cap=cap, start_index=start + off
+            ind, window_f, window_k, cap=cap, start_index=first
         )
-        parts.append((collect_w(ind, horizon, start_index=start + off), stats))
+        parts.append((collect_w(ind, horizon, start_index=first), stats))
         # free this chunk's arrays before the next chunk is sampled
         del paths, ind
     return _merge_ranges(parts)

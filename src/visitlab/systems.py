@@ -51,13 +51,6 @@ from .errors import (
 _ROW_TOL = 1e-12
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Pass Generators through; build a fresh one from anything else."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def trajectory_rng(root_seed: int, index: int) -> np.random.Generator:
     """Counter-based per-trajectory generator: SeedSequence((root, index))."""
     return np.random.default_rng(np.random.SeedSequence((root_seed, index)))
@@ -250,44 +243,23 @@ def _array_route(rngs, n: int) -> bool:
     return isinstance(rngs, TrajectoryStreams) and len(rngs) >= _ARRAY_ROWS_PER_DRAW * n
 
 
-def _row_uniforms(rngs, n: int) -> np.ndarray:
-    """``(rows, n)`` uniforms whose row i is ``rngs[i].random(n)``.
-
-    On the array route this is the transpose of the time-major array, so
-    ``.T`` of it is C-contiguous.
-    """
-    if _array_route(rngs, n):
-        return rngs.uniforms(n).T
-    u = np.empty((len(rngs), n))
-    for i, rng in enumerate(rngs):
-        rng.random(out=u[i])
-    return u
-
-
-# uniforms per row tile of :func:`_row_tiles` (512 kB of float64, so that a
-# tile stays in cache for every pass its sampler makes over it)
+# uniforms per row tile of :func:`_uniform_tiles` (512 kB of float64, so that
+# a tile stays in cache for every pass its sampler makes over it)
 _BLOCK_UNIFORMS = 1 << 16
 
 
 def _uniform_tiles(rngs, n: int):
     """Yield ``(lo, tile)``: row i of ``tile`` is ``rngs[lo + i].random(n)``.
 
-    The fixed-draw samplers that work tile by tile draw here.  On the array
-    route one tile covers every row, and its transpose is the C-contiguous
-    time-major array; otherwise the tiles are those of :func:`_row_tiles`.
+    Every fixed-draw sampler draws its uniforms here.  On the array route one
+    tile covers every row, and its transpose is the C-contiguous time-major
+    array.  Otherwise the tiles cover the rows in order, ``_BLOCK_UNIFORMS //
+    n`` rows each (at least one), and all are views of one buffer that the
+    next tile overwrites.
     """
     if _array_route(rngs, n):
         yield 0, rngs.uniforms(n).T
-    else:
-        yield from _row_tiles(rngs, n)
-
-
-def _row_tiles(rngs, n: int):
-    """Yield ``(lo, tile)``: row i of ``tile`` is ``rngs[lo + i].random(n)``.
-
-    The tiles cover the rows in order, ``_BLOCK_UNIFORMS // n`` rows each (at
-    least one), and all are views of one buffer that the next tile overwrites.
-    """
+        return
     rows, per = len(rngs), max(1, _BLOCK_UNIFORMS // n)
     buf = np.empty((min(per, rows), n))
     for lo in range(0, rows, per):
@@ -422,50 +394,18 @@ def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
     lies below r_x, else climbs to x + 1.  A start lies below ``top``, the
     size of the truncated stationary table, and a path climbs at most n - 1
     states, so every state is below ``top + n``; the dtype is the smallest
-    unsigned one that holds ``top + n``.  The ``constant`` family runs the
-    reset-anchor scan of :func:`sample_house_of_cards_batch` over all rows at
-    once; the other families step each row with :func:`_climb_or_reset`.
-    """
-    if spec.kind == "constant":
-        return sample_house_of_cards_batch(spec, n, rngs)
-    return _climb_or_reset(spec, n, rngs)
+    unsigned one that holds ``top + n``.  The drifting and alternating
+    families step each row with :func:`_climb_or_reset`.
 
-
-def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
-    """One stationary path per generator, each stepped state by state.
-
-    The dtype is that of :func:`sample_house_of_cards`.
-    """
-    law = _hoc_law_cache(spec)
-    top = law.probs.size
-    cdf = np.cumsum(law.probs)
-    r_table = spec.reset_probs(np.arange(top + n)).tolist()
-    states = np.empty((len(rngs), n), dtype=np.min_scalar_type(top + n))
-    for row, rng in zip(states, rngs):
-        u = rng.random(n).tolist()
-        x = min(int(np.searchsorted(cdf, u[0], side="right")), top - 1)
-        path = [x]
-        for uj in u[1:]:
-            x = 0 if uj < r_table[x] else x + 1
-            path.append(x)
-        row[:] = path
-    return states
-
-
-def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
-    """Reset-anchor scan for the ``constant`` family, all rows at once.
-
-    Returns a C-contiguous ``(rows, n)`` array, in the dtype of
-    :func:`sample_house_of_cards`, whose row i equals row i of
-    ``_climb_or_reset(spec, n, rngs)``: the same n uniforms, the stationary
-    start and then n - 1 resets.  The uniforms come one cached row tile at
-    a time (:func:`_uniform_tiles`), and each tile plants its anchors in its
-    rows of the output.  :func:`_last_anchor` then finds every column's last
+    The ``constant`` family gives the same paths by a reset-anchor scan over
+    all rows at once.  The uniforms come one cached row tile at a time
+    (:func:`_uniform_tiles`), and each tile plants its anchors in its rows
+    of the output.  :func:`_last_anchor` then finds every column's last
     anchor by a doubling scan, one row tile of the output at a time,
     ping-ponging with one scratch tile of at most 512 kB.
     """
     if spec.kind != "constant":
-        raise SpecError("batch house-of-cards sampling needs a constant reset")
+        return _climb_or_reset(spec, n, rngs)
     law = _hoc_law_cache(spec)
     top = law.probs.size  # above every start state
     cdf = np.cumsum(law.probs)
@@ -491,6 +431,27 @@ def sample_house_of_cards_batch(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndar
         tile = paths[lo : lo + per]
         np.subtract(shifted, _last_anchor(tile, scratch), out=tile)
     return paths
+
+
+def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
+    """One stationary path per generator, each stepped state by state.
+
+    The dtype is that of :func:`sample_house_of_cards`.
+    """
+    law = _hoc_law_cache(spec)
+    top = law.probs.size
+    cdf = np.cumsum(law.probs)
+    r_table = spec.reset_probs(np.arange(top + n)).tolist()
+    states = np.empty((len(rngs), n), dtype=np.min_scalar_type(top + n))
+    for lo, tile in _uniform_tiles(rngs, n):
+        for row, u in zip(states[lo : lo + len(tile)], tile.tolist()):
+            x = min(int(np.searchsorted(cdf, u[0], side="right")), top - 1)
+            path = [x]
+            for uj in u[1:]:
+                x = 0 if uj < r_table[x] else x + 1
+                path.append(x)
+            row[:] = path
+    return states
 
 
 def _last_anchor(anchor: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -650,10 +611,11 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     uniforms as they are drawn, one cached row tile (:func:`_uniform_tiles`)
     at a time, into uint8 codes; after one transpose of the codes each
     column costs two uint8 passes: add the previous states to its codes,
-    look the sums up.  Other chains compare each column of a transposed
-    float64 copy of the uniforms with the thresholds of the previous states.
-    On the array route the uniforms, and so the codes, are time-major
-    already, and neither transpose copies.
+    look the sums up.  Other chains copy the uniforms, tile by tile, into a
+    time-major float64 buffer and compare each of its columns with the
+    thresholds of the previous states.  On the array route the uniforms, and
+    so the codes, are time-major already, and the codes' transpose does not
+    copy.
     """
     cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
@@ -684,9 +646,9 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
             np.add(col, states[t - 1], out=col)
             lut.take(col, out=col, mode="clip")
         return np.ascontiguousarray(states.T)
-    u = _row_uniforms(rngs, n)
-    buf = np.ascontiguousarray(u.T)
-    del u
+    buf = np.empty((n, len(rngs)))
+    for lo, tile in _uniform_tiles(rngs, n):
+        buf[:, lo : lo + len(tile)] = tile.T
     states = np.empty(buf.shape, dtype=np.min_scalar_type(k - 1))
     # the previous states as gather indices, converted once per column
     s = np.searchsorted(cdf, buf[0], side="right")
@@ -1309,8 +1271,11 @@ _SAMPLERS = {
 
 
 def sample_path(spec, n: int, rng):
-    """Single stationary path for any system spec: row 0 of :func:`sample_paths`."""
-    return sample_paths(spec, n, [as_rng(rng)])[0]
+    """Single stationary path for any system spec: row 0 of :func:`sample_paths`.
+
+    ``rng`` is a Generator, which draws the path, or a seed for a fresh one.
+    """
+    return sample_paths(spec, n, [np.random.default_rng(rng)])[0]
 
 
 def sample_paths(spec, n: int, rngs) -> np.ndarray:
@@ -1336,3 +1301,22 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
     if n < 1:
         raise SpecError("path length must be >= 1")
     return sampler(spec, n, rngs)
+
+
+# simulated steps per chunk of :func:`path_chunks`
+_CHUNK_ELEMS = 1 << 22
+
+
+def path_chunks(spec, n: int, seed: int, start: int, count: int):
+    """Yield ``(first, paths)`` over the trajectories ``start .. start + count - 1``.
+
+    ``paths`` holds trajectories ``first, first + 1, ...``: the
+    :func:`sample_paths` of n steps whose row i draws from
+    ``trajectory_rng(seed, first + i)``.  A chunk holds ``_CHUNK_ELEMS // n``
+    trajectories (at least one; the last chunk may hold fewer), so its
+    arrays stay bounded whatever the path length.
+    """
+    per = max(1, _CHUNK_ELEMS // max(n, 1))
+    for first in range(start, start + count, per):
+        take = min(per, start + count - first)
+        yield first, sample_paths(spec, n, trajectory_rngs(seed, first, take))

@@ -23,13 +23,13 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
+    _encode,
     hoc_stationary,
     interval_map_invariant,
     markov_stationary,
     pair_stationary,
-    sample_paths,
+    path_chunks,
     sync_kernel,
-    trajectory_rngs,
 )
 
 # index namespace for auxiliary draws (keeps trajectory seeds untouched)
@@ -366,20 +366,13 @@ def sync_measure(system: ProductChainSpec, target: SyncCylinderTarget) -> float:
     """Probability that all components agree on n consecutive letters."""
     pair = pair_stationary(system)
     m = system.n_states
-    diag_idx = [_diag_code(a, m, system.n_chains) for a in range(m)]
+    diag_idx = [_encode((a,) * system.n_chains, m) for a in range(m)]
     nu0 = pair[diag_idx]
     d = sync_kernel(system)
     v = np.ones(m)
     for _ in range(target.n - 1):
         v = d @ v
     return float(nu0 @ v)
-
-
-def _diag_code(a: int, m: int, chains: int) -> int:
-    code = 0
-    for _ in range(chains):
-        code = code * m + a
-    return code
 
 
 def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
@@ -389,14 +382,9 @@ def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
     w = target.window
     length = max(8 * w, w + 63)
     means = np.empty(samples)
-    batch = 4096
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        paths = sample_paths(system, length, trajectory_rngs(seed, _MEASURE_INDEX_BASE + done, m))
-        ind = target.indicators(paths)
-        means[done : done + m] = ind.mean(axis=1)
-        done += m
+    for first, paths in path_chunks(system, length, seed, _MEASURE_INDEX_BASE, samples):
+        lo = first - _MEASURE_INDEX_BASE
+        means[lo : lo + len(paths)] = target.indicators(paths).mean(axis=1)
     value = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(samples))
     if value <= 0.0:

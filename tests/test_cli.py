@@ -269,6 +269,25 @@ def test_unusable_out_dir_exits_three_before_simulating(verb, tmp_path, capsys, 
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert regular.read_text() == "not a directory\n"
 
+
+@pytest.mark.parametrize("message, named", [
+    ("Unable to allocate 15.6 GiB for an array with shape (1, 2094633399) and data type float64",
+     "15.6 GiB"),
+    ("", "an allocation failed"),
+])
+def test_out_of_memory_exits_four(message, named, config_path, tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(runner, "_run_simulation", no_memory)
+    assert main(["compare", "--config", str(config_path), "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: out of memory (") and named in err
+    assert "shrink samples or the target" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "compare_report.json").exists()
+
+
 # one tiny config per entry of the pair table
 _PAIR_CONFIGS = {
     "house-of-cards + run-length": """\

@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import hashlib
+import importlib.util
 import json
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -33,8 +34,10 @@ from visitlab import (
     run_experiment,
     write_report,
 )
-from visitlab import runner
+from visitlab import runner, systems
 from visitlab.cli import main
+from visitlab.config import load_config
+from visitlab.systems import sample_markov_batch
 
 MATRIX = [[0.4, 0.6], [0.2, 0.8]]
 
@@ -461,3 +464,39 @@ def test_chain_compares_are_pinned(name):
     body = json.loads(report_body(run_experiment(_cfg(doc), "compare")))
     canonical = json.dumps(body["results"][0]["empirical"], sort_keys=True).encode()
     assert hashlib.sha256(canonical).hexdigest() == digest
+
+
+# two blocks (4096 + 4 trajectories) of 1116-step paths (horizon 1077, the
+# window pad 8 and the word 31), so that the first block samples two chunks
+# (_CHUNK_ELEMS // 1116 = 3758 paths, then 338)
+_TRACE_DOC = {
+    "experiment": {"t": 1.0, "samples": 4100, "seed": 4, "workers": 1,
+                   "window_forward": 8, "window_two_sided": 8},
+    "system": {"kind": "markov", "matrix": MATRIX},
+    "target": {"kind": "cylinder", "word_cycle": [1], "sweep": [31]},
+}
+
+
+def test_benchmark_trace_reenacts_compare(tmp_path, monkeypatch):
+    # perfbench/traced.py re-enacts the block and chunk loop from the names
+    # it reads in visitlab; its pmfs must equal the report's, chunk for chunk
+    path = Path(__file__).parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    chunks = []
+
+    def recorded(chain, n, rngs):
+        chunks.append((len(rngs), n))
+        return sample_markov_batch(chain, n, rngs)
+
+    monkeypatch.setitem(systems._SAMPLERS, FiniteMarkovSpec, recorded)
+    cfg_path = tmp_path / "trace.yaml"
+    cfg_path.write_text(yaml.safe_dump(_TRACE_DOC))
+    report = run_experiment(load_config(str(cfg_path)), "compare")
+    assert chunks == [(3758, 1116), (338, 1116), (4, 1116)]
+    counts, pmfs = traced.reenact(str(cfg_path), 4, str(tmp_path), report, traced.Tracer(0))
+    assert pmfs == [entry["empirical"]["pmf"] for entry in report["results"]]
+    assert chunks[3:] == chunks[:3]
+    assert (counts["runner.blocks"], counts["runner.chunks"], counts["systems.rows"]) == (2, 3, 4100)
+    assert counts["stats.bootstrap_resamples"] > 0

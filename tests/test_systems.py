@@ -33,7 +33,7 @@ from visitlab.systems import (
     sample_markov_batch,
     decode_states,
     sample_factor_product_batch,
-    sample_house_of_cards_batch,
+    sample_house_of_cards,
     sample_itinerary_batch,
     sample_product_chain_batch,
     trajectory_rngs,
@@ -275,6 +275,20 @@ def test_markov_batch_matches_row_loop():
         assert np.array_equal(batch, ref), (spec.n_states, route)
 
 
+def test_step_columns_fill_their_buffer_tile_by_tile(monkeypatch):
+    # uniform tiles of 256 // 60 = 4 rows: 10 rows fill the time-major
+    # buffer from three tiles, the last partial
+    monkeypatch.setattr(systems, "_BLOCK_UNIFORMS", 256)
+    n, rows = 60, 10
+    for spec, route in ((_ring_chain(7), "threshold"),
+                        (_ring_chain(systems._THRESHOLD_STATES + 6), "rows")):
+        assert _route(spec.matrix) == route
+        stationary = markov_stationary(spec)
+        rngs = [trajectory_rng(7, i) for i in range(rows)]
+        batch = systems._step_columns(rngs, n, stationary, spec.matrix)
+        assert np.array_equal(batch, _reference_rows(stationary, spec.matrix, n, rows)), route
+
+
 def test_markov_batch_widens_past_256_states():
     spec = FiniteMarkovSpec(_lazy_ring(300))
     assert _route(spec.matrix) == "rows"
@@ -422,7 +436,8 @@ def test_trajectory_rngs_equal_trajectory_rng(root):
             assert np.array_equal(batch.uniforms(n), ref), (start, n)
             fresh = trajectory_rngs(root, start, count)
             assert systems._array_route(fresh, n) == (n <= 2)
-            assert np.array_equal(systems._row_uniforms(fresh, n), ref.T), (start, n)
+            [(lo, tile)] = systems._uniform_tiles(fresh, n)
+            assert lo == 0 and np.array_equal(tile, ref.T), (start, n)
         for i, rng in enumerate(batch):
             ref = trajectory_rng(root, start + i)
             assert rng.bit_generator.state == ref.bit_generator.state, (start, i)
@@ -475,7 +490,7 @@ _HOC_BATCH_CASES = {
 def test_house_of_cards_batch_matches_solo(reset):
     spec = HouseOfCardsSpec.constant(reset)
     for n, rows, dtype in _HOC_BATCH_CASES[reset]:
-        batch = sample_house_of_cards_batch(spec, n, trajectory_rngs(7, 0, rows))
+        batch = sample_house_of_cards(spec, n, trajectory_rngs(7, 0, rows))
         assert batch.shape == (rows, n) and batch.flags.c_contiguous
         assert batch.dtype == dtype, n
         # the per-row stepper that drifting and alternating chains run
@@ -489,7 +504,7 @@ def test_house_of_cards_array_route_rare_resets_match_generators():
     spec = HouseOfCardsSpec.constant(0.002)
     streams, rngs = _streams_and_list(3000)
     assert systems._array_route(streams, 128)
-    batch = sample_house_of_cards_batch(spec, 128, streams)
+    batch = sample_house_of_cards(spec, 128, streams)
     assert np.array_equal(batch, systems._climb_or_reset(spec, 128, rngs))
 
 
@@ -507,8 +522,6 @@ def test_last_anchor_is_the_running_maximum(dtype, top):
 
 
 def test_house_of_cards_batch_needs_constant_reset():
-    with pytest.raises(SpecError):
-        sample_house_of_cards_batch(HouseOfCardsSpec.drifting(0.4, 1.0), 5, [trajectory_rng(1, 0)])
     with pytest.raises(SpecError):
         sample_paths(HouseOfCardsSpec.constant(0.5), 0, [trajectory_rng(1, 0)])
 
@@ -549,7 +562,7 @@ def test_house_of_cards_array_route_matches_generators():
         spec = HouseOfCardsSpec.constant(reset)
         streams, rngs = _streams_and_list(_ARRAY_ROWS)
         assert systems._array_route(streams, n)
-        batch = sample_house_of_cards_batch(spec, n, streams)
+        batch = sample_house_of_cards(spec, n, streams)
         assert batch.flags.c_contiguous
         assert np.array_equal(batch, systems._climb_or_reset(spec, n, rngs)), (reset, n)
 
@@ -601,7 +614,7 @@ def test_benchmark_chunks_take_their_routes(workload, array_route, monkeypatch):
         draws = n + 1 if isinstance(system, FactorProductSpec) else n
         raise _FirstChunk(len(rngs), draws, systems._array_route(rngs, draws))
 
-    monkeypatch.setattr(runner, "sample_paths", first_chunk)
+    monkeypatch.setattr(systems, "sample_paths", first_chunk)
     path = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{workload}.yaml"
     with pytest.raises(_FirstChunk) as chunk:
         runner.run_experiment(load_config(str(path), {"workers": 1}), "compare")

@@ -27,7 +27,8 @@ from visitlab import (
     outer_target,
     sign_cylinder_measure,
 )
-from visitlab import systems
+from visitlab import runner, systems
+from visitlab.systems import sample_markov_batch
 from visitlab.targets import TargetMeasure, _match_word, _window_all, interval_cylinder_measure
 
 F = Fraction
@@ -200,16 +201,31 @@ def test_measure_falls_back_to_monte_carlo():
     assert 0.3 < got.value < 0.7
 
 
-def test_measure_mc_streams_are_pinned():
-    # a simulate-only pair: its first batch of 4096 paths of 66 steps draws
-    # in one array pass, the last 904 row by row; the reprs pin both
-    chain = FiniteMarkovSpec(np.array([[0.4, 0.6], [0.2, 0.8]]))
-    target = RunLengthTarget(2, level=1)
-    length = max(8 * target.window, target.window + 63)
-    assert systems._array_route(systems.trajectory_rngs(5, 0, 4096), length)
-    assert not systems._array_route(systems.trajectory_rngs(5, 0, 904), length)
-    got = measure_mc(target, chain, samples=5000, seed=5)
-    assert (repr(got.value), repr(got.se)) == ("0.48101875", "0.0014960401567697416")
+def test_measure_mc_streams_are_pinned(monkeypatch):
+    # simulate-only pairs, sampled in chunks of _CHUNK_ELEMS // length paths:
+    # 6000 paths of 1608 steps take chunks of 2608, 2608 and 784 paths, drawn
+    # row by row; 5000 paths of 66 steps fit one chunk, which draws in one
+    # array pass.  The reprs pin both routes.
+    calls = []
+
+    def recorded(spec, n, rngs):
+        calls.append((len(rngs), n, systems._array_route(rngs, n)))
+        return sample_markov_batch(spec, n, rngs)
+
+    monkeypatch.setitem(systems._SAMPLERS, FiniteMarkovSpec, recorded)
+    cases = [
+        ([[0.02, 0.98], [0.01, 0.99]], RunLengthTarget(200, level=1), 6000,
+         ("0.13449017518939393", "0.0013362885511991277"),
+         [(2608, 1608, False), (2608, 1608, False), (784, 1608, False)]),
+        ([[0.4, 0.6], [0.2, 0.8]], RunLengthTarget(2, level=1), 5000,
+         ("0.48101875", "0.0014960401567697416"), [(5000, 66, True)]),
+    ]
+    for matrix, target, samples, reprs, chunks in cases:
+        calls.clear()
+        got = measure_mc(target, FiniteMarkovSpec(np.array(matrix)), samples=samples, seed=5)
+        assert (repr(got.value), repr(got.se)) == reprs
+        assert all(rows * n <= runner._CHUNK_ELEMS for rows, n, _ in calls)
+        assert calls == chunks
 
 
 def test_target_validation():
