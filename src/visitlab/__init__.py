@@ -84,7 +84,6 @@ from .targets import (
     GeoDiagonalTarget,
     HalfLineTarget,
     RunLengthTarget,
-    SignCylinderTarget,
     SyncCylinderTarget,
     TargetMeasure,
     hits,
@@ -92,8 +91,6 @@ from .targets import (
     measure,
     measure_exact,
     measure_mc,
-    outer_measures,
-    outer_target,
     sign_cylinder_measure,
 )
 from .config import ExperimentConfig, config_from_mapping, load_config

@@ -16,7 +16,7 @@ Schema (all numeric scalars accept decimal literals or rational strings like
     system:
       kind: house-of-cards | markov | product-chain | regenerative |
             interval-map | doeblin | sign-product
-      ... kind-specific keys, see _build_system ...
+      ... kind-specific keys, see SYSTEM_KINDS ...
     target:
       kind: run-length | half-line | cylinder | sign-cylinder |
             sync-cylinder | geo-diagonal
@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, SpecError
 from .predictions import MixingProfile
 from .systems import (
     DoeblinChainSpec,
@@ -55,26 +55,7 @@ from .targets import (
     GeoDiagonalTarget,
     HalfLineTarget,
     RunLengthTarget,
-    SignCylinderTarget,
     SyncCylinderTarget,
-)
-
-SYSTEM_KINDS = (
-    "house-of-cards",
-    "markov",
-    "product-chain",
-    "regenerative",
-    "interval-map",
-    "doeblin",
-    "sign-product",
-)
-TARGET_KINDS = (
-    "run-length",
-    "half-line",
-    "cylinder",
-    "sign-cylinder",
-    "sync-cylinder",
-    "geo-diagonal",
 )
 
 
@@ -175,10 +156,10 @@ class ExperimentConfig:
     # -- builders ----------------------------------------------------------
 
     def build_system(self):
-        return _build_system(self.normalized["system"])
+        return _build("system", self.normalized["system"], SYSTEM_KINDS)
 
     def build_target(self, sweep_value):
-        return _build_target(self.normalized["target"], sweep_value)
+        return _build("target", self.normalized["target"], TARGET_KINDS, sweep_value)
 
 
 def _normalize(node, path: str):
@@ -281,8 +262,6 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
         if any(v < 1 for v in sweep):
             _fail("target.sweep", "target sizes must be >= 1")
         _require_walkable(sweep, "target.sweep")
-        if tk == "run-length" and _as_int(target.get("level", 1), "target.level") > _MAX_TARGET_SIZE:
-            _fail("target.level", f"run-length levels above {_MAX_TARGET_SIZE:,} are refused")
 
     stein = None
     if "stein" in doc:
@@ -339,69 +318,69 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-def _build_system(sec: dict):
-    kind = sec["kind"]
-    try:
-        if kind == "house-of-cards":
-            if "reset" in sec:
-                return HouseOfCardsSpec.constant(_as_float(sec["reset"], "system.reset"))
-            if "reset_limit" in sec:
-                return HouseOfCardsSpec.drifting(
-                    _as_float(sec["reset_limit"], "system.reset_limit"),
-                    _as_float(sec.get("reset_drift", 0.0), "system.reset_drift"),
-                )
-            if "reset_even" in sec:
-                return HouseOfCardsSpec.alternating(
-                    _as_float(sec["reset_even"], "system.reset_even"),
-                    _as_float(sec["reset_odd"], "system.reset_odd"),
-                )
-            _fail("system", "house-of-cards needs reset, reset_limit, or reset_even/odd")
-        if kind == "markov":
-            return FiniteMarkovSpec(_matrix(sec.get("matrix"), "system.matrix"))
-        if kind == "product-chain":
-            comps = _as_list(sec.get("components"), "system.components")
-            chains = tuple(
-                FiniteMarkovSpec(_matrix(c, f"system.components[{i}]"))
-                for i, c in enumerate(comps)
-            )
-            coupling = sec.get("coupling", "independent")
-            gamma = sec.get("gamma")
-            gamma = None if gamma is None else _as_float(gamma, "system.gamma")
-            return ProductChainSpec(chains, coupling, gamma=gamma)
-        if kind == "regenerative":
-            symbols = [_as_int(s, "system.symbols") for s in _as_list(sec.get("symbols"), "system.symbols")]
-            probs = [_as_float(p, "system.probs") for p in _as_list(sec.get("probs"), "system.probs")]
-            lengths = _as_map(sec.get("lengths"), "system.lengths")
-            model = lengths.get("model")
-            if model == "shared":
-                law = [_as_float(x, "system.lengths.law") for x in _as_list(lengths.get("law"), "system.lengths.law")]
-                return RegenerativeSpec.with_shared_lengths(symbols, probs, np.array(law))
-            if model == "shared-geometric":
-                rate = _as_float(lengths.get("rate"), "system.lengths.rate")
-                tail = _as_float(lengths.get("tail", 1e-12), "system.lengths.tail")
-                if not (0 < rate < 1):
-                    _fail("system.lengths.rate", "geometric rate must lie in (0, 1)")
-                k = int(np.ceil(np.log(tail) / np.log(1.0 - rate)))
-                law = rate * (1.0 - rate) ** np.arange(k)
-                return RegenerativeSpec.with_shared_lengths(symbols, probs, law / law.sum())
-            if model == "two-point":
-                return RegenerativeSpec.smith(symbols, probs)
-            _fail("system.lengths.model", f"unknown model {model!r}")
-        if kind == "interval-map":
-            return IntervalMapSpec(
-                breaks=tuple(_as_fraction(x, "system.breaks") for x in _as_list(sec.get("breaks"), "system.breaks")),
-                slopes=tuple(_as_fraction(x, "system.slopes") for x in _as_list(sec.get("slopes"), "system.slopes")),
-                intercepts=tuple(_as_fraction(x, "system.intercepts") for x in _as_list(sec.get("intercepts"), "system.intercepts")),
-            )
-        if kind == "doeblin":
-            return DoeblinChainSpec(_as_float(sec.get("eta"), "system.eta"))
-        if kind == "sign-product":
-            return FactorProductSpec(_as_float(sec.get("plus_prob"), "system.plus_prob"))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"system: invalid {kind} parameters: {exc}")
-    raise ConfigError(f"system.kind: unhandled kind {kind!r}")  # pragma: no cover
+def _house_of_cards(sec: dict):
+    if "reset" in sec:
+        return HouseOfCardsSpec.constant(_as_float(sec["reset"], "system.reset"))
+    if "reset_limit" in sec:
+        return HouseOfCardsSpec.drifting(
+            _as_float(sec["reset_limit"], "system.reset_limit"),
+            _as_float(sec.get("reset_drift", 0.0), "system.reset_drift"),
+        )
+    if "reset_even" in sec:
+        return HouseOfCardsSpec.alternating(
+            _as_float(sec["reset_even"], "system.reset_even"),
+            _as_float(sec["reset_odd"], "system.reset_odd"),
+        )
+    _fail("system", "house-of-cards needs reset, reset_limit, or reset_even/odd")
+
+
+def _product_chain(sec: dict):
+    comps = _as_list(sec.get("components"), "system.components")
+    chains = tuple(
+        FiniteMarkovSpec(_matrix(c, f"system.components[{i}]"))
+        for i, c in enumerate(comps)
+    )
+    coupling = sec.get("coupling", "independent")
+    gamma = sec.get("gamma")
+    gamma = None if gamma is None else _as_float(gamma, "system.gamma")
+    return ProductChainSpec(chains, coupling, gamma=gamma)
+
+
+def _regenerative(sec: dict):
+    symbols = [_as_int(s, "system.symbols") for s in _as_list(sec.get("symbols"), "system.symbols")]
+    probs = [_as_float(p, "system.probs") for p in _as_list(sec.get("probs"), "system.probs")]
+    lengths = _as_map(sec.get("lengths"), "system.lengths")
+    model = lengths.get("model")
+    if model == "shared":
+        law = [_as_float(x, "system.lengths.law") for x in _as_list(lengths.get("law"), "system.lengths.law")]
+        return RegenerativeSpec.with_shared_lengths(symbols, probs, np.array(law))
+    if model == "shared-geometric":
+        rate = _as_float(lengths.get("rate"), "system.lengths.rate")
+        tail = _as_float(lengths.get("tail", 1e-12), "system.lengths.tail")
+        if not (0 < rate < 1):
+            _fail("system.lengths.rate", "geometric rate must lie in (0, 1)")
+        k = int(np.ceil(np.log(tail) / np.log(1.0 - rate)))
+        law = rate * (1.0 - rate) ** np.arange(k)
+        return RegenerativeSpec.with_shared_lengths(symbols, probs, law / law.sum())
+    if model == "two-point":
+        return RegenerativeSpec.smith(symbols, probs)
+    _fail("system.lengths.model", f"unknown model {model!r}")
+
+
+def _fractions(sec: dict, key: str) -> tuple:
+    return tuple(_as_fraction(x, f"system.{key}") for x in _as_list(sec.get(key), f"system.{key}"))
+
+
+# system.kind -> builder of the spec from the system section
+SYSTEM_KINDS = {
+    "house-of-cards": _house_of_cards,
+    "markov": lambda sec: FiniteMarkovSpec(_matrix(sec.get("matrix"), "system.matrix")),
+    "product-chain": _product_chain,
+    "regenerative": _regenerative,
+    "interval-map": lambda sec: IntervalMapSpec(*(_fractions(sec, k) for k in ("breaks", "slopes", "intercepts"))),
+    "doeblin": lambda sec: DoeblinChainSpec(_as_float(sec.get("eta"), "system.eta")),
+    "sign-product": lambda sec: FactorProductSpec(_as_float(sec.get("plus_prob"), "system.plus_prob")),
+}
 
 
 def _word_for(sec: dict, n: int, path: str) -> tuple:
@@ -419,23 +398,43 @@ def _word_for(sec: dict, n: int, path: str) -> tuple:
     _fail(path, "cylinder targets need word or word_cycle")
 
 
-def _build_target(sec: dict, sweep_value):
-    kind = sec["kind"]
+def _run_length(sec: dict, n):
+    level = _as_int(sec.get("level", 1), "target.level")
+    if level > _MAX_TARGET_SIZE:
+        _fail("target.level", f"run-length levels above {_MAX_TARGET_SIZE:,} are refused")
+    return RunLengthTarget(int(n), level)
+
+
+def _cylinder(sec: dict, n):
+    word = _word_for(sec, int(n), "target")
+    if min(word) < 0:
+        raise SpecError("cylinder word must be nonempty over nonnegative symbols")
+    return CylinderTarget(word)
+
+
+def _sign_cylinder(sec: dict, n):
+    word = _word_for(sec, int(n), "target")
+    if not set(word) <= {-1, 1}:
+        raise SpecError("sign word must be nonempty over {-1, +1}")
+    return CylinderTarget(word)
+
+
+# target.kind -> builder of the target from the target section and a sweep value
+TARGET_KINDS = {
+    "run-length": _run_length,
+    "half-line": lambda sec, n: HalfLineTarget(int(n)),
+    "cylinder": _cylinder,
+    "sign-cylinder": _sign_cylinder,
+    "sync-cylinder": lambda sec, n: SyncCylinderTarget(int(n)),
+    "geo-diagonal": lambda sec, delta: GeoDiagonalTarget(float(delta)),
+}
+
+
+def _build(section: str, sec: dict, kinds: dict, *args):
+    """The section's kind builder applied to it; a failure becomes a ConfigError."""
     try:
-        if kind == "run-length":
-            return RunLengthTarget(int(sweep_value), _as_int(sec.get("level", 1), "target.level"))
-        if kind == "half-line":
-            return HalfLineTarget(int(sweep_value))
-        if kind == "cylinder":
-            return CylinderTarget(_word_for(sec, int(sweep_value), "target"))
-        if kind == "sign-cylinder":
-            return SignCylinderTarget(_word_for(sec, int(sweep_value), "target"))
-        if kind == "sync-cylinder":
-            return SyncCylinderTarget(int(sweep_value))
-        if kind == "geo-diagonal":
-            return GeoDiagonalTarget(float(sweep_value))
+        return kinds[sec["kind"]](sec, *args)
     except ConfigError:
         raise
     except Exception as exc:
-        raise ConfigError(f"target: invalid {kind} parameters: {exc}")
-    raise ConfigError(f"target.kind: unhandled kind {kind!r}")  # pragma: no cover
+        raise ConfigError(f"{section}: invalid {sec['kind']} parameters: {exc}")

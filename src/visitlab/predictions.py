@@ -44,7 +44,6 @@ from .targets import (
     GeoDiagonalTarget,
     HalfLineTarget,
     RunLengthTarget,
-    SignCylinderTarget,
     SyncCylinderTarget,
     half_line_measure,
     interval_cylinder_measure,
@@ -783,7 +782,7 @@ PAIRS = {
         "doeblin + geo-diagonal", "exact:strip-area", strip_measure,
         lambda system, target, t: predict_poisson(t, "uniformly contracting pair: isolated visits"),
     ),
-    (FactorProductSpec, SignCylinderTarget): Pair(
+    (FactorProductSpec, CylinderTarget): Pair(
         "sign-product + sign-cylinder", "exact:sign-lift",
         lambda system, target: float(sign_cylinder_measure(system.plus_prob, target.word)),
         _predict_sign_cylinder,
@@ -791,12 +790,17 @@ PAIRS = {
 }
 
 
-def predict_for(system, target, t: float) -> PredictionResult:
-    """Closed-form visit-law prediction for a (system, target) pair."""
+def pair_for(system, target) -> Pair:
+    """The pair table's entry for a (system, target) pair; refuses unlisted pairs."""
     pair = PAIRS.get((type(system), type(target)))
     if pair is None:
         raise UnsupportedPairError(
             f"no prediction rule for {type(system).__name__} + {type(target).__name__}; "
             f"supported pairs: {', '.join(p.name for p in PAIRS.values())}"
         )
-    return pair.predict(system, target, t)
+    return pair
+
+
+def predict_for(system, target, t: float) -> PredictionResult:
+    """Closed-form visit-law prediction for a (system, target) pair."""
+    return pair_for(system, target).predict(system, target, t)

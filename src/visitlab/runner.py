@@ -30,7 +30,8 @@ from .errors import (
     SpecError,
     StructureError,
 )
-from .predictions import PredictionResult, SteinBracketInputs, predict_for, stein_bracket
+# perfbench/traced.py and the package's exports read predict_for from this module
+from .predictions import PredictionResult, SteinBracketInputs, pair_for, predict_for, stein_bracket
 from .stats import (
     ClusterStats,
     WSampleSet,
@@ -41,11 +42,10 @@ from .stats import (
     kac_horizon,
 )
 # perfbench/traced.py reads the chunk rule's _CHUNK_ELEMS from this module
-from .systems import _CHUNK_ELEMS, path_chunks
-from .targets import hits, measure, outer_measures
+from .systems import _CHUNK_ELEMS, _STEP_GUARD, path_chunks
+from .targets import hits, measure
 
 _BLOCK = 4096
-_STEP_GUARD = 10_000_000_000  # total simulated steps per sweep value
 
 # derived-seed streams, disjoint from the trajectory index range
 _STREAM_ALPHA = 2**49
@@ -168,11 +168,18 @@ def _estimate_tables(stats_all: ClusterStats, seed: int, index: int) -> dict:
     }
 
 
+def _measure(cfg: ExperimentConfig, target, system):
+    """A target's measure as the run takes it: exact, or Monte Carlo at the run's seed."""
+    return measure(target, system, samples=min(cfg.samples, 200_000), seed=cfg.seed)
+
+
 def _stein_for(cfg: ExperimentConfig, system, target, n, mu_value: float):
     sec = cfg.stein
     k_w = sec.window_for(int(n))
     try:
-        outer = outer_measures(target, system, list(range(0, int(n) + 1)))
+        # the outer sets U^0 .. U^n, measured as the run measured the target
+        outer = [mu_value if u == target else _measure(cfg, u, system).value
+                 for u in map(target.outer, range(int(n) + 1))]
         inputs = SteinBracketInputs(
             profile=sec.profile,
             mu=mu_value,
@@ -220,8 +227,10 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
     results = []
     for index, sweep_value in enumerate(cfg.stein.sweep if mode == "bound" else cfg.sweep):
         target = cfg.build_target(sweep_value)
+        # the pair's rule is looked up first: an unsupported pair is refused before any measure
+        pair = pair_for(system, target) if mode in ("predict", "compare", "sweep") else None
         try:
-            mu = measure(target, system, samples=min(cfg.samples, 200_000), seed=cfg.seed)
+            mu = _measure(cfg, target, system)
             horizon = kac_horizon(cfg.t, mu.value)
         except (SpecError, StructureError) as exc:
             raise type(exc)(f"sweep value {sweep_value}: {exc}") from None
@@ -246,8 +255,8 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
                 f"t/mu = {cfg.t / mu.value:.1f} at sweep value {sweep_value}"
             )
         pred = None
-        if mode in ("predict", "compare", "sweep"):
-            pred = predict_for(system, target, cfg.t)
+        if pair is not None:
+            pred = pair.predict(system, target, cfg.t)
             entry["prediction"] = pred.as_dict()
         if mode in ("simulate", "compare", "sweep"):
             w_all, stats_all, path_len = _run_simulation(cfg, system, target, horizon)

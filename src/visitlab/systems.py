@@ -1305,6 +1305,9 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
 
 # simulated steps per chunk of :func:`path_chunks`
 _CHUNK_ELEMS = 1 << 22
+# simulated steps one request may ask of :func:`path_chunks`: the runner's
+# simulation per sweep value and the Monte-Carlo measure are refused above it
+_STEP_GUARD = 10_000_000_000
 
 
 def path_chunks(spec, n: int, seed: int, start: int, count: int):

@@ -1,9 +1,12 @@
 """Shrinking target families: window membership tests and reference measures.
 
 Each target turns a batch of stationary paths into a boolean indicator array
-(one column per window start).  Where the (system, target) pair admits a
-closed-form stationary measure the module evaluates it exactly (the pair
-table, ``predictions.PAIRS``, says which formula serves which pair);
+(one column per window start) and names its j-step outer approximation
+``outer(j)`` for j >= 0, a target that contains it: nested symbolic families
+shrink along their own parameter, point targets (half-line, diagonal) are
+their own outer approximation at every j.  Where the (system, target) pair
+admits a closed-form stationary measure the module evaluates it exactly (the
+pair table, ``predictions.PAIRS``, says which formula serves which pair);
 otherwise a seeded Monte Carlo fallback reports a standard error alongside
 the value.
 """
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InsufficientDataError, SpecError, StructureError
+from .errors import InsufficientDataError, ResourceLimitError, SpecError, StructureError
 from .systems import (
     DoeblinChainSpec,
     FiniteMarkovSpec,
@@ -23,6 +26,7 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
+    _STEP_GUARD,
     _encode,
     hoc_stationary,
     interval_map_invariant,
@@ -62,6 +66,9 @@ class RunLengthTarget:
         paths = np.asarray(paths)
         return _window_all(paths >= self.level, self.window)
 
+    def outer(self, j: int) -> RunLengthTarget:
+        return RunLengthTarget(min(j, self.n), self.level)
+
 
 @dataclass(frozen=True)
 class HalfLineTarget:
@@ -80,17 +87,24 @@ class HalfLineTarget:
     def indicators(self, paths) -> np.ndarray:
         return np.asarray(paths) >= self.n
 
+    def outer(self, j: int) -> HalfLineTarget:
+        return self
+
 
 @dataclass(frozen=True)
 class CylinderTarget:
-    """Membership: the next len(word) symbols spell out ``word`` exactly."""
+    """Membership: the next len(word) symbols spell out ``word`` exactly.
+
+    Letters are any integers: states or cells for chains and maps, +-1 for
+    sign-product systems; the measure rule of each pair checks its alphabet.
+    """
 
     word: tuple
 
     def __post_init__(self):
         word = tuple(int(a) for a in self.word)
-        if len(word) == 0 or any(a < 0 for a in word):
-            raise SpecError("cylinder word must be nonempty over nonnegative symbols")
+        if len(word) == 0:
+            raise SpecError("cylinder word must be nonempty")
         object.__setattr__(self, "word", word)
 
     @property
@@ -100,25 +114,8 @@ class CylinderTarget:
     def indicators(self, paths) -> np.ndarray:
         return _match_word(np.asarray(paths), self.word)
 
-
-@dataclass(frozen=True)
-class SignCylinderTarget:
-    """Membership: the next len(word) product symbols match a +-1 word."""
-
-    word: tuple
-
-    def __post_init__(self):
-        word = tuple(int(a) for a in self.word)
-        if len(word) == 0 or any(a not in (-1, 1) for a in word):
-            raise SpecError("sign word must be nonempty over {-1, +1}")
-        object.__setattr__(self, "word", word)
-
-    @property
-    def window(self) -> int:
-        return len(self.word)
-
-    def indicators(self, paths) -> np.ndarray:
-        return _match_word(np.asarray(paths), self.word)
+    def outer(self, j: int) -> CylinderTarget:
+        return CylinderTarget(self.word[: max(j, 1)])
 
 
 @dataclass(frozen=True)
@@ -141,6 +138,9 @@ class SyncCylinderTarget:
             raise SpecError("synchronisation targets need (batch, time, component) paths")
         agree = np.all(paths == paths[:, :, :1], axis=2)
         return _window_all(agree, self.n)
+
+    def outer(self, j: int) -> SyncCylinderTarget:
+        return SyncCylinderTarget(min(max(j, 1), self.n))
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,9 @@ class GeoDiagonalTarget:
             for j in range(i + 1, m):
                 ok &= np.abs(paths[:, :, i] - paths[:, :, j]) <= self.delta
         return ok
+
+    def outer(self, j: int) -> GeoDiagonalTarget:
+        return self
 
 
 def _window_all(mask: np.ndarray, w: int) -> np.ndarray:
@@ -291,7 +294,7 @@ def markov_cylinder_measure(system: FiniteMarkovSpec, target: CylinderTarget) ->
     """Stationary probability of the word's first letter times its transitions."""
     pi = markov_stationary(system.matrix)
     w = target.word
-    if max(w) >= system.n_states:
+    if min(w) < 0 or max(w) >= system.n_states:
         raise StructureError("cylinder word leaves the state alphabet")
     value = float(pi[w[0]])
     for a, b in zip(w, w[1:]):
@@ -381,6 +384,11 @@ def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
         raise InsufficientDataError("need at least two trajectories", count=samples)
     w = target.window
     length = max(8 * w, w + 63)
+    if length * samples > _STEP_GUARD:
+        raise ResourceLimitError(
+            f"Monte-Carlo measure needs {length * samples:.2e} simulated steps "
+            f"(> {_STEP_GUARD:.0e}); shrink samples or the target"
+        )
     means = np.empty(samples)
     for first, paths in path_chunks(system, length, seed, _MEASURE_INDEX_BASE, samples):
         lo = first - _MEASURE_INDEX_BASE
@@ -403,31 +411,3 @@ def measure(target, system, samples: int = 100_000, seed: int = 0) -> TargetMeas
     """
     exact = _exact_measure(target, system)
     return exact if exact is not None else measure_mc(target, system, samples, seed)
-
-
-def outer_target(target, j: int):
-    """The j-step outer approximation U^j of a target (U^j contains U).
-
-    Nested symbolic families shrink along their own parameter; point targets
-    (half-line, diagonal) are their own outer approximation at every j.
-    """
-    if j < 0:
-        raise SpecError("outer index must be >= 0")
-    if isinstance(target, RunLengthTarget):
-        return RunLengthTarget(min(j, target.n), target.level)
-    if isinstance(target, (CylinderTarget, SignCylinderTarget)):
-        k = min(max(j, 1), len(target.word))
-        return type(target)(target.word[:k])
-    if isinstance(target, SyncCylinderTarget):
-        return SyncCylinderTarget(min(max(j, 1), target.n))
-    if isinstance(target, (HalfLineTarget, GeoDiagonalTarget)):
-        return target
-    raise SpecError(f"no outer family for {type(target).__name__}")
-
-
-def outer_measures(target, system, j_values) -> list:
-    """mu(U^j) along j_values, for the tail sums of the error brackets."""
-    out = []
-    for j in j_values:
-        out.append(measure(outer_target(target, int(j)), system).value)
-    return out

@@ -148,11 +148,25 @@ def test_help_exits_zero(capsys):
     assert "--config" in capsys.readouterr().out
 
 
-def test_resource_guard_exits_four(tmp_path, capsys):
+def test_resource_guard_exits_four(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "huge.yaml"
     cfg.write_text(CONFIG.replace("sweep: [6]", "sweep: [40]"))
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
     assert "resource guard" in capsys.readouterr().err
+    # a Monte-Carlo measure of 16384 paths of 800008 steps is refused before
+    # any path is drawn
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths were drawn before the step guard")
+
+    monkeypatch.setattr(targets, "path_chunks", no_paths)
+    cfg.write_text(
+        "experiment: {t: 2.0, samples: 16384, seed: 707}\n"
+        "system: {kind: markov, matrix: [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]}\n"
+        "target: {kind: run-length, level: 1, sweep: [100000]}\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource guard: Monte-Carlo measure needs 1.31e+10 simulated steps")
 
 
 def test_sweep_and_bound_outputs(config_path, tmp_path):
@@ -199,6 +213,23 @@ def test_zero_measure_target_exits_three_without_monte_carlo(tmp_path, capsys, m
     assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("configuration error: sweep value 6: ") and "zero stationary measure" in err
+
+
+@pytest.mark.parametrize("verb", ["predict", "compare", "sweep"])
+def test_unsupported_pair_exits_three_before_measuring(verb, tmp_path, capsys, monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran for a pair that has no prediction rule")
+
+    monkeypatch.setattr(targets, "measure_mc", no_monte_carlo)
+    cfg = tmp_path / "unsupported.yaml"
+    cfg.write_text(
+        "experiment: {t: 2.0, samples: 200000, seed: 1}\n"
+        "system: {kind: markov, matrix: [[0.4, 0.6], [0.2, 0.8]]}\n"
+        "target: {kind: run-length, level: 1, sweep: [40]}\n"
+    )
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: no prediction rule for FiniteMarkovSpec + RunLengthTarget")
 
 
 @pytest.mark.parametrize("verb", ["predict", "compare"])

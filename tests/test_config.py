@@ -153,6 +153,26 @@ def test_validation_failures_name_the_path():
         )
 
 
+def test_cylinder_kinds_check_their_alphabets(tmp_path, capsys):
+    from visitlab.cli import main
+
+    signs = {"kind": "sign-product", "plus_prob": 0.3}
+    with pytest.raises(ConfigError, match=re.escape(
+        "target: invalid cylinder parameters: cylinder word must be nonempty over nonnegative symbols"
+    )):
+        config_from_mapping(_doc(system=signs, target={"kind": "cylinder", "word": [1, -1], "sweep": [2]}))
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text(
+        "system: {kind: sign-product, plus_prob: 0.3}\n"
+        "target: {kind: sign-cylinder, word: [0, 1], sweep: [2]}\n"
+    )
+    assert main(["predict", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "configuration error: target: invalid sign-cylinder parameters: "
+        "sign word must be nonempty over {-1, +1}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "doc, path",
     [

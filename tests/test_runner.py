@@ -24,7 +24,6 @@ from visitlab import (
     RegenerativeSpec,
     ResourceLimitError,
     RunLengthTarget,
-    SignCylinderTarget,
     SyncCylinderTarget,
     UnsupportedPairError,
     config_from_mapping,
@@ -34,7 +33,7 @@ from visitlab import (
     run_experiment,
     write_report,
 )
-from visitlab import runner, systems
+from visitlab import runner, systems, targets
 from visitlab.cli import main
 from visitlab.config import load_config
 from visitlab.systems import sample_markov_batch
@@ -91,7 +90,7 @@ def test_predict_for_dispatch():
 
     assert predict_for(DoeblinChainSpec(0.5), GeoDiagonalTarget(0.01), t).family == "poisson"
 
-    signs = predict_for(FactorProductSpec(0.3), SignCylinderTarget((1,) * 8), t)
+    signs = predict_for(FactorProductSpec(0.3), CylinderTarget((1,) * 8), t)
     assert signs.params["p"] == pytest.approx(0.7, abs=1e-9)
 
 
@@ -104,7 +103,56 @@ def test_predict_for_unsupported_pairs():
         )
     # a sign word whose primitive cycle has no aligned-ratio match is refused
     with pytest.raises(ConvergenceError):
-        predict_for(FactorProductSpec(0.3), SignCylinderTarget((-1,) * 5), 2.0)
+        predict_for(FactorProductSpec(0.3), CylinderTarget((-1,) * 5), 2.0)
+
+
+def test_cylinder_kinds_cross_systems(tmp_path, capsys):
+    # a cylinder word over {1} on a sign-product system is a sign word ...
+    doc = {
+        "experiment": {"t": 2.0, "samples": 64, "seed": 2},
+        "system": {"kind": "sign-product", "plus_prob": 0.3},
+        "target": {"kind": "cylinder", "word_cycle": [1], "sweep": [8]},
+    }
+    (entry,) = run_experiment(_cfg(doc), "predict")["results"]
+    assert entry["measure"]["method"] == "exact:sign-lift"
+    assert entry["prediction"]["family"] == "polya-aeppli"
+    assert entry["prediction"]["params"]["p"] == pytest.approx(0.7, abs=1e-9)
+    # ... and a sign word with no -1 on a finite chain is a state word
+    doc["system"] = {"kind": "markov", "matrix": MATRIX}
+    doc["target"]["kind"] = "sign-cylinder"
+    (entry,) = run_experiment(_cfg(doc), "predict")["results"]
+    assert entry["measure"]["method"] == "exact:path-product"
+    # a -1 letter is no state of the chain: refused with exit 3
+    doc["target"]["word_cycle"] = [1, -1]
+    path = tmp_path / "minus.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    for verb in ("predict", "simulate"):
+        assert main([verb, "--config", str(path), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sweep value 8: ") and "alphabet" in err
+
+
+def test_stein_outer_measures_take_the_runs_samples_and_seed(monkeypatch):
+    # run targets over a finite chain are measured by Monte Carlo
+    calls = []
+    measure_mc = targets.measure_mc
+
+    def recorded(target, system, samples, seed):
+        calls.append((target, samples, seed))
+        return measure_mc(target, system, samples, seed)
+
+    monkeypatch.setattr(targets, "measure_mc", recorded)
+    doc = {
+        "experiment": {"t": 2.0, "samples": 2000, "seed": 5},
+        "system": {"kind": "markov", "matrix": MATRIX},
+        "target": {"kind": "run-length", "level": 1, "sweep": [6]},
+        "stein": {"profile": {"kind": "geometric", "scale": 1.0, "rate": 0.5}},
+    }
+    stein = run_experiment(_cfg(doc), "simulate")["results"][0]["stein"]
+    assert "value" in stein
+    # the run's target once, then its outer sets U^0 .. U^5, all as the run measures
+    assert calls == [(RunLengthTarget(j), 2000, 5) for j in (6, 0, 1, 2, 3, 4, 5)]
+    assert run_experiment(_cfg(doc, seed=6), "simulate")["results"][0]["stein"] != stein
 
 
 def test_compare_report_structure_and_tv():

@@ -15,7 +15,6 @@ from visitlab import (
     ProductChainSpec,
     RegenerativeSpec,
     RunLengthTarget,
-    SignCylinderTarget,
     SpecError,
     StructureError,
     SyncCylinderTarget,
@@ -23,8 +22,6 @@ from visitlab import (
     measure,
     measure_exact,
     measure_mc,
-    outer_measures,
-    outer_target,
     sign_cylinder_measure,
 )
 from visitlab import runner, systems
@@ -65,6 +62,9 @@ def test_markov_cylinder_path_product():
     assert np.isclose(got.value, 0.12, atol=1e-12)
     with pytest.raises(StructureError):
         measure_exact(CylinderTarget((0, 2)), chain)
+    # a negative letter would read pi[-1]; the sign-product's -1 is no state
+    with pytest.raises(StructureError):
+        measure_exact(CylinderTarget((1, -1)), chain)
 
 
 def test_interval_cylinder_exact_fractions():
@@ -105,7 +105,7 @@ def test_sign_cylinder_measure_exact():
     assert sign_cylinder_measure(F(3, 10), (-1, 1, -1)) == sign_cylinder_measure(
         F(3, 10), (1, -1, 1)
     )
-    via_dispatch = measure_exact(SignCylinderTarget((1,) * 8), FactorProductSpec(0.3))
+    via_dispatch = measure_exact(CylinderTarget((1,) * 8), FactorProductSpec(0.3))
     assert np.isclose(via_dispatch.value, float(got), atol=1e-15)
 
 
@@ -174,14 +174,19 @@ def test_sync_indicators_need_components():
 def test_outer_family_nests():
     hoc = HouseOfCardsSpec.constant(0.5)
     target = RunLengthTarget(6, level=1)
-    mus = outer_measures(target, hoc, range(0, 7))
+    mus = [measure_exact(target.outer(j), hoc).value for j in range(0, 7)]
     assert all(a >= b - 1e-15 for a, b in zip(mus, mus[1:]))
     assert np.isclose(mus[-1], measure_exact(target, hoc).value, atol=1e-15)
-    # truncation families
-    assert outer_target(CylinderTarget((0, 1, 1)), 2).word == (0, 1)
-    assert outer_target(SignCylinderTarget((1, -1)), 5).word == (1, -1)
-    assert outer_target(HalfLineTarget(3), 1) == HalfLineTarget(3)
-    assert outer_target(SyncCylinderTarget(4), 2) == SyncCylinderTarget(2)
+    # truncation families, one per target class
+    assert RunLengthTarget(6, level=2).outer(9) == RunLengthTarget(6, level=2)
+    assert RunLengthTarget(6, level=2).outer(0) == RunLengthTarget(0, level=2)
+    assert CylinderTarget((0, 1, 1)).outer(2).word == (0, 1)
+    assert CylinderTarget((0, 1, 1)).outer(0).word == (0,)
+    assert CylinderTarget((1, -1)).outer(5).word == (1, -1)
+    assert HalfLineTarget(3).outer(1) == HalfLineTarget(3)
+    assert SyncCylinderTarget(4).outer(2) == SyncCylinderTarget(2)
+    assert SyncCylinderTarget(4).outer(0) == SyncCylinderTarget(1)
+    assert GeoDiagonalTarget(0.1).outer(3) == GeoDiagonalTarget(0.1)
 
 
 def test_measure_mc_agrees_with_exact():
@@ -233,8 +238,6 @@ def test_target_validation():
         TargetMeasure(0.0)
     with pytest.raises(SpecError):
         CylinderTarget(())
-    with pytest.raises(SpecError):
-        SignCylinderTarget((0, 1))
     with pytest.raises(SpecError):
         GeoDiagonalTarget(1.5)
     with pytest.raises(SpecError):
