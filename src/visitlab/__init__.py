@@ -34,7 +34,6 @@ from .predictions import (
     MixingProfile,
     PredictionResult,
     SteinBracketInputs,
-    build_qdelta,
     coupling_sync_rate,
     doeblin_alpha2_bound,
     furstenberg_ratio,

@@ -22,7 +22,7 @@ Schema (all numeric scalars accept decimal literals or rational strings like
             sync-cylinder | geo-diagonal
       sweep: [10, 12]         # target sizes n (deltas for geo-diagonal)
       ... kind-specific keys ...
-    stein:                    # optional, needed by the bound verb
+    stein:                    # optional, needed by the bound verb; not for geo-diagonal
       profile: {kind: geometric, scale: 1.0, rate: 0.5}
       mode: phi | psi
       window_policy: half     # K = n // 2, or an integer for fixed K
@@ -144,8 +144,6 @@ class ExperimentConfig:
     window_two_sided: int | None
     cluster_cap: int
     out_dir: str | None
-    system_kind: str
-    target_kind: str
     sweep: tuple
     stein: SteinSection | None
 
@@ -265,6 +263,8 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
 
     stein = None
     if "stein" in doc:
+        if tk == "geo-diagonal":
+            _fail("stein", "geo-diagonal targets have no Stein bracket; remove the section")
         sec = _as_map(doc["stein"], "stein")
         prof = _as_map(sec.get("profile"), "stein.profile") if "profile" in sec else None
         if prof is None:
@@ -306,8 +306,6 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
         window_two_sided=wk,
         cluster_cap=cap,
         out_dir=out_dir,
-        system_kind=sk,
-        target_kind=tk,
         sweep=sweep,
         stein=stein,
     )

@@ -36,7 +36,6 @@ from .systems import (
     ProductChainSpec,
     RegenerativeSpec,
     interval_map_invariant,
-    itinerary_chain,
     sync_kernel,
 )
 from .targets import (
@@ -307,16 +306,9 @@ def predict_sync_markov(sync_matrix, t: float) -> PredictionResult:
     )
 
 
-def build_qdelta(components, coupling: str, gamma: float | None = None):
-    """Diagonal-restricted kernel of a coupled product of finite chains."""
-    chains = tuple(FiniteMarkovSpec(np.asarray(c, dtype=float)) for c in components)
-    spec = ProductChainSpec(chains, coupling, gamma=gamma)
-    return sync_kernel(spec)
-
-
 def coupling_sync_rate(q1, q2, gamma: float) -> float:
     """Spectral synchronisation rate of the sticky coupling (1 at gamma = 1)."""
-    return spectral_radius(build_qdelta([q1, q2], "parametrized", gamma))
+    return spectral_radius(sync_kernel(ProductChainSpec((q1, q2), "parametrized", gamma=gamma)))
 
 
 # reference pair used by the sticky-coupling closed-form cross-check
@@ -351,10 +343,7 @@ def predict_param_coupling(
     q2 = np.asarray(q2, dtype=float)
     if q1.shape != (2, 2) or q2.shape != (2, 2):
         raise SpecError("sticky coupling is defined for binary alphabets only")
-    spec = ProductChainSpec(
-        (FiniteMarkovSpec(q1), FiniteMarkovSpec(q2)), "parametrized", gamma=gamma
-    )
-    p = spectral_radius(sync_kernel(spec))
+    p = coupling_sync_rate(q1, q2, gamma)
     extras = {"rho": p, "gamma": gamma}
     notes = ["spectral radius of the sticky diagonal kernel"]
     is_ref = np.allclose(q1, _COUPLING_REF_Q1, atol=1e-12) and np.allclose(
@@ -745,10 +734,10 @@ def _predict_half_line(system: RegenerativeSpec, target, t: float) -> Prediction
     return predict_regenerative_entries(system, target.n, t)
 
 
-def _predict_markov_cylinder(chain: FiniteMarkovSpec, target, t: float) -> PredictionResult:
+def _predict_markov_cylinder(system, target, t: float) -> PredictionResult:
     m = word_overlap_period(target.word)
     if m < len(target.word):
-        return predict_periodic_cylinder(chain, target.word[:m], t)
+        return predict_periodic_cylinder(system.chain()[1], target.word[:m], t)
     return predict_poisson(t, "non-self-overlapping word: isolated visits")
 
 
@@ -772,7 +761,7 @@ PAIRS = {
     (IntervalMapSpec, CylinderTarget): Pair(
         "interval-map + cylinder", "exact:invariant-density",
         lambda system, target: float(interval_cylinder_measure(system, target.word)),
-        lambda system, target, t: _predict_markov_cylinder(itinerary_chain(system), target, t),
+        _predict_markov_cylinder,
     ),
     (ProductChainSpec, SyncCylinderTarget): Pair(
         "product-chain + sync-cylinder", "exact:diagonal-iteration", sync_measure,

@@ -279,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
                 entry["_pmfs"] = (emp, None)
         elif pred is not None:
             entry["_pmfs"] = (None, _pmf_for_tv(pred, 0))
-        if cfg.stein is not None and cfg.target_kind != "geo-diagonal":
+        if cfg.stein is not None:
             entry["stein"] = _stein_for(cfg, system, target, sweep_value, mu.value)
         results.append(entry)
     report = {

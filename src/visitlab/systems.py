@@ -516,6 +516,10 @@ class FiniteMarkovSpec:
     def n_states(self) -> int:
         return self.matrix.shape[0]
 
+    def chain(self) -> tuple:
+        """``(start, chain)``: the stationary law and the chain itself."""
+        return markov_stationary(self), self
+
 
 def _reaches_all(adj: np.ndarray) -> bool:
     """Whether state 0 reaches every state along the boolean edges ``adj``."""
@@ -558,15 +562,16 @@ def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
     return pi
 
 
-def sample_markov_batch(spec: FiniteMarkovSpec, n: int, rngs) -> np.ndarray:
-    """Stationary paths, a C-contiguous ``(rows, n)`` array of state indices.
+def sample_chain(spec, n: int, rngs) -> np.ndarray:
+    """Stationary paths of a finite-state system, a C-contiguous ``(rows, n)`` array.
 
-    The dtype is the smallest unsigned one that holds every state (uint8 up
-    to 256 states).  Row i draws n uniforms from rngs[i]: the first picks the
-    stationary start, each later one takes an inverse-CDF step
-    (:func:`_step_columns`).
+    ``spec.chain()`` gives the start law and the chain.  The dtype is the
+    smallest unsigned one that holds every state (uint8 up to 256 states).
+    Row i draws n uniforms from rngs[i]: the first picks the start, each
+    later one takes an inverse-CDF step (:func:`_step_columns`).
     """
-    return _step_columns(rngs, n, markov_stationary(spec), spec.matrix)
+    start, chain = spec.chain()
+    return _step_columns(rngs, n, start, chain.matrix)
 
 
 # Chains with too many distinct thresholds for :func:`_bucket_table` step
@@ -725,33 +730,22 @@ class ProductChainSpec:
     def n_chains(self) -> int:
         return len(self.components)
 
+    def chain(self) -> tuple:
+        """``(start, chain)``: the chain on tuples (:func:`pair_kernel`) and its stationary law."""
+        chain = FiniteMarkovSpec(pair_kernel(self))
+        return markov_stationary(chain), chain
+
 
 def sync_kernel(spec: ProductChainSpec) -> np.ndarray:
     """Matrix of joint agreement moves from diagonal states.
 
     Entry (a, b) is the probability that, started at the diagonal state
-    (a, ..., a), every component lands on b in one step.  Its spectral radius
-    drives the synchronisation-cylinder laws.
+    (a, ..., a), every component lands on b in one step: :func:`pair_kernel`
+    restricted to the diagonal.  Its spectral radius drives the
+    synchronisation-cylinder laws.
     """
-    mats = [c.matrix for c in spec.components]
-    if spec.coupling == "independent":
-        out = mats[0].copy()
-        for m in mats[1:]:
-            out = out * m
-        return out
-    if spec.coupling == "maximal":
-        return np.minimum.reduce(mats)
-    # parametrized, binary
-    g = float(spec.gamma)
-    out = np.empty((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            prob = 1.0
-            for m in mats:
-                p1 = (1.0 - g) * m[a, 1] + g * a
-                prob *= p1 if b == 1 else 1.0 - p1
-            out[a, b] = prob
-    return out
+    diag = _diagonal_codes(spec)
+    return pair_kernel(spec)[np.ix_(diag, diag)]
 
 
 def _sticky_row(matrix: np.ndarray, a: int, gamma: float) -> np.ndarray:
@@ -811,6 +805,11 @@ def _encode(joint, m_states: int) -> int:
     return code
 
 
+def _diagonal_codes(spec: ProductChainSpec) -> list:
+    """Tuple codes of the diagonal states (a, ..., a), in the order of a."""
+    return [_encode((a,) * spec.n_chains, spec.n_states) for a in range(spec.n_states)]
+
+
 def decode_states(codes: np.ndarray, m_states: int, n_chains: int) -> np.ndarray:
     """Inverse of the row-major tuple encoding; returns (..., n_chains).
 
@@ -820,22 +819,14 @@ def decode_states(codes: np.ndarray, m_states: int, n_chains: int) -> np.ndarray
     return np.take(table.astype(np.int64, order="C"), codes, axis=0)
 
 
-def pair_stationary(spec: ProductChainSpec) -> np.ndarray:
-    """Stationary law of the coupled pair chain (errors when reducible)."""
-    return markov_stationary(pair_kernel(spec))
-
-
 def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarray:
     """Stationary paths of the coupled chain, C-contiguous ``(rows, n, n_chains)``.
 
-    Draws like :func:`sample_markov_batch` on the pair kernel: row i's first
-    uniform picks the initial tuple from the coupled stationary law.  The
-    tuple codes come from :func:`_step_columns` in the smallest unsigned dtype
-    that holds them (uint8 up to 256 tuples, so binary pairs take its lookup
-    route); :func:`decode_states` turns them into int64 components.
+    The tuple codes come from :func:`sample_chain` in the smallest unsigned
+    dtype that holds them (uint8 up to 256 tuples, so binary pairs take the
+    lookup route); :func:`decode_states` turns them into int64 components.
     """
-    codes = _step_columns(rngs, n, pair_stationary(spec), pair_kernel(spec))
-    return decode_states(codes, spec.n_states, spec.n_chains)
+    return decode_states(sample_chain(spec, n, rngs), spec.n_states, spec.n_chains)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,6 +1065,13 @@ class IntervalMapSpec:
             for i, row in enumerate(self.transition_matrix_exact())
         ]
 
+    @functools.cache
+    def chain(self) -> tuple:
+        """``(start, chain)``: the exact :func:`interval_symbol_stationary` law
+        as floats, and the finite Markov chain that the cell itinerary follows."""
+        start = np.array(interval_symbol_stationary(self), dtype=float)
+        return start, FiniteMarkovSpec(np.array(self.itinerary_matrix_exact(), dtype=float))
+
 
 def _solve_left_eigvec_exact(rows: list) -> list:
     """Exact left fixed vector h Q = h of a rational matrix, entries summing to 1."""
@@ -1114,29 +1112,6 @@ def interval_symbol_stationary(spec: IntervalMapSpec) -> tuple:
     """Exact stationary law of the itinerary chain: pi_i = h_i * |cell_i|."""
     h = interval_map_invariant(spec)
     return tuple(hi * li for hi, li in zip(h, spec.cell_lengths()))
-
-
-@functools.cache
-def _itinerary(spec: IntervalMapSpec) -> tuple:
-    """(stationary start as floats, itinerary chain) of an interval map."""
-    start = np.array(interval_symbol_stationary(spec), dtype=float)
-    return start, FiniteMarkovSpec(np.array(spec.itinerary_matrix_exact(), dtype=float))
-
-
-def itinerary_chain(spec: IntervalMapSpec) -> FiniteMarkovSpec:
-    """The finite Markov chain that the cell itinerary of ``spec`` follows."""
-    return _itinerary(spec)[1]
-
-
-def sample_itinerary_batch(spec: IntervalMapSpec, n: int, rngs) -> np.ndarray:
-    """Stationary itineraries, a C-contiguous ``(rows, n)`` array of cells.
-
-    Draws like :func:`sample_markov_batch` on :func:`itinerary_chain`, started
-    from the exact :func:`interval_symbol_stationary` law; the cells come in
-    the smallest unsigned dtype that holds them (uint8 up to 256 cells).
-    """
-    start, chain = _itinerary(spec)
-    return _step_columns(rngs, n, start, chain.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -1261,10 +1236,10 @@ def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.nda
 # paths of n steps, row i drawn from rngs[i] alone
 _SAMPLERS = {
     HouseOfCardsSpec: sample_house_of_cards,
-    FiniteMarkovSpec: sample_markov_batch,
+    FiniteMarkovSpec: sample_chain,
     ProductChainSpec: sample_product_chain_batch,
     RegenerativeSpec: sample_regenerative,
-    IntervalMapSpec: sample_itinerary_batch,
+    IntervalMapSpec: sample_chain,
     DoeblinChainSpec: sample_doeblin,
     FactorProductSpec: sample_factor_product_batch,
 }

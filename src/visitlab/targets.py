@@ -27,11 +27,9 @@ from .systems import (
     ProductChainSpec,
     RegenerativeSpec,
     _STEP_GUARD,
-    _encode,
+    _diagonal_codes,
     hoc_stationary,
     interval_map_invariant,
-    markov_stationary,
-    pair_stationary,
     path_chunks,
     sync_kernel,
 )
@@ -292,7 +290,7 @@ def half_line_measure(system: RegenerativeSpec, target: HalfLineTarget) -> float
 
 def markov_cylinder_measure(system: FiniteMarkovSpec, target: CylinderTarget) -> float:
     """Stationary probability of the word's first letter times its transitions."""
-    pi = markov_stationary(system.matrix)
+    pi = system.chain()[0]
     w = target.word
     if min(w) < 0 or max(w) >= system.n_states:
         raise StructureError("cylinder word leaves the state alphabet")
@@ -367,12 +365,9 @@ def run_length_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> flo
 
 def sync_measure(system: ProductChainSpec, target: SyncCylinderTarget) -> float:
     """Probability that all components agree on n consecutive letters."""
-    pair = pair_stationary(system)
-    m = system.n_states
-    diag_idx = [_encode((a,) * system.n_chains, m) for a in range(m)]
-    nu0 = pair[diag_idx]
+    nu0 = system.chain()[0][_diagonal_codes(system)]
     d = sync_kernel(system)
-    v = np.ones(m)
+    v = np.ones(system.n_states)
     for _ in range(target.n - 1):
         v = d @ v
     return float(nu0 @ v)

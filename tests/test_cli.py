@@ -432,6 +432,20 @@ def test_compare_does_not_import_scipy(tmp_path):
 _STEIN = "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n  mode: phi\n  window_policy: half\n"
 
 
+@pytest.mark.parametrize("stein_sweep", ["", "  sweep: [3]\n"], ids=["default sweep", "integer sweep"])
+@pytest.mark.parametrize("verb", runner.VERBS)
+def test_geo_diagonal_refuses_a_stein_section(verb, stein_sweep, tmp_path, capsys):
+    cfg = tmp_path / "geo.yaml"
+    cfg.write_text(
+        "experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.1}\n"
+        + _PAIR_CONFIGS["doeblin + geo-diagonal"] + _STEIN + stein_sweep
+    )
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: stein: geo-diagonal targets have no Stein bracket")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "name, verb, code, message",
     [

@@ -30,7 +30,7 @@ def _doc(**updates):
 def test_minimal_document_round_trip():
     cfg = config_from_mapping(_doc())
     assert cfg.t == 2.0 and cfg.samples == 1000 and cfg.seed == 7
-    assert cfg.system_kind == "house-of-cards"
+    assert cfg.normalized["system"]["kind"] == "house-of-cards"
     assert cfg.sweep == (4, 8)
     system = cfg.build_system()
     assert isinstance(system, HouseOfCardsSpec)

@@ -3,6 +3,8 @@ import copy
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from visitlab import (
 from visitlab import runner, systems, targets
 from visitlab.cli import main
 from visitlab.config import load_config
-from visitlab.systems import sample_markov_batch
+from visitlab.systems import sample_chain
 
 MATRIX = [[0.4, 0.6], [0.2, 0.8]]
 
@@ -536,7 +538,7 @@ def test_benchmark_trace_reenacts_compare(tmp_path, monkeypatch):
 
     def recorded(chain, n, rngs):
         chunks.append((len(rngs), n))
-        return sample_markov_batch(chain, n, rngs)
+        return sample_chain(chain, n, rngs)
 
     monkeypatch.setitem(systems._SAMPLERS, FiniteMarkovSpec, recorded)
     cfg_path = tmp_path / "trace.yaml"
@@ -548,3 +550,18 @@ def test_benchmark_trace_reenacts_compare(tmp_path, monkeypatch):
     assert chunks[3:] == chunks[:3]
     assert (counts["runner.blocks"], counts["runner.chunks"], counts["systems.rows"]) == (2, 3, 4100)
     assert counts["stats.bootstrap_resamples"] > 0
+
+
+def test_setup_probe_runs_from_a_checkout():
+    # perfbench/setup_probe.py imports load_config, runner.predict_for and
+    # targets.measure; the benchmark's setup_s comes from this one JSON line
+    root = Path(__file__).parents[1]
+    run = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", "src", "perfbench/workloads/sign-short.yaml", "1"],
+        cwd=root, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    (line,) = run.stdout.splitlines()
+    assert sorted(json.loads(line)) == sorted(
+        ["setup_s", "import_s", "config.load_s", "targets.measure_s", "predictions.predict_s"]
+    )

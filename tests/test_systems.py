@@ -12,6 +12,7 @@ from visitlab import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
+    ResourceLimitError,
     SpecError,
     StructureError,
     sample_path,
@@ -26,15 +27,12 @@ from visitlab.systems import (
     hoc_stationary,
     interval_map_invariant,
     interval_symbol_stationary,
-    itinerary_chain,
     markov_stationary,
     pair_kernel,
-    pair_stationary,
-    sample_markov_batch,
+    sample_chain,
     decode_states,
     sample_factor_product_batch,
     sample_house_of_cards,
-    sample_itinerary_batch,
     sample_product_chain_batch,
     trajectory_rngs,
 )
@@ -95,6 +93,32 @@ def test_sync_kernel_reference_values():
     assert np.allclose(sync_kernel(mx), [[0.2, 0.2], [0.1, 0.7]], atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "coupling, gamma, n_chains",
+    [
+        ("independent", None, 2),
+        ("independent", None, 3),
+        ("maximal", None, 2),
+        ("parametrized", 0.0, 2),
+        ("parametrized", 0.25, 2),
+        ("parametrized", 0.4, 2),
+        ("parametrized", 1.0, 2),
+    ],
+)
+def test_sync_kernel_is_the_pair_kernel_on_the_diagonal(coupling, gamma, n_chains):
+    chains = (FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2), FiniteMarkovSpec([[0.5, 0.5], [0.4, 0.6]]))
+    spec = ProductChainSpec(chains[:n_chains], coupling, gamma=gamma)
+    # (a, ..., a) has the row-major code a * (1 + 2 + ... + 2**(n_chains - 1))
+    diag = [a * (2**n_chains - 1) for a in range(2)]
+    assert np.array_equal(sync_kernel(spec), pair_kernel(spec)[np.ix_(diag, diag)])
+
+
+def test_sync_kernel_refuses_what_pair_kernel_refuses():
+    flat = FiniteMarkovSpec(np.full((17, 17), 1 / 17))
+    with pytest.raises(ResourceLimitError, match="4913 exceeds 4096"):
+        sync_kernel(ProductChainSpec((flat,) * 3))
+
+
 def test_parametrized_kernel_endpoints():
     chains = (FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2))
     at0 = sync_kernel(ProductChainSpec(chains, "parametrized", gamma=0.0))
@@ -112,7 +136,7 @@ def test_pair_kernel_is_stochastic_and_stationary_solves():
     )
     kernel = pair_kernel(spec)
     assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
-    nu = pair_stationary(spec)
+    nu = spec.chain()[0]
     assert np.allclose(nu @ kernel, nu, atol=1e-9)
     assert np.isclose(nu.sum(), 1.0)
 
@@ -268,7 +292,7 @@ def test_markov_batch_matches_row_loop():
     ]
     for spec, route, rows, n in cases:
         assert _route(spec.matrix) == route, spec.n_states
-        batch = sample_markov_batch(spec, n, [trajectory_rng(7, i) for i in range(rows)])
+        batch = sample_chain(spec, n, [trajectory_rng(7, i) for i in range(rows)])
         assert batch.shape == (rows, n) and batch.flags.c_contiguous
         assert batch.dtype == np.uint8
         ref = _reference_rows(markov_stationary(spec), spec.matrix, n, rows)
@@ -292,13 +316,13 @@ def test_step_columns_fill_their_buffer_tile_by_tile(monkeypatch):
 def test_markov_batch_widens_past_256_states():
     spec = FiniteMarkovSpec(_lazy_ring(300))
     assert _route(spec.matrix) == "rows"
-    batch = sample_markov_batch(spec, 40, [trajectory_rng(7, i) for i in range(8)])
+    batch = sample_chain(spec, 40, [trajectory_rng(7, i) for i in range(8)])
     assert batch.dtype == np.uint16 and batch.flags.c_contiguous
     assert np.array_equal(batch, _reference_rows(markov_stationary(spec), spec.matrix, 40, 8))
 
 
 def _check_product_chain(spec, route, rows=32, n=300):
-    stationary, kernel = pair_stationary(spec), pair_kernel(spec)
+    stationary, kernel = spec.chain()[0], pair_kernel(spec)
     assert _route(kernel) == route
     codes = systems._step_columns([trajectory_rng(7, i) for i in range(rows)], n, stationary, kernel)
     assert codes.dtype == np.uint8 and codes.flags.c_contiguous
@@ -326,10 +350,12 @@ def test_larger_product_chains_match_row_loop():
 @pytest.mark.parametrize("name", ["example", "unequal", "doubling"])
 def test_itinerary_batch_matches_row_loop(name):
     spec = {"example": EXAMPLE_MAP, "unequal": UNEQUAL_MAP, "doubling": DOUBLING_MAP}[name]
-    batch = sample_itinerary_batch(spec, 200, [trajectory_rng(7, i) for i in range(32)])
+    batch = sample_chain(spec, 200, [trajectory_rng(7, i) for i in range(32)])
     assert batch.shape == (32, 200) and batch.flags.c_contiguous
     assert batch.dtype == np.uint8
     start = np.array([float(p) for p in interval_symbol_stationary(spec)])
+    # the exact start, not a float solve on the itinerary chain
+    assert np.array_equal(spec.chain()[0], start)
     matrix = np.array(spec.itinerary_matrix_exact(), dtype=float)
     assert _route(matrix) == "lookup"
     assert np.array_equal(batch, _reference_rows(start, matrix, 200, 32))
@@ -591,8 +617,8 @@ def test_chain_samplers_array_route_match_generators():
     product = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
     for sampler, spec in (
         (sample_product_chain_batch, product),
-        (sample_itinerary_batch, EXAMPLE_MAP),
-        (sample_itinerary_batch, DOUBLING_MAP),
+        (sample_chain, EXAMPLE_MAP),
+        (sample_chain, DOUBLING_MAP),
     ):
         streams, rngs = _streams_and_list(_ARRAY_ROWS)
         batch = sampler(spec, 60, streams)
@@ -688,7 +714,7 @@ def _binomial_z(hits, trials, p):
 def test_interval_itinerary_law():
     # the itinerary is a Markov chain: P(i, j) = |cell_j| / (|slope_i| |cell_i|)
     assert EXAMPLE_MAP.itinerary_matrix_exact() == EXAMPLE_MAP.transition_matrix_exact()
-    assert np.array_equal(itinerary_chain(EXAMPLE_MAP).matrix, [[1 / 3] * 3, [0, 0.5, 0.5], [1 / 3] * 3])
+    assert np.array_equal(EXAMPLE_MAP.chain()[1].matrix, [[1 / 3] * 3, [0, 0.5, 0.5], [1 / 3] * 3])
     rows = 4000
     cells = sample_paths(EXAMPLE_MAP, 30, trajectory_rngs(2, 0, rows))
     assert cells.shape == (rows, 30) and cells.dtype == np.uint8
@@ -713,7 +739,7 @@ def test_unequal_cell_itinerary_chain():
     assert [sum(pi[i] * p[i][j] for i in range(2)) for j in range(2)] == list(pi)
     # the density transfer matrix's rows do not sum to 1 on unequal cells
     assert [sum(row) for row in UNEQUAL_MAP.transition_matrix_exact()] == [F(2, 3), F(4, 3)]
-    assert np.allclose(itinerary_chain(UNEQUAL_MAP).matrix, [[1 / 3, 2 / 3], [1 / 3, 2 / 3]])
+    assert np.allclose(UNEQUAL_MAP.chain()[1].matrix, [[1 / 3, 2 / 3], [1 / 3, 2 / 3]])
 
 
 def test_doubling_map_itinerary_stays_fair():

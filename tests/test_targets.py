@@ -25,7 +25,7 @@ from visitlab import (
     sign_cylinder_measure,
 )
 from visitlab import runner, systems
-from visitlab.systems import sample_markov_batch
+from visitlab.systems import sample_chain
 from visitlab.targets import TargetMeasure, _match_word, _window_all, interval_cylinder_measure
 
 F = Fraction
@@ -215,7 +215,7 @@ def test_measure_mc_streams_are_pinned(monkeypatch):
 
     def recorded(spec, n, rngs):
         calls.append((len(rngs), n, systems._array_route(rngs, n)))
-        return sample_markov_batch(spec, n, rngs)
+        return sample_chain(spec, n, rngs)
 
     monkeypatch.setitem(systems._SAMPLERS, FiniteMarkovSpec, recorded)
     cases = [
