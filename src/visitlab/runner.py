@@ -53,13 +53,11 @@ _STREAM_TV = 2**50
 
 
 def _merge_ranges(parts):
-    """Merge the (W samples, cluster stats or None) of consecutive trajectory ranges."""
-    w_all, stats_all = parts[0]
-    for w_part, st_part in parts[1:]:
-        w_all = w_all.merge(w_part)
-        if stats_all is not None:
-            stats_all = stats_all.merge(st_part)
-    return w_all, stats_all
+    """Merge the (W samples, cluster stats or None) of consecutive trajectory
+    ranges, each kind in one concatenation."""
+    w_parts, stats_parts = zip(*parts)
+    stats_all = None if stats_parts[0] is None else ClusterStats.concat(stats_parts)
+    return WSampleSet.concat(w_parts), stats_all
 
 
 def _simulate_block(args):

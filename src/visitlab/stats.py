@@ -2,10 +2,12 @@
 
 Accumulators are value objects over one contiguous range of trajectories,
 given by its start and its length.  Partial results from blocks and workers
-merge end to end, each range starting where the last one ends, by
-concatenation, which is exact and reproducible.  The three cluster tables
-are ratios of integer counts; their standard errors come from one
-trajectory bootstrap, whose resampling weights all three tables share.
+merge end to end, each range starting where the last one ends, by one
+concatenation of all the parts, which is exact and reproducible.  The three
+cluster tables are ratios of integer counts; their standard errors come from
+one trajectory bootstrap, whose resampling weights all three tables share.
+The weights come in blocks of 16 resamples, so the bootstrap's memory is
+O(M) in the number M of trajectories, whatever the number of resamples.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 
 from .compound import DiscretePMF
 from .errors import InsufficientDataError, SpecError
+
+# bootstrap resamples drawn and weighted per block in :func:`estimate_tables`
+_RESAMPLE_BLOCK = 16
 
 
 def kac_horizon(t: float, mu_value: float) -> int:
@@ -30,13 +35,14 @@ def kac_horizon(t: float, mu_value: float) -> int:
     return int(horizon)
 
 
-def _require_next(first, second) -> None:
-    """Reject a merge unless ``second`` starts where ``first`` ends."""
-    if second.start != first.start + first.total:
-        raise SpecError(
-            f"expected trajectories from {first.start + first.total}, "
-            f"got a range from {second.start}"
-        )
+def _require_end_to_end(parts) -> None:
+    """Reject a merge unless every part starts where the one before it ends."""
+    for first, second in zip(parts, parts[1:]):
+        if second.start != first.start + first.total:
+            raise SpecError(
+                f"expected trajectories from {first.start + first.total}, "
+                f"got a range from {second.start}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,15 @@ class WSampleSet:
     def total(self) -> int:
         return int(self.values.size)
 
+    @classmethod
+    def concat(cls, parts) -> "WSampleSet":
+        """The ranges of ``parts`` end to end; each must start where the one before it ends."""
+        _require_end_to_end(parts)
+        return cls(parts[0].start, np.concatenate([p.values for p in parts]))
+
     def merge(self, other: "WSampleSet") -> "WSampleSet":
         """This range followed by ``other``, which must start where it ends."""
-        _require_next(self, other)
-        return WSampleSet(self.start, np.concatenate([self.values, other.values]))
+        return WSampleSet.concat([self, other])
 
 
 def collect_w(indicators, horizon: int, start_index: int = 0) -> WSampleSet:
@@ -112,24 +123,25 @@ class ClusterStats:
     def total(self) -> int:
         return int(self.after_l.shape[0])
 
+    @classmethod
+    def concat(cls, parts) -> "ClusterStats":
+        """The ranges of ``parts`` end to end; each must start where the one
+        before it ends, and all must share their windows and cap."""
+        _require_end_to_end(parts)
+        first = parts[0]
+        windows = (first.window_l, first.window_k, first.cap)
+        if any((p.window_l, p.window_k, p.cap) != windows for p in parts):
+            raise SpecError("cannot merge cluster stats with different windows")
+        return cls(
+            first.start,
+            *(np.concatenate([getattr(p, name) for p in parts])
+              for name in ("after_l", "after_k", "around")),
+            *windows,
+        )
+
     def merge(self, other: "ClusterStats") -> "ClusterStats":
         """This range followed by ``other``, which must start where it ends."""
-        if (self.window_l, self.window_k, self.cap) != (
-            other.window_l,
-            other.window_k,
-            other.cap,
-        ):
-            raise SpecError("cannot merge cluster stats with different windows")
-        _require_next(self, other)
-        return ClusterStats(
-            self.start,
-            np.concatenate([self.after_l, other.after_l]),
-            np.concatenate([self.after_k, other.after_k]),
-            np.concatenate([self.around, other.around]),
-            self.window_l,
-            self.window_k,
-            self.cap,
-        )
+        return ClusterStats.concat([self, other])
 
 
 def _row_hist(rows: np.ndarray, vals: np.ndarray, n_rows: int, cap: int) -> np.ndarray:
@@ -237,48 +249,55 @@ def estimate_tables(
     * lambda_tilde_l(K): (1/l) x fraction of mid hits (at distance >= K from
       both indicator ends) seeing exactly l hits.  The mean cluster size
       1 / sum_l lambda_tilde_l rides along in the extras.
+
+    The weights are drawn and applied in blocks of 16 resamples, so besides
+    the float copy of the counted rows this takes O(M) memory for M
+    trajectories, whatever the number of resamples.
     """
-    # tail-cumulative rows: column l-1 counts hits with >= l-1 further hits
-    tails = np.cumsum(stats.after_k[:, ::-1], axis=1)[:, ::-1]
-    # (kind, window histogram, numerator rows, window)
     layout = (
-        ("alpha", stats.after_l, stats.after_l, stats.window_l),
-        ("alpha_hat", stats.after_k, tails, stats.window_k),
-        ("lambda_tilde", stats.around, stats.around, stats.window_k),
+        ("alpha", stats.after_l, stats.window_l),
+        ("alpha_hat", stats.after_k, stats.window_k),
+        ("lambda_tilde", stats.around, stats.window_k),
     )
     tables, counted = {}, []
-    for kind, hist, num, window in layout:
-        den = hist.sum(axis=1, dtype=np.int64)
-        count = int(den.sum())
+    for kind, hist, window in layout:
+        count = int(hist.sum(dtype=np.int64))
         if count < min_count:
             tables[kind] = InsufficientDataError(
                 f"only {count} counted hits for {kind} (< {min_count})", count=count
             )
         else:
-            counted.append((kind, num, den, count, window))
+            counted.append((kind, hist, count, window))
     if not counted:
         return tables
-    # per resample (a row of weights), the weighted column sums of each
-    # counted table's numerator rows and then its denominator, all in one
-    # matrix product; every weight and count is an integer below 2**53, so
-    # each sum is exact in any order
-    columns = np.column_stack([c for _, num, den, *_ in counted for c in (num, den)])
-    columns = columns.astype(np.float64)
-    m = stats.total
+    # one float row per trajectory holding its row of each counted histogram;
+    # every weight and count is an integer below 2**53, so every sum below,
+    # and every sum of sums, is exact in any order
+    m, width = stats.total, stats.cap + 1
+    columns = np.empty((m, len(counted) * width))
+    for i, (_, hist, *_) in enumerate(counted):
+        columns[:, i * width : (i + 1) * width] = hist
+    # per resample (a row of weights), the weighted column sums, a block of
+    # 16 resamples at a time in one reused weight matrix
     rng = np.random.default_rng(seed)
-    weights = np.empty((resamples, m))
-    for row in weights:
-        row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
-    sums = weights @ columns
-    ell = np.arange(1, stats.cap + 2, dtype=np.float64)
-    lo = 0
-    for kind, num, _, count, window in counted:
-        hi = lo + num.shape[1]
-        d = sums[:, hi : hi + 1]
-        reps = np.full((resamples, hi - lo), np.nan)
-        np.divide(sums[:, lo:hi], d, out=reps, where=d > 0)
-        lo = hi + 1
-        totals = num.sum(axis=0, dtype=np.int64)
+    sums = np.empty((resamples, columns.shape[1]))
+    weights = np.empty((min(_RESAMPLE_BLOCK, resamples), m))
+    for lo in range(0, resamples, _RESAMPLE_BLOCK):
+        block = weights[: min(_RESAMPLE_BLOCK, resamples - lo)]
+        for row in block:
+            row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
+        np.matmul(block, columns, out=sums[lo : lo + len(block)])
+    ell = np.arange(1, width + 1, dtype=np.float64)
+    for i, (kind, hist, count, window) in enumerate(counted):
+        num = sums[:, i * width : (i + 1) * width]
+        d = num.sum(axis=1, keepdims=True)  # the resample's counted hits
+        totals = hist.sum(axis=0, dtype=np.int64)
+        if kind == "alpha_hat":
+            # tail sums: column l-1 counts hits with >= l-1 further hits
+            num = np.cumsum(num[:, ::-1], axis=1)[:, ::-1]
+            totals = np.cumsum(totals[::-1])[::-1]
+        reps = np.full((resamples, width), np.nan)
+        np.divide(num, d, out=reps, where=d > 0)
         values = totals / count
         if kind == "lambda_tilde":
             values, reps = values / ell, reps / ell

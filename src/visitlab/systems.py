@@ -730,10 +730,27 @@ class ProductChainSpec:
     def n_chains(self) -> int:
         return len(self.components)
 
+    # The kernel and the chain are built once per spec and kept in its
+    # __dict__, which pickles with it, so a worker's chunks reuse them too.
+    # (functools.cache cannot key on a spec: its matrices are unhashable.)
+
+    def kernel(self) -> np.ndarray:
+        """:func:`pair_kernel` of this spec, read-only."""
+        if "_kernel" not in self.__dict__:
+            kernel = pair_kernel(self)
+            kernel.setflags(write=False)
+            object.__setattr__(self, "_kernel", kernel)
+        return self._kernel
+
     def chain(self) -> tuple:
-        """``(start, chain)``: the chain on tuples (:func:`pair_kernel`) and its stationary law."""
-        chain = FiniteMarkovSpec(pair_kernel(self))
-        return markov_stationary(chain), chain
+        """``(start, chain)``: the chain on tuples (:meth:`kernel`) and its
+        stationary law, read-only."""
+        if "_chain" not in self.__dict__:
+            chain = FiniteMarkovSpec(self.kernel())
+            start = markov_stationary(chain)
+            start.setflags(write=False)
+            object.__setattr__(self, "_chain", (start, chain))
+        return self._chain
 
 
 def sync_kernel(spec: ProductChainSpec) -> np.ndarray:
@@ -745,7 +762,7 @@ def sync_kernel(spec: ProductChainSpec) -> np.ndarray:
     synchronisation-cylinder laws.
     """
     diag = _diagonal_codes(spec)
-    return pair_kernel(spec)[np.ix_(diag, diag)]
+    return spec.kernel()[np.ix_(diag, diag)]
 
 
 def _sticky_row(matrix: np.ndarray, a: int, gamma: float) -> np.ndarray:

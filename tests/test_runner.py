@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import functools
 import hashlib
 import importlib.util
 import json
@@ -13,6 +14,7 @@ import pytest
 import yaml
 
 from visitlab import (
+    ClusterStats,
     ConfigError,
     ConvergenceError,
     CylinderTarget,
@@ -26,8 +28,12 @@ from visitlab import (
     RegenerativeSpec,
     ResourceLimitError,
     RunLengthTarget,
+    SpecError,
     SyncCylinderTarget,
     UnsupportedPairError,
+    WSampleSet,
+    collect_cluster_stats,
+    collect_w,
     config_from_mapping,
     exit_code_for,
     predict_for,
@@ -565,3 +571,33 @@ def test_setup_probe_runs_from_a_checkout():
     assert sorted(json.loads(line)) == sorted(
         ["setup_s", "import_s", "config.load_s", "targets.measure_s", "predictions.predict_s"]
     )
+
+
+def test_merge_ranges_joins_49_parts_as_pairwise_merges():
+    rng = np.random.default_rng(4)
+    ind = rng.random((49 * 3, 30)) < 0.3
+    parts = [
+        (collect_w(ind[i : i + 3], 20, start_index=i),
+         collect_cluster_stats(ind[i : i + 3], 2, 4, cap=5, start_index=i))
+        for i in range(0, 49 * 3, 3)
+    ]
+    w_all, stats_all = runner._merge_ranges(parts)
+    w_pair = functools.reduce(WSampleSet.merge, [w for w, _ in parts])
+    st_pair = functools.reduce(ClusterStats.merge, [st for _, st in parts])
+    assert (w_all.start, w_all.total) == (0, 49 * 3)
+    assert np.array_equal(w_all.values, w_pair.values)
+    assert (stats_all.start, stats_all.total) == (st_pair.start, st_pair.total)
+    for name in ("after_l", "after_k", "around"):
+        assert np.array_equal(getattr(stats_all, name), getattr(st_pair, name)), name
+    w_only, none = runner._merge_ranges([(w, None) for w, _ in parts])
+    assert none is None and np.array_equal(w_only.values, w_pair.values)
+    # each part must start where the one before it ends, with equal windows and cap
+    end = 49 * 3
+    w_end = collect_w(ind[:3], 20, start_index=end)
+    for first, window_k, cap in ((end + 1, 4, 5), (end - 1, 4, 5), (end, 3, 5), (end, 4, 6)):
+        bad = collect_cluster_stats(ind[:3], 2, window_k, cap=cap, start_index=first)
+        with pytest.raises(SpecError):
+            runner._merge_ranges(parts + [(w_end, bad)])
+    w_gap = collect_w(ind[:3], 20, start_index=end + 1)
+    with pytest.raises(SpecError):
+        runner._merge_ranges([(w, None) for w, _ in parts] + [(w_gap, None)])

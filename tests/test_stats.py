@@ -1,7 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from visitlab import (
+    AlphaEstimates,
     InsufficientDataError,
     SpecError,
     WSampleSet,
@@ -14,6 +18,7 @@ from visitlab import (
     estimate_tables,
     kac_horizon,
 )
+from visitlab.stats import _extras
 
 
 def test_kac_horizon_floor():
@@ -279,3 +284,79 @@ def test_insufficient_tables_are_returned_in_place():
         else:
             assert est.denominator == count
     assert sum(isinstance(e, InsufficientDataError) for e in tables.values()) >= 1
+
+
+def _one_matrix_reference(stats, min_count, resamples, seed):
+    """The tables as an int64 column stack and one (resamples, M) weight matrix,
+    flattened as the report prints them."""
+    tails = np.cumsum(stats.after_k[:, ::-1], axis=1)[:, ::-1]
+    layout = (
+        ("alpha", stats.after_l, stats.after_l, stats.window_l),
+        ("alpha_hat", stats.after_k, tails, stats.window_k),
+        ("lambda_tilde", stats.around, stats.around, stats.window_k),
+    )
+    out, counted = {}, []
+    for kind, hist, num, window in layout:
+        den = hist.sum(axis=1, dtype=np.int64)
+        if int(den.sum()) < min_count:
+            out[kind] = {"insufficient_data": True, "count": int(den.sum())}
+        else:
+            counted.append((kind, num, den, int(den.sum()), window))
+    if not counted:
+        return out
+    columns = np.column_stack([c for _, num, den, *_ in counted for c in (num, den)])
+    columns = columns.astype(np.float64)
+    m = stats.total
+    rng = np.random.default_rng(seed)
+    weights = np.empty((resamples, m))
+    for row in weights:
+        row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
+    sums = weights @ columns
+    ell = np.arange(1, stats.cap + 2, dtype=np.float64)
+    lo = 0
+    for kind, num, _, count, window in counted:
+        hi = lo + num.shape[1]
+        d = sums[:, hi : hi + 1]
+        reps = np.full((resamples, hi - lo), np.nan)
+        np.divide(sums[:, lo:hi], d, out=reps, where=d > 0)
+        lo = hi + 1
+        totals = num.sum(axis=0, dtype=np.int64)
+        values = totals / count
+        if kind == "lambda_tilde":
+            values, reps = values / ell, reps / ell
+        ses = np.nanstd(reps, axis=0, ddof=1)
+        out[kind] = AlphaEstimates(
+            kind, values, ses, count, window, int(totals[-1]), _extras(kind, values, ses, reps)
+        ).as_dict()
+    return {kind: out[kind] for kind, *_ in layout}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m", [1, 3, 8192])
+@pytest.mark.parametrize("resamples", [1, 15, 16, 17, 50, 200])
+def test_blocked_bootstrap_equals_one_weight_matrix(m, resamples):
+    stats = _random_stats(seed=m, rows=m, cols=max(120, 4000 // m))
+    got = {
+        kind: {"insufficient_data": True, "count": est.count}
+        if isinstance(est, InsufficientDataError) else est.as_dict()
+        for kind, est in estimate_tables(stats, min_count=50, resamples=resamples, seed=9).items()
+    }
+    want = _one_matrix_reference(stats, 50, resamples, 9)
+    assert any("values" in table for table in want.values())
+    # json prints each float's shortest round-trip repr, NaN included
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    # 50,000 trajectories: one (200, M) float weight matrix alone is 80 MB
+    stats = _random_stats(rows=50_000, cols=40)
+    columns_nbytes = stats.total * 3 * (stats.cap + 1) * 8
+    tracemalloc.start()
+    try:
+        tables = estimate_tables(stats, resamples=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(t, AlphaEstimates) for t in tables.values())
+    assert peak < columns_nbytes + 16 * 2**20, (peak, columns_nbytes)
+

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from visitlab import (
     ResourceLimitError,
     SpecError,
     StructureError,
+    SyncCylinderTarget,
     sample_path,
     sample_paths,
     sync_kernel,
@@ -23,6 +25,7 @@ from visitlab import (
 from visitlab import runner, systems
 from visitlab.config import load_config
 from visitlab.errors import NonStationaryError
+from visitlab.targets import sync_measure
 from visitlab.systems import (
     hoc_stationary,
     interval_map_invariant,
@@ -111,6 +114,33 @@ def test_sync_kernel_is_the_pair_kernel_on_the_diagonal(coupling, gamma, n_chain
     # (a, ..., a) has the row-major code a * (1 + 2 + ... + 2**(n_chains - 1))
     diag = [a * (2**n_chains - 1) for a in range(2)]
     assert np.array_equal(sync_kernel(spec), pair_kernel(spec)[np.ix_(diag, diag)])
+
+
+def test_product_chain_builds_its_kernel_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return pair_kernel(spec)
+
+    monkeypatch.setattr(systems, "pair_kernel", counted)
+    # chunks of 64 // 16 = 4 trajectories: 12 rows take three chunks
+    monkeypatch.setattr(systems, "_CHUNK_ELEMS", 64)
+    spec = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
+    chunks = list(systems.path_chunks(spec, 16, 5, 0, 12))
+    assert len(chunks) == 3 and len(calls) == 1
+    # the sync measure and kernel reuse it, and so does a pickled copy (a worker's)
+    target = SyncCylinderTarget(3)
+    mu = sync_measure(spec, target)
+    assert np.array_equal(sync_kernel(spec), pair_kernel(spec)[np.ix_([0, 3], [0, 3])])
+    sent = pickle.loads(pickle.dumps(spec))
+    assert sync_measure(sent, target) == mu and len(calls) == 1
+    again = list(systems.path_chunks(sent, 16, 5, 0, 12))
+    assert len(calls) == 1
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunks, again))
+    # a fresh spec of the same law builds its own
+    fresh = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
+    assert np.array_equal(fresh.chain()[0], spec.chain()[0]) and len(calls) == 2
 
 
 def test_sync_kernel_refuses_what_pair_kernel_refuses():
