@@ -140,7 +140,7 @@ class ExperimentConfig:
     seed: int
     workers: int
     tolerance: float
-    window_forward: int | None
+    window_forward: int | None  # L and K, each defaulting to the other
     window_two_sided: int | None
     cluster_cap: int
     out_dir: str | None
@@ -232,6 +232,8 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
     for name, w in (("window_forward", wf), ("window_two_sided", wk)):
         if w is not None and w < 1:
             _fail(f"experiment.{name}", "windows must be >= 1")
+    # K defaults to L and L to K; the normalized document keeps what was written
+    wf, wk = wf or wk, wk or wf
     cap = _as_int(exp.get("cluster_cap", 16), "experiment.cluster_cap")
     if cap < 1:
         _fail("experiment.cluster_cap", "cluster cap must be >= 1")

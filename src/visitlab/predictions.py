@@ -35,7 +35,6 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
-    interval_map_invariant,
     sync_kernel,
 )
 from .targets import (
@@ -79,13 +78,21 @@ class PredictionResult:
             return pa_pmf(self.t, self.params["p"], kmax)
         return cp_pmf(self.law.compound, kmax)
 
+    @property
+    def mean_cluster(self) -> float:
+        """Mean cluster size of the law :meth:`pmf` tabulates: 1/(1-p) for
+        Polya-Aeppli, whose alphas are cut at 32 terms."""
+        if self.family == FAMILY_PA:
+            return 1.0 / (1.0 - self.params["p"])
+        return self.law.mean_cluster_size
+
     def as_dict(self) -> dict:
         return {
             "family": self.family,
             "t": self.t,
             "alphas": [float(a) for a in self.alphas],
             "extremal_index": float(self.law.extremal_index),
-            "mean_cluster": float(self.law.mean_cluster_size),
+            "mean_cluster": float(self.mean_cluster),
             "params": {k: _plain(v) for k, v in self.params.items()},
             "notes": list(self.notes),
             "extras": {k: _plain(v) for k, v in self.extras.items()},
@@ -127,7 +134,7 @@ def predict_poisson(t: float, note: str = "isolated visits") -> PredictionResult
     return _result((1.0,), t, FAMILY_POISSON, params={"p": 0.0}, notes=(note,))
 
 
-def predict_house_of_cards(r_limit: float, t: float, length: int = 32) -> PredictionResult:
+def predict_house_of_cards(r_limit: float, t: float) -> PredictionResult:
     """Climb-or-reset chains with convergent reset probabilities.
 
     The cluster-size tails are geometric in the limiting reset probability:
@@ -136,7 +143,7 @@ def predict_house_of_cards(r_limit: float, t: float, length: int = 32) -> Predic
     """
     if not (0.0 < r_limit < 1.0):
         raise SpecError("limiting reset probability must lie strictly in (0, 1)")
-    alphas = r_limit * (1.0 - r_limit) ** np.arange(length)
+    alphas = r_limit * (1.0 - r_limit) ** np.arange(32)
     return _result(
         alphas,
         t,
@@ -177,7 +184,7 @@ def predict_regenerative(q, t: float) -> PredictionResult:
     )
 
 
-def predict_regenerative_entries(spec, n: int, t: float, length: int = 32) -> PredictionResult:
+def predict_regenerative_entries(spec, n: int, t: float) -> PredictionResult:
     """Cluster laws for half-line visits with symbol-dependent block lengths.
 
     Aggregates over entry symbols a >= n: alpha_hat_l is the hit-weighted mean
@@ -190,10 +197,13 @@ def predict_regenerative_entries(spec, n: int, t: float, length: int = 32) -> Pr
         raise SpecError(f"no symbol reaches the half-line threshold {n}")
     p_sym = spec.symbol_probs[keep]
     p_sym = p_sym / p_sym.sum()
+    laws = [spec.length_law(int(symbols[idx])) for idx in keep]
+    # a table row per block length up to the longest, so that no cluster
+    # size is lumped into the last one (at least 32 rows)
+    length = max(32, max(q.size for q in laws))
     num = np.zeros(length + 1)
     den = 0.0
-    for w, idx in zip(p_sym, keep):
-        q = spec.length_law(int(symbols[idx]))
+    for w, q in zip(p_sym, laws):
         lengths = np.arange(1, q.size + 1, dtype=float)
         den += w * float(lengths @ q)
         for ell in range(1, length + 2):
@@ -389,7 +399,7 @@ def geometric_alpha_sequence(spec: IntervalMapSpec, kmax: int) -> list:
     """
     if kmax < 0:
         raise SpecError("kmax must be >= 0")
-    h = interval_map_invariant(spec)
+    h = spec.invariant
     lengths = spec.cell_lengths()
     cells = spec.n_cells
     q = spec.transition_matrix_exact()
@@ -737,7 +747,7 @@ def _predict_half_line(system: RegenerativeSpec, target, t: float) -> Prediction
 def _predict_markov_cylinder(system, target, t: float) -> PredictionResult:
     m = word_overlap_period(target.word)
     if m < len(target.word):
-        return predict_periodic_cylinder(system.chain()[1], target.word[:m], t)
+        return predict_periodic_cylinder(system.chain[1], target.word[:m], t)
     return predict_poisson(t, "non-self-overlapping word: isolated visits")
 
 

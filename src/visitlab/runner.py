@@ -76,10 +76,7 @@ def _simulate_block(args):
 
 
 def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
-    window_f = cfg.window_forward
-    window_k = cfg.window_two_sided if cfg.window_two_sided is not None else window_f
-    if window_f is None and cfg.window_two_sided is not None:
-        window_f = cfg.window_two_sided
+    window_f, window_k = cfg.window_forward, cfg.window_two_sided
     pad = max(window_f or 0, window_k or 0)
     ext_horizon = horizon + pad
     path_len = ext_horizon + target.window

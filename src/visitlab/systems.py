@@ -27,12 +27,16 @@ DoeblinChainSpec
     Circle chain with transition density 1 + eta * cos(2*pi*(y - x)).
 FactorProductSpec
     +/-1 spin products z_i = x_i * x_{i+1} of an i.i.d. sign sequence.
+
+A spec's derived laws (stationary laws, kernels, chains) are
+``functools.cached_property`` values of the frozen spec: computed on first
+use, kept in its ``__dict__`` and pickled with it, so a worker's chunks reuse
+them.  Cached arrays are read-only.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -49,6 +53,11 @@ from .errors import (
 )
 
 _ROW_TOL = 1e-12
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def trajectory_rng(root_seed: int, index: int) -> np.random.Generator:
@@ -169,21 +178,19 @@ class TrajectoryStreams(Sequence):
 
     def __init__(self, words: np.ndarray):
         self._words = words
-        self._rngs = None
 
     def __len__(self) -> int:
         return len(self._words)
 
+    @functools.cached_property
     def _generators(self) -> list:
-        if self._rngs is None:
-            self._rngs = [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in self._words]
-        return self._rngs
+        return [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in self._words]
 
     def __getitem__(self, index):
-        return self._generators()[index]
+        return self._generators[index]
 
     def __iter__(self):
-        return iter(self._generators())
+        return iter(self._generators)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Time-major ``(n, rows)`` float64: column i is a fresh ``self[i].random(n)``.
@@ -323,6 +330,11 @@ class HouseOfCardsSpec:
         eps_even, eps_odd = self.params
         return np.where(states % 2 == 0, eps_even, eps_odd)
 
+    @functools.cached_property
+    def stationary(self) -> "StationaryLaw":
+        """:func:`hoc_stationary` of this spec."""
+        return hoc_stationary(self)
+
     def _decay_sup(self, j: int) -> float:
         """An upper bound on sup_{i >= j} (1 - r_i), used for tail bounds."""
         if self.kind == "constant":
@@ -376,7 +388,7 @@ def hoc_stationary(
             nz = np.nonzero(keep)[0]
             keep = keep[: nz[-1] + 1]
             s = float(np.sum(keep))
-            return StationaryLaw(keep / s, bound / s)
+            return StationaryLaw(_read_only(keep / s), bound / s)
         weights.append(w)
         total += float(np.sum(w))
         start += chunk
@@ -406,7 +418,7 @@ def sample_house_of_cards(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
     """
     if spec.kind != "constant":
         return _climb_or_reset(spec, n, rngs)
-    law = _hoc_law_cache(spec)
+    law = spec.stationary
     top = law.probs.size  # above every start state
     cdf = np.cumsum(law.probs)
     paths = np.empty((len(rngs), n), dtype=np.min_scalar_type(top + n))
@@ -438,7 +450,7 @@ def _climb_or_reset(spec: HouseOfCardsSpec, n: int, rngs) -> np.ndarray:
 
     The dtype is that of :func:`sample_house_of_cards`.
     """
-    law = _hoc_law_cache(spec)
+    law = spec.stationary
     top = law.probs.size
     cdf = np.cumsum(law.probs)
     r_table = spec.reset_probs(np.arange(top + n)).tolist()
@@ -479,16 +491,6 @@ def _last_anchor(anchor: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return cur
 
 
-_HOC_LAWS: dict[tuple, StationaryLaw] = {}
-
-
-def _hoc_law_cache(spec: HouseOfCardsSpec) -> StationaryLaw:
-    key = (spec.kind, spec.params)
-    if key not in _HOC_LAWS:
-        _HOC_LAWS[key] = hoc_stationary(spec)
-    return _HOC_LAWS[key]
-
-
 # ---------------------------------------------------------------------------
 # finite Markov chains
 # ---------------------------------------------------------------------------
@@ -516,9 +518,10 @@ class FiniteMarkovSpec:
     def n_states(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
     def chain(self) -> tuple:
-        """``(start, chain)``: the stationary law and the chain itself."""
-        return markov_stationary(self), self
+        """``(start, chain)``: the stationary law (read-only) and the chain itself."""
+        return _read_only(markov_stationary(self)), self
 
 
 def _reaches_all(adj: np.ndarray) -> bool:
@@ -565,12 +568,12 @@ def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
 def sample_chain(spec, n: int, rngs) -> np.ndarray:
     """Stationary paths of a finite-state system, a C-contiguous ``(rows, n)`` array.
 
-    ``spec.chain()`` gives the start law and the chain.  The dtype is the
+    ``spec.chain`` gives the start law and the chain.  The dtype is the
     smallest unsigned one that holds every state (uint8 up to 256 states).
     Row i draws n uniforms from rngs[i]: the first picks the start, each
     later one takes an inverse-CDF step (:func:`_step_columns`).
     """
-    start, chain = spec.chain()
+    start, chain = spec.chain
     return _step_columns(rngs, n, start, chain.matrix)
 
 
@@ -730,27 +733,16 @@ class ProductChainSpec:
     def n_chains(self) -> int:
         return len(self.components)
 
-    # The kernel and the chain are built once per spec and kept in its
-    # __dict__, which pickles with it, so a worker's chunks reuse them too.
-    # (functools.cache cannot key on a spec: its matrices are unhashable.)
-
+    @functools.cached_property
     def kernel(self) -> np.ndarray:
         """:func:`pair_kernel` of this spec, read-only."""
-        if "_kernel" not in self.__dict__:
-            kernel = pair_kernel(self)
-            kernel.setflags(write=False)
-            object.__setattr__(self, "_kernel", kernel)
-        return self._kernel
+        return _read_only(pair_kernel(self))
 
+    @functools.cached_property
     def chain(self) -> tuple:
-        """``(start, chain)``: the chain on tuples (:meth:`kernel`) and its
-        stationary law, read-only."""
-        if "_chain" not in self.__dict__:
-            chain = FiniteMarkovSpec(self.kernel())
-            start = markov_stationary(chain)
-            start.setflags(write=False)
-            object.__setattr__(self, "_chain", (start, chain))
-        return self._chain
+        """``(start, chain)``: the chain on tuples (:attr:`kernel`) and its
+        stationary law."""
+        return FiniteMarkovSpec(self.kernel).chain
 
 
 def sync_kernel(spec: ProductChainSpec) -> np.ndarray:
@@ -762,69 +754,48 @@ def sync_kernel(spec: ProductChainSpec) -> np.ndarray:
     synchronisation-cylinder laws.
     """
     diag = _diagonal_codes(spec)
-    return spec.kernel()[np.ix_(diag, diag)]
+    return spec.kernel[np.ix_(diag, diag)]
+
+
+def pair_kernel(spec: ProductChainSpec) -> np.ndarray:
+    """Full transition matrix of the coupled chain on tuples of states.
+
+    Tuples are encoded in row-major order (state = sum_i a_i * M^(m-1-i)).
+    Off the diagonal the components move independently, so the kernel is the
+    Kronecker product of the components with the coupling's row swapped in
+    at each diagonal state (a, ..., a).
+    """
+    size = spec.n_states**spec.n_chains
+    if size > 4096:
+        raise ResourceLimitError(f"coupled state space of size {size} exceeds 4096")
+    mats = [c.matrix for c in spec.components]
+    out = functools.reduce(np.kron, mats)
+    if spec.coupling == "independent":
+        return out
+    diag = _diagonal_codes(spec)
+    for a, code in enumerate(diag):
+        if spec.coupling == "parametrized":
+            out[code] = functools.reduce(np.kron, [_sticky_row(m, a, spec.gamma) for m in mats])
+        else:  # maximal, two chains: the entrywise-min mass synchronises
+            low = np.minimum(mats[0][a], mats[1][a])
+            sync_mass = float(low.sum())
+            out[code] = 0.0
+            if sync_mass < 1.0:
+                out[code] = np.kron(mats[0][a] - low, mats[1][a] - low) / (1.0 - sync_mass)
+            out[code, diag] += low
+    return out
 
 
 def _sticky_row(matrix: np.ndarray, a: int, gamma: float) -> np.ndarray:
-    row = (1.0 - gamma) * matrix[a].copy()
+    row = (1.0 - gamma) * matrix[a]
     row[a] += gamma
     return row
 
 
-def pair_kernel(spec: ProductChainSpec) -> np.ndarray:
-    """Full transition matrix of the coupled pair on tuples of states.
-
-    Tuples are encoded in row-major order (state = sum_i a_i * M^(m-1-i)).
-    """
-    m_states = spec.n_states
-    n_chains = spec.n_chains
-    size = m_states**n_chains
-    if size > 4096:
-        raise ResourceLimitError(f"coupled state space of size {size} exceeds 4096")
-    mats = [c.matrix for c in spec.components]
-    if spec.coupling == "independent":
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-    out = np.zeros((size, size))
-    for joint in itertools.product(range(m_states), repeat=n_chains):
-        row = _encode(joint, m_states)
-        on_diag = len(set(joint)) == 1
-        if not on_diag:
-            dist = mats[0][joint[0]]
-            for i in range(1, n_chains):
-                dist = np.kron(dist, mats[i][joint[i]])
-            out[row] = dist
-            continue
-        a = joint[0]
-        if spec.coupling == "parametrized":
-            dist = _sticky_row(mats[0], a, spec.gamma)
-            for i in range(1, n_chains):
-                dist = np.kron(dist, _sticky_row(mats[i], a, spec.gamma))
-            out[row] = dist
-        else:  # maximal, two chains
-            low = np.minimum(mats[0][a], mats[1][a])
-            sync_mass = float(low.sum())
-            res0 = mats[0][a] - low
-            res1 = mats[1][a] - low
-            for b in range(m_states):
-                out[row, _encode((b, b), m_states)] += low[b]
-            if sync_mass < 1.0:
-                out[row] += np.kron(res0, res1) / (1.0 - sync_mass)
-    return out
-
-
-def _encode(joint, m_states: int) -> int:
-    code = 0
-    for a in joint:
-        code = code * m_states + int(a)
-    return code
-
-
-def _diagonal_codes(spec: ProductChainSpec) -> list:
-    """Tuple codes of the diagonal states (a, ..., a), in the order of a."""
-    return [_encode((a,) * spec.n_chains, spec.n_states) for a in range(spec.n_states)]
+def _diagonal_codes(spec: ProductChainSpec) -> np.ndarray:
+    """Tuple codes of the diagonal states (a, ..., a), in the order of a:
+    a times the base-M repunit sum_i M^i."""
+    return np.arange(spec.n_states) * sum(spec.n_states**i for i in range(spec.n_chains))
 
 
 def decode_states(codes: np.ndarray, m_states: int, n_chains: int) -> np.ndarray:
@@ -1055,19 +1026,11 @@ class IntervalMapSpec:
         solves h Q = h.  Rows sum to 1 only when all cells have equal length;
         the itinerary's transition matrix is :meth:`itinerary_matrix_exact`.
         """
-        lengths = self.cell_lengths()
-        out = []
-        for i in range(self.n_cells):
-            inv = 1 / abs(self.slopes[i])
-            row = [inv if self.covers(i, j) else Fraction(0) for j in range(self.n_cells)]
-            covered = sum(lengths[j] for j in range(self.n_cells) if self.covers(i, j))
-            if covered != abs(self.slopes[i]) * lengths[i]:
-                raise StructureError(
-                    f"branch {i} image is not exactly a union of cells: "
-                    "the partition is not Markov for this map"
-                )
-            out.append(row)
-        return out
+        cells = range(self.n_cells)
+        return [
+            [1 / abs(self.slopes[i]) if self.covers(i, j) else Fraction(0) for j in cells]
+            for i in cells
+        ]
 
     def itinerary_matrix_exact(self) -> list:
         """Transition matrix of the cell itinerary as exact Fractions.
@@ -1082,11 +1045,17 @@ class IntervalMapSpec:
             for i, row in enumerate(self.transition_matrix_exact())
         ]
 
-    @functools.cache
+    @functools.cached_property
+    def invariant(self) -> tuple:
+        """:func:`interval_map_invariant` of this map."""
+        return interval_map_invariant(self)
+
+    @functools.cached_property
     def chain(self) -> tuple:
         """``(start, chain)``: the exact :func:`interval_symbol_stationary` law
-        as floats, and the finite Markov chain that the cell itinerary follows."""
-        start = np.array(interval_symbol_stationary(self), dtype=float)
+        as floats (read-only), and the finite Markov chain that the cell
+        itinerary follows."""
+        start = _read_only(np.array(interval_symbol_stationary(self), dtype=float))
         return start, FiniteMarkovSpec(np.array(self.itinerary_matrix_exact(), dtype=float))
 
 
@@ -1127,7 +1096,7 @@ def interval_map_invariant(spec: IntervalMapSpec) -> tuple:
 
 def interval_symbol_stationary(spec: IntervalMapSpec) -> tuple:
     """Exact stationary law of the itinerary chain: pi_i = h_i * |cell_i|."""
-    h = interval_map_invariant(spec)
+    h = spec.invariant
     return tuple(hi * li for hi, li in zip(h, spec.cell_lengths()))
 
 

@@ -28,8 +28,6 @@ from .systems import (
     RegenerativeSpec,
     _STEP_GUARD,
     _diagonal_codes,
-    hoc_stationary,
-    interval_map_invariant,
     path_chunks,
     sync_kernel,
 )
@@ -273,7 +271,7 @@ def interval_cylinder_measure(spec: IntervalMapSpec, word) -> Fraction:
     for a, b in zip(word, word[1:]):
         if not spec.covers(a, b):
             raise StructureError(f"transition {a}->{b} is not admissible; empty cylinder")
-    h = interval_map_invariant(spec)
+    h = spec.invariant
     lengths = spec.cell_lengths()
     lam = lengths[word[-1]]
     for a in word[:-1]:
@@ -290,7 +288,7 @@ def half_line_measure(system: RegenerativeSpec, target: HalfLineTarget) -> float
 
 def markov_cylinder_measure(system: FiniteMarkovSpec, target: CylinderTarget) -> float:
     """Stationary probability of the word's first letter times its transitions."""
-    pi = system.chain()[0]
+    pi = system.chain[0]
     w = target.word
     if min(w) < 0 or max(w) >= system.n_states:
         raise StructureError("cylinder word leaves the state alphabet")
@@ -344,7 +342,7 @@ def run_length_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> flo
     Written as sum_s pi(s) * prod_{u=s}^{s+n-1}(1 - r_u) over start states
     s >= level; the product is evaluated in log space to dodge underflow.
     """
-    law = hoc_stationary(system)
+    law = system.stationary
     j_max = law.probs.size - 1
     n = target.n
     if n == 0:
@@ -365,7 +363,7 @@ def run_length_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> flo
 
 def sync_measure(system: ProductChainSpec, target: SyncCylinderTarget) -> float:
     """Probability that all components agree on n consecutive letters."""
-    nu0 = system.chain()[0][_diagonal_codes(system)]
+    nu0 = system.chain[0][_diagonal_codes(system)]
     d = sync_kernel(system)
     v = np.ones(system.n_states)
     for _ in range(target.n - 1):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,8 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from visitlab import FiniteMarkovSpec, HalfLineTarget, UnsupportedPairError, predict_for, runner, targets
+from visitlab import (
+    FiniteMarkovSpec,
+    HalfLineTarget,
+    UnsupportedPairError,
+    config_from_mapping,
+    predict_for,
+    runner,
+    targets,
+)
 from visitlab.cli import build_parser, main
 from visitlab.predictions import PAIRS
 
@@ -430,6 +440,30 @@ def test_compare_does_not_import_scipy(tmp_path):
 
 
 _STEIN = "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n  mode: phi\n  window_policy: half\n"
+
+
+# sha256 of the predict report body (report_body) of each pair config above,
+# with the stein section wherever the target takes one: a change meant to
+# leave report bodies byte-identical is checked against these
+_PREDICT_BODY_PINS = {
+    "doeblin + geo-diagonal": "264b34e68f6383e2b17f4f7480d804ab5d00d537ed5ea6833de6c96e62ee5593",
+    "house-of-cards + run-length": "816b471cb2dbb8eb8b020d70b3a96988f7c022d85e70492e87e8f340626da591",
+    "interval-map + cylinder": "8df1cbdd7e7e4a175de3c5a6c8f1d285245c4611999b48aca62a485e948a864e",
+    "markov + cylinder": "c0bfd3a8abf44292079915c42c5ea52479ab254e6bf10d22b833ef41109edb87",
+    "product-chain + sync-cylinder": "9b88be007f1101327134711c47cd5d7f18413bbc4d67dc919ca26ba5a1585957",
+    "regenerative + half-line": "1f3642eb8b6bef485eac7a2f1f2e4c998696209ebde382b3548878d1f852addc",
+    "sign-product + sign-cylinder": "84fa4f66aea435c6f1f02d54299ff1b7abc47dc004d062d7c01ec2fa57a3fb64",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_CONFIGS))
+def test_predict_bodies_are_pinned(name):
+    stein = "" if name == "doeblin + geo-diagonal" else _STEIN
+    doc = yaml.safe_load(
+        "experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n" + _PAIR_CONFIGS[name] + stein
+    )
+    body = runner.report_body(runner.run_experiment(config_from_mapping(doc), "predict"))
+    assert hashlib.sha256(body.encode()).hexdigest() == _PREDICT_BODY_PINS[name]
 
 
 @pytest.mark.parametrize("stein_sweep", ["", "  sweep: [3]\n"], ids=["default sweep", "integer sweep"])

@@ -259,6 +259,28 @@ def test_regenerative_entries_two_point_mixture():
     assert got.law.mean_cluster_size == pytest.approx(2.0)
 
 
+def test_regenerative_entries_keep_clusters_longer_than_32():
+    # symbol 50 makes blocks of 51: the table reaches them instead of
+    # lumping every longer cluster into size 32
+    spec = RegenerativeSpec.smith([1, 2, 50], [0.3, 0.3, 0.4])
+    got = predict_regenerative_entries(spec, 2, 2.0)
+    assert len(got.alphas) == 51 and got.alphas[-1] > 0.0
+    assert got.law.compound.mean() == pytest.approx(2.0, rel=1e-12)
+    # short blocks keep their 32 rows
+    assert len(predict_regenerative_entries(RegenerativeSpec.smith([2, 3], [0.5, 0.5]), 2, 2.0).alphas) == 32
+
+
+@pytest.mark.parametrize("reset, mean", [(0.5, 2.0), (0.05, 20.0)])
+def test_polya_aeppli_mean_cluster_is_the_tabulated_laws(reset, mean):
+    # the pmf is PA(t, p), whose mean cluster size is 1/(1-p); the 32 alphas
+    # would give (1 - p**32)/(1 - p), 16.13 at p = 0.95
+    got = predict_house_of_cards(reset, 2.0)
+    assert got.as_dict()["mean_cluster"] == pytest.approx(mean, rel=1e-14)
+    # clusters arrive at rate t / mean: P(W = 0) = exp(-t / mean)
+    assert got.pmf(0).probs[0] == pytest.approx(math.exp(-2.0 / mean), rel=1e-12)
+    assert predict_poisson(2.0).as_dict()["mean_cluster"] == 1.0
+
+
 def test_mixing_profile_values_and_tails():
     geo = MixingProfile("geometric", 2.0, 0.5)
     assert geo.value(0) == 1.0 and geo.value(-3) == 1.0

@@ -218,6 +218,25 @@ def test_two_sided_window_must_fit_the_horizon():
         run_experiment(_cfg(doc), "compare")
 
 
+@pytest.mark.parametrize("given", ["window_forward", "window_two_sided"])
+def test_one_window_sets_both_and_meets_the_guard(given):
+    # K defaults to L and L to K, so a forward window alone meets the same
+    # two-sided guard; the normalized document keeps only what was written
+    doc = copy.deepcopy(HOC_DOC)
+    del doc["experiment"]["window_forward"], doc["experiment"]["window_two_sided"]
+    doc["experiment"].update({given: 300, "samples": 400})
+    cfg = _cfg(doc)
+    assert (cfg.window_forward, cfg.window_two_sided) == (300, 300)
+    assert [k for k in cfg.normalized["experiment"] if k.startswith("window")] == [given]
+    with pytest.raises(ConfigError, match=r"window_two_sided=300 must stay below t/mu = 256\.0"):
+        run_experiment(cfg, "compare")
+    doc["experiment"][given] = 200
+    cfg = _cfg(doc)
+    assert (cfg.window_forward, cfg.window_two_sided) == (200, 200)
+    tables = run_experiment(cfg, "compare")["results"][0]["tables"]
+    assert sorted(tables) == ["alpha", "alpha_hat", "lambda_tilde"]
+
+
 def test_resource_guard_trips_on_absurd_horizons():
     doc = copy.deepcopy(HOC_DOC)
     doc["target"]["sweep"] = [40]  # mu = 2^-41
@@ -510,6 +529,26 @@ _CHAIN_PINS = {
             "target": {"kind": "sync-cylinder", "sweep": [4]},
         },
         "ca668a4352eba39d0fe4537cb5978c9a5f5afec2cff3d17b6a6c71771bb99e8a",
+    ),
+    "product-chain + sync-cylinder, parametrized coupling": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
+            "system": {"kind": "product-chain", "coupling": "parametrized", "gamma": 0.25,
+                       "components": [[[0.2, 0.8], [0.3, 0.7]], [[0.8, 0.2], [0.1, 0.9]]]},
+            "target": {"kind": "sync-cylinder", "sweep": [4]},
+        },
+        "2f3c03dd003cbc062d610e363d481df67c3bf0c3734fd580f553b5adeae1ef0c",
+    ),
+    "product-chain + sync-cylinder, 3-chain independent product": (
+        {
+            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
+            "system": {"kind": "product-chain",
+                       "components": [[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
+                                      [[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.25, 0.25, 0.5]],
+                                      [[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]]]},
+            "target": {"kind": "sync-cylinder", "sweep": [3]},
+        },
+        "214a21e1f254c49e84cf94888639cb4cc09ba2d184837f7ee9262328d05f49e4",
     ),
 }
 

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import pickle
 from fractions import Fraction
 from pathlib import Path
@@ -13,10 +15,14 @@ from visitlab import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
+    CylinderTarget,
     ResourceLimitError,
+    RunLengthTarget,
     SpecError,
     StructureError,
     SyncCylinderTarget,
+    measure_exact,
+    predict_for,
     sample_path,
     sample_paths,
     sync_kernel,
@@ -116,6 +122,88 @@ def test_sync_kernel_is_the_pair_kernel_on_the_diagonal(coupling, gamma, n_chain
     assert np.array_equal(sync_kernel(spec), pair_kernel(spec)[np.ix_(diag, diag)])
 
 
+def _pair_kernel_by_tuple(spec):
+    # the coupled kernel built one tuple at a time: independent product rows
+    # off the diagonal, the coupling's row on it
+    m_states, n_chains = spec.n_states, spec.n_chains
+    mats = [c.matrix for c in spec.components]
+    out = np.zeros((m_states**n_chains,) * 2)
+
+    def code(joint):
+        return sum(int(a) * m_states ** (n_chains - 1 - i) for i, a in enumerate(joint))
+
+    def sticky(matrix, a):
+        row = (1.0 - spec.gamma) * matrix[a]
+        row[a] += spec.gamma
+        return row
+
+    for joint in itertools.product(range(m_states), repeat=n_chains):
+        row = code(joint)
+        if spec.coupling == "independent" or len(set(joint)) > 1:
+            dist = mats[0][joint[0]]
+            for i in range(1, n_chains):
+                dist = np.kron(dist, mats[i][joint[i]])
+            out[row] = dist
+        elif spec.coupling == "parametrized":
+            a = joint[0]
+            dist = sticky(mats[0], a)
+            for i in range(1, n_chains):
+                dist = np.kron(dist, sticky(mats[i], a))
+            out[row] = dist
+        else:
+            a = joint[0]
+            low = np.minimum(mats[0][a], mats[1][a])
+            sync_mass = float(low.sum())
+            for b in range(m_states):
+                out[row, code((b, b))] += low[b]
+            if sync_mass < 1.0:
+                out[row] += np.kron(mats[0][a] - low, mats[1][a] - low) / (1.0 - sync_mass)
+    return out
+
+
+def _random_chain(m, seed, sparse=False):
+    rng = np.random.default_rng(seed)
+    q = rng.random((m, m))
+    if sparse:
+        # zero a third of the entries off a positive cycle, which keeps it irreducible
+        q[rng.random((m, m)) < 1 / 3] = 0.0
+        q[np.arange(m), (np.arange(m) + 1) % m] += 0.5
+    return FiniteMarkovSpec(q / q.sum(axis=1, keepdims=True))
+
+
+_KERNEL_CASES = {
+    "independent 2": ((Q1, Q2), "independent", None),
+    "independent 2, identical": ((Q1, Q1), "independent", None),
+    "independent 3 x 3 chains": ((_random_chain(3, 11), CRITERION_07, _random_chain(3, 1)), "independent", None),
+    "independent 2 x 3 chains": ((Q1, Q2, [[0.5, 0.5], [0.4, 0.6]]), "independent", None),
+    "independent 45": ((_random_chain(45, 2), _random_chain(45, 3)), "independent", None),
+    "maximal 2": ((Q1, Q2), "maximal", None),
+    "maximal 2, identical": ((Q1, Q1), "maximal", None),
+    "maximal 3": ((_random_chain(3, 12), CRITERION_07), "maximal", None),
+    "maximal 7, sparse": ((_random_chain(7, 4, True), _random_chain(7, 5, True)), "maximal", None),
+    "maximal 10, identical": ((_random_chain(10, 6),) * 2, "maximal", None),
+    "maximal 24": ((_random_chain(24, 7), _random_chain(24, 8, True)), "maximal", None),
+    "maximal 45": ((_random_chain(45, 9), _random_chain(45, 10)), "maximal", None),
+    "maximal 1": (([[1.0]], [[1.0]]), "maximal", None),
+    "parametrized 0": ((Q1, Q2), "parametrized", 0.0),
+    "parametrized 0.25": ((Q1, Q2), "parametrized", 0.25),
+    "parametrized 1": ((Q1, Q2), "parametrized", 1.0),
+    "parametrized 0.25, identical": ((Q2, Q2), "parametrized", 0.25),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_CASES))
+def test_pair_kernel_equals_the_per_tuple_build(name):
+    components, coupling, gamma = _KERNEL_CASES[name]
+    spec = ProductChainSpec(components, coupling, gamma=gamma)
+    kernel = pair_kernel(spec)
+    assert np.array_equal(kernel, _pair_kernel_by_tuple(spec))
+    # the diagonal codes are a times the base-M repunit, for M = 1 too
+    diag = [a * sum(spec.n_states**i for i in range(spec.n_chains)) for a in range(spec.n_states)]
+    assert np.array_equal(systems._diagonal_codes(spec), diag)
+    assert np.array_equal(sync_kernel(spec), kernel[np.ix_(diag, diag)])
+
+
 def test_product_chain_builds_its_kernel_once(monkeypatch):
     calls = []
 
@@ -140,7 +228,51 @@ def test_product_chain_builds_its_kernel_once(monkeypatch):
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunks, again))
     # a fresh spec of the same law builds its own
     fresh = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
-    assert np.array_equal(fresh.chain()[0], spec.chain()[0]) and len(calls) == 2
+    assert np.array_equal(fresh.chain[0], spec.chain[0]) and len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "spec, target, laws",
+    [
+        (HouseOfCardsSpec.constant(0.5), RunLengthTarget(3), {"hoc_stationary": 1}),
+        (HouseOfCardsSpec.drifting(0.2, 0.3), RunLengthTarget(3), {"hoc_stationary": 1}),
+        (FiniteMarkovSpec(CRITERION_07), CylinderTarget((1, 1, 1)), {"markov_stationary": 1}),
+        # a fresh copy of EXAMPLE_MAP, whose laws other tests cache
+        (IntervalMapSpec(EXAMPLE_MAP.breaks, EXAMPLE_MAP.slopes, EXAMPLE_MAP.intercepts),
+         CylinderTarget((2, 2, 2)), {"interval_map_invariant": 1}),
+        (ProductChainSpec((Q1, Q2), "maximal"), SyncCylinderTarget(3),
+         {"pair_kernel": 1, "markov_stationary": 1}),
+        (ProductChainSpec((Q1, Q2), "parametrized", gamma=0.25), SyncCylinderTarget(3),
+         {"pair_kernel": 1, "markov_stationary": 1}),
+    ],
+    ids=["constant reset", "drifting reset", "markov", "interval map", "maximal pair", "sticky pair"],
+)
+def test_every_spec_computes_its_laws_once(spec, target, laws, monkeypatch):
+    calls = collections.Counter()
+    for name in ("hoc_stationary", "markov_stationary", "pair_kernel", "interval_map_invariant"):
+        def counted(arg, _name=name, _law=getattr(systems, name)):
+            calls[_name] += 1
+            return _law(arg)
+
+        monkeypatch.setattr(systems, name, counted)
+    # chunks of 64 // 16 = 4 trajectories: 12 rows take three chunks
+    monkeypatch.setattr(systems, "_CHUNK_ELEMS", 64)
+    chunks = list(systems.path_chunks(spec, 16, 5, 0, 12))
+    # the target and every outer set of its Stein bracket, then the prediction
+    mus = [measure_exact(target.outer(j), spec).value for j in range(4)]
+    pred = predict_for(spec, target, 2.0).as_dict()
+    assert len(chunks) == 3 and calls == laws
+    # a pickled copy (a worker's) carries the laws with it
+    sent = pickle.loads(pickle.dumps(spec))
+    assert [measure_exact(target.outer(j), sent).value for j in range(4)] == mus
+    assert predict_for(sent, target, 2.0).as_dict() == pred
+    again = list(systems.path_chunks(sent, 16, 5, 0, 12))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunks, again))
+    assert calls == laws
+    # and the cached arrays are read-only
+    cached = [spec.stationary.probs] if isinstance(spec, HouseOfCardsSpec) else [spec.chain[0]]
+    cached += [spec.kernel] if isinstance(spec, ProductChainSpec) else []
+    assert not any(a.flags.writeable for a in cached)
 
 
 def test_sync_kernel_refuses_what_pair_kernel_refuses():
@@ -166,7 +298,7 @@ def test_pair_kernel_is_stochastic_and_stationary_solves():
     )
     kernel = pair_kernel(spec)
     assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-12)
-    nu = spec.chain()[0]
+    nu = spec.chain[0]
     assert np.allclose(nu @ kernel, nu, atol=1e-9)
     assert np.isclose(nu.sum(), 1.0)
 
@@ -352,7 +484,7 @@ def test_markov_batch_widens_past_256_states():
 
 
 def _check_product_chain(spec, route, rows=32, n=300):
-    stationary, kernel = spec.chain()[0], pair_kernel(spec)
+    stationary, kernel = spec.chain[0], pair_kernel(spec)
     assert _route(kernel) == route
     codes = systems._step_columns([trajectory_rng(7, i) for i in range(rows)], n, stationary, kernel)
     assert codes.dtype == np.uint8 and codes.flags.c_contiguous
@@ -385,7 +517,7 @@ def test_itinerary_batch_matches_row_loop(name):
     assert batch.dtype == np.uint8
     start = np.array([float(p) for p in interval_symbol_stationary(spec)])
     # the exact start, not a float solve on the itinerary chain
-    assert np.array_equal(spec.chain()[0], start)
+    assert np.array_equal(spec.chain[0], start)
     matrix = np.array(spec.itinerary_matrix_exact(), dtype=float)
     assert _route(matrix) == "lookup"
     assert np.array_equal(batch, _reference_rows(start, matrix, 200, 32))
@@ -744,7 +876,7 @@ def _binomial_z(hits, trials, p):
 def test_interval_itinerary_law():
     # the itinerary is a Markov chain: P(i, j) = |cell_j| / (|slope_i| |cell_i|)
     assert EXAMPLE_MAP.itinerary_matrix_exact() == EXAMPLE_MAP.transition_matrix_exact()
-    assert np.array_equal(EXAMPLE_MAP.chain()[1].matrix, [[1 / 3] * 3, [0, 0.5, 0.5], [1 / 3] * 3])
+    assert np.array_equal(EXAMPLE_MAP.chain[1].matrix, [[1 / 3] * 3, [0, 0.5, 0.5], [1 / 3] * 3])
     rows = 4000
     cells = sample_paths(EXAMPLE_MAP, 30, trajectory_rngs(2, 0, rows))
     assert cells.shape == (rows, 30) and cells.dtype == np.uint8
@@ -769,7 +901,7 @@ def test_unequal_cell_itinerary_chain():
     assert [sum(pi[i] * p[i][j] for i in range(2)) for j in range(2)] == list(pi)
     # the density transfer matrix's rows do not sum to 1 on unequal cells
     assert [sum(row) for row in UNEQUAL_MAP.transition_matrix_exact()] == [F(2, 3), F(4, 3)]
-    assert np.allclose(UNEQUAL_MAP.chain()[1].matrix, [[1 / 3, 2 / 3], [1 / 3, 2 / 3]])
+    assert np.allclose(UNEQUAL_MAP.chain[1].matrix, [[1 / 3, 2 / 3], [1 / 3, 2 / 3]])
 
 
 def test_doubling_map_itinerary_stays_fair():
