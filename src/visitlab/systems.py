@@ -1,10 +1,13 @@
 """Stationary stochastic systems and their seeded samplers.
 
 Every system here produces stationary paths: the initial state is drawn from
-the invariant law, and one-step evolution consumes an explicitly documented
-pattern of draws from a ``numpy.random.Generator``.  Identical spec + seed
-therefore reproduce identical paths, and the runner's per-trajectory seed
-schedule makes whole experiments reproducible.
+the invariant law.  Every sampler reads its rows' streams through
+:func:`_uniform_tiles` alone, and row i of n steps draws a fixed budget of
+doubles from rngs[i] that depends on n alone: n for house-of-cards, finite
+Markov and product chains and interval maps, n + 1 for sign products, 2n for
+regenerative processes and c (3n - 2) for c Doeblin chains.  Identical spec +
+seed therefore reproduce identical paths, and the runner's per-trajectory
+seed schedule makes whole experiments reproducible.
 
 Systems
 -------
@@ -170,10 +173,10 @@ def trajectory_rngs(root_seed: int, start: int, count: int) -> "TrajectoryStream
 class TrajectoryStreams(Sequence):
     """The generators of :func:`trajectory_rngs`, built on first use.
 
-    Indexing or iterating builds every generator once, from its four PCG64
-    state words, and keeps them, so a generator that has drawn stays where
-    it is.  :meth:`uniforms` computes the streams' first draws without
-    building any generator.
+    Indexing builds every generator once, from its four PCG64 state words,
+    and keeps them, so a generator that has drawn stays where it is.
+    :meth:`uniforms` computes the streams' first draws without building any
+    generator.
     """
 
     def __init__(self, words: np.ndarray):
@@ -188,9 +191,6 @@ class TrajectoryStreams(Sequence):
 
     def __getitem__(self, index):
         return self._generators[index]
-
-    def __iter__(self):
-        return iter(self._generators)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Time-major ``(n, rows)`` float64: column i is a fresh ``self[i].random(n)``.
@@ -801,10 +801,11 @@ def _diagonal_codes(spec: ProductChainSpec) -> np.ndarray:
 def decode_states(codes: np.ndarray, m_states: int, n_chains: int) -> np.ndarray:
     """Inverse of the row-major tuple encoding; returns (..., n_chains).
 
-    One gather from the ``(m_states**n_chains, n_chains)`` table of tuples.
+    One gather from the ``(m_states**n_chains, n_chains)`` table of tuples,
+    held in the smallest unsigned dtype that holds a component's state.
     """
-    table = np.indices((m_states,) * n_chains).reshape(n_chains, -1).T
-    return np.take(table.astype(np.int64, order="C"), codes, axis=0)
+    table = np.indices((m_states,) * n_chains, dtype=np.min_scalar_type(m_states - 1))
+    return np.take(np.ascontiguousarray(table.reshape(n_chains, -1).T), codes, axis=0)
 
 
 def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarray:
@@ -812,7 +813,8 @@ def sample_product_chain_batch(spec: ProductChainSpec, n: int, rngs) -> np.ndarr
 
     The tuple codes come from :func:`sample_chain` in the smallest unsigned
     dtype that holds them (uint8 up to 256 tuples, so binary pairs take the
-    lookup route); :func:`decode_states` turns them into int64 components.
+    lookup route); :func:`decode_states` turns them into components in the
+    smallest unsigned dtype that holds a component's state.
     """
     return decode_states(sample_chain(spec, n, rngs), spec.n_states, spec.n_chains)
 
@@ -919,10 +921,12 @@ def _residual_length_cdf(spec: RegenerativeSpec, ai: int) -> np.ndarray:
 def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
     """Stationary paths of n symbols, a C-contiguous ``(rows, n)`` int64 array.
 
-    Each row steps through its own generator: two uniforms for the
-    stationary first block (its length-biased symbol, then its residual
-    length), then repeated rounds of paired uniform blocks (symbols,
-    lengths) until n symbols are produced.
+    Row i draws 2n doubles u from rngs[i]: u[0] picks the stationary first
+    block's length-biased symbol and u[1] its residual length; u[2 : n + 1]
+    are the later blocks' symbols and u[n + 1 :] their lengths.  Every block
+    is at least one symbol long, so n - 1 later blocks always fill the row.
+    Each row lays its blocks out in rounds of about as many as its missing
+    symbols need, so a round computes few blocks that the row leaves unused.
     """
     sym_arr = np.asarray(spec.symbols, dtype=np.int64)
     cdf_first = np.cumsum(spec.stationary_symbol_probs())
@@ -935,25 +939,27 @@ def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
         cdf_len = np.cumsum(spec.shared_q)
         cdf_len[-1] = 1.0
     out = np.empty((len(rngs), n), dtype=np.int64)
-    for row, rng in zip(out, rngs):
-        ai = int(np.searchsorted(cdf_first, rng.random(), side="right"))
-        rem = 1 + int(np.searchsorted(cdf_rem[ai], rng.random(), side="right"))
-        produced = min(rem, cdf_rem[ai].size, n)
-        row[:produced] = sym_arr[ai]
-        while produced < n:
-            need = n - produced
-            batch = max(16, int(need / nu * 1.25) + 8)
-            us = rng.random(batch)
-            ul = rng.random(batch)
-            ais = np.searchsorted(cdf_sym, us, side="right")
-            if spec.length_model == "shared":
-                lens = 1 + np.searchsorted(cdf_len, ul, side="right")
-            else:
-                a_vals = sym_arr[ais]
-                lens = np.where(ul < 1.0 - 1.0 / a_vals, 1, a_vals + 1)
-            flat = np.repeat(sym_arr[ais], lens)[:need]
-            row[produced : produced + flat.size] = flat
-            produced += flat.size
+    for lo, tile in _uniform_tiles(rngs, 2 * n):
+        for row, u in zip(out[lo : lo + len(tile)], tile):
+            ai = int(np.searchsorted(cdf_first, u[0], side="right"))
+            produced = min(1 + int(np.searchsorted(cdf_rem[ai], u[1], side="right")), n)
+            row[:produced] = sym_arr[ai]
+            syms, lens = u[2 : n + 1], u[n + 1 :]
+            used = 0
+            while produced < n:
+                need = n - produced
+                batch = max(16, int(need / nu * 1.25) + 8)
+                ais = np.searchsorted(cdf_sym, syms[used : used + batch], side="right")
+                ul = lens[used : used + batch]
+                used += batch
+                if spec.length_model == "shared":
+                    block = 1 + np.searchsorted(cdf_len, ul, side="right")
+                else:
+                    a_vals = sym_arr[ais]
+                    block = np.where(ul < 1.0 - 1.0 / a_vals, 1, a_vals + 1)
+                flat = np.repeat(sym_arr[ais], block)[:need]
+                row[produced : produced + flat.size] = flat
+                produced += flat.size
     return out
 
 
@@ -1128,49 +1134,37 @@ class DoeblinChainSpec:
         return 1.0 + self.eta
 
 
-def _doeblin_increments(eta: float, m: int, rng) -> np.ndarray:
-    """m i.i.d. draws from the density 1 + eta*cos(2 pi d) by rejection.
-
-    Each round draws a (proposal, acceptance) uniform pair block for the
-    still-missing count, so consumption is a deterministic function of the
-    generator state.
-    """
-    if eta == 0.0:
-        return rng.random(m)
-    out = np.empty(m)
-    filled = 0
-    bound = 1.0 + eta
-    while filled < m:
-        need = m - filled
-        props = rng.random(need)
-        us = rng.random(need)
-        ok = us * bound <= 1.0 + eta * np.cos(2.0 * np.pi * props)
-        took = int(ok.sum())
-        out[filled : filled + took] = props[ok]
-        filled += took
-    return out
-
-
 def sample_doeblin(spec: DoeblinChainSpec, n: int, rngs) -> np.ndarray:
     """Stationary independent chains, a C-contiguous ``(rows, n, n_chains)`` array.
 
-    Each row steps through its own generator with :func:`_doeblin_path`.
+    Row i draws c (3n - 2) doubles from rngs[i] for its c chains, in chain
+    order: one for the uniform start, then (P, U, V) per increment.  The
+    density 1 + eta cos 2 pi d is (1 - eta) 1 + eta (1 + cos 2 pi d): if P <
+    eta the increment is arcsin(sqrt(U) cos 2 pi V) / pi, which has density
+    1 + cos 2 pi d on [-1/2, 1/2] (sqrt(U) cos 2 pi V is the x-coordinate of
+    a uniform point of the disc: Devroye, Non-Uniform Random Variate
+    Generation, 1986), else U.  Increments are wrapped into [0, 1) before
+    their cumulative sum, so the sum stays nonnegative and its wrap keeps
+    every state in [0, 1).
     """
-    return np.stack([_doeblin_path(spec, n, rng) for rng in rngs])
-
-
-def _doeblin_path(spec: DoeblinChainSpec, n: int, rng) -> np.ndarray:
-    """One path of the independent chains, shape (n, n_chains).
-
-    Draw pattern per chain: one uniform for the start, then rejection rounds
-    for the remaining increments; chains are consumed in order.
-    """
-    out = np.empty((n, spec.n_chains))
-    for c in range(spec.n_chains):
-        out[0, c] = rng.random()
-        if n > 1:
-            incr = _doeblin_increments(spec.eta, n - 1, rng)
-            out[1:, c] = (out[0, c] + np.cumsum(incr)) % 1.0
+    c, per_chain = spec.n_chains, 3 * n - 2
+    out = np.empty((len(rngs), n, c))
+    for lo, u in _uniform_tiles(rngs, c * per_chain):
+        u = u.reshape(len(u), c, per_chain)
+        part = out[lo : lo + len(u)]
+        part[:, 0] = u[:, :, 0]
+        pick, radius, angle = u[:, :, 1::3], u[:, :, 2::3], u[:, :, 3::3]
+        disc = np.multiply(angle, 2.0 * np.pi)
+        np.cos(disc, out=disc)
+        disc *= np.sqrt(radius)
+        np.arcsin(disc, out=disc)
+        disc /= np.pi
+        # % 1.0 on [-1/2, 1/2], bit for bit, at a tenth of np.mod's cost
+        disc += disc < 0.0
+        part[:, 1:] = np.where(pick < spec.eta, disc, radius).transpose(0, 2, 1)
+        np.cumsum(part, axis=1, out=part)
+        # % 1.0 on nonnegative sums, bit for bit
+        part -= np.floor(part)
     return out
 
 
@@ -1219,7 +1213,8 @@ def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.nda
 
 
 # one sampler per system type: sampler(spec, n, rngs) returns the stationary
-# paths of n steps, row i drawn from rngs[i] alone
+# paths of n steps, row i drawn from a fixed budget of rngs[i]'s doubles that
+# the sampler reads through _uniform_tiles
 _SAMPLERS = {
     HouseOfCardsSpec: sample_house_of_cards,
     FiniteMarkovSpec: sample_chain,
@@ -1243,17 +1238,16 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
     """Stationary paths of n steps, one row per generator in ``rngs``.
 
     Returns a C-contiguous array, ``(rows, n)``, or ``(rows, n, n_chains)``
-    for product chains and Doeblin chains.  Row i depends on rngs[i] alone.
-    Finite Markov chains and interval-map itineraries hold their states in
-    the smallest unsigned dtype that fits them (uint8 up to 256 states), and
-    house-of-cards chains in the smallest one that holds every state a path
-    of n steps can reach (:func:`sample_house_of_cards`); product chains
-    decode their tuple codes into int64 components.
-    The system's sampler in ``_SAMPLERS`` either steps all rows at once
-    (finite Markov and product chains, interval maps through their cell
-    itinerary, constant-reset house-of-cards chains and sign products) or
-    steps each row in turn (drifting and alternating house-of-cards chains,
-    regenerative processes and Doeblin chains).
+    for product chains and Doeblin chains.  Row i draws its fixed budget of
+    doubles (module docstring) from rngs[i] and from nothing else.  Finite
+    Markov chains and interval-map itineraries hold their states in the
+    smallest unsigned dtype that fits them (uint8 up to 256 states), product
+    chains their components likewise (:func:`decode_states`), and
+    house-of-cards chains the smallest one that holds every state a path of
+    n steps can reach (:func:`sample_house_of_cards`).  The system's sampler
+    in ``_SAMPLERS`` steps all rows of a uniform tile at once, or each row in
+    turn (drifting and alternating house-of-cards chains, regenerative
+    processes).
     """
     try:
         sampler = _SAMPLERS[type(spec)]

@@ -375,11 +375,11 @@ target: {kind: sign-cylinder, word_cycle: [1], sweep: [4]}
 # it pins the random streams, so a change of draw order fails here
 _PAIR_W_COUNTS = {
     "house-of-cards + run-length": [194, 74, 66, 26, 14, 14, 7, 3, 1, 0, 0, 0, 1],
-    "regenerative + half-line": [172, 89, 69, 54, 11, 5],
+    "regenerative + half-line": [174, 89, 75, 42, 17, 3],
     "markov + cylinder": [126, 85, 69, 120],
     "interval-map + cylinder": [187, 104, 58, 34, 8, 7, 2],
     "product-chain + sync-cylinder": [150, 126, 60, 64],
-    "doeblin + geo-diagonal": [129, 145, 87, 31, 7, 1],
+    "doeblin + geo-diagonal": [138, 158, 72, 23, 8, 1],
     "sign-product + sign-cylinder": [221, 65, 53, 24, 20, 6, 11],
 }
 

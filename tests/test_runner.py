@@ -114,6 +114,33 @@ def test_predict_for_unsupported_pairs():
         predict_for(FactorProductSpec(0.3), CylinderTarget((-1,) * 5), 2.0)
 
 
+def test_non_self_overlapping_sign_word_predicts_isolated_visits():
+    # (-1, 1, ..., 1) never overlaps itself, so the sign rule's Poisson branch
+    # answers, and no two visits lie closer than the word's length
+    word = (-1,) + (1,) * 7
+    pred = predict_for(FactorProductSpec(0.3), CylinderTarget(word), 2.0)
+    assert pred.family == "poisson" and pred.params == {"p": 0.0}
+    assert pred.notes == ("non-self-overlapping sign word: isolated visits",)
+    doc = {
+        "experiment": {"t": 1.0, "samples": 1000, "seed": 3, "tolerance": 0.15},
+        "system": {"kind": "sign-product", "plus_prob": 0.3},
+        "target": {"kind": "sign-cylinder", "word_cycle": list(word), "sweep": [8]},
+    }
+    (entry,) = run_experiment(_cfg(doc), "compare")["results"]
+    assert entry["prediction"]["family"] == "poisson"
+    # P(x_0 != x_1 = ... = x_8) for i.i.d. signs with P(+1) = 0.3
+    mu = 0.7 * 0.3**8 + 0.3 * 0.7**8
+    assert entry["measure"] == {"value": pytest.approx(mu, rel=1e-12), "se": 0.0, "method": "exact:sign-lift"}
+    pmf = np.asarray(entry["empirical"]["pmf"])
+    k = np.arange(pmf.size)
+    mean, var = pmf @ k, pmf @ k**2 - (pmf @ k) ** 2
+    # E[W] = (horizon + 1) mu; the repulsion leaves W underdispersed at this depth
+    assert abs(mean - (entry["horizon"] + 1) * mu) < 4 * np.sqrt(var / 1000)
+    assert var < mean
+    # the same repulsion puts the law about TV 0.09 from Poisson(1) at depth 8
+    assert entry["tv"]["pass"]
+
+
 def test_cylinder_kinds_cross_systems(tmp_path, capsys):
     # a cylinder word over {1} on a sign-product system is a sign word ...
     doc = {
@@ -457,7 +484,7 @@ _TABLE_PINS = {
                        "lengths": {"model": "two-point"}},
             "target": {"kind": "half-line", "sweep": [5]},
         },
-        "8d72586bc98cbfa9105f127c5bcebe8cf1f4b552ac1a7ba5c86c53d5a7c0fbc7",
+        "704d2903ea60c9adf00fc1f4c25f1ee2be7c030342b8e37cbe82eeea45f9b204",
     ),
 }
 

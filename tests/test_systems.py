@@ -587,9 +587,9 @@ _ROW_STEPPED_PINS = [
     (
         RegenerativeSpec.smith([1, 2, 5], [0.2, 0.3, 0.5]),
         [
-            [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1],
-            [5, 5, 2, 2, 2, 2, 5, 5, 2, 2, 5, 5, 5, 5, 5, 5, 2, 2, 2, 2, 2, 5, 5, 5],
-            [5, 5, 5, 5, 2, 2, 2, 2, 2, 2, 1, 1, 5, 2, 1, 1, 2, 2, 2, 2, 5, 2, 5, 5],
+            [5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 1, 1, 2, 2, 2, 2, 1],
+            [5, 5, 2, 2, 2, 2, 5, 5, 2, 2, 2, 2, 5, 2, 2, 2, 2, 2, 5, 5, 5, 5, 5, 5],
+            [5, 5, 5, 5, 2, 2, 2, 2, 2, 2, 1, 1, 5, 2, 1, 1, 2, 2, 5, 2, 2, 2, 5, 5],
         ],
     ),
 ]
@@ -601,6 +601,63 @@ def test_row_stepped_streams_are_pinned(spec, rows):
     # house-of-cards tables of 4,097 and 1,172 states: top + 24 needs uint16
     assert paths.dtype == (np.int64 if isinstance(spec, RegenerativeSpec) else np.uint16)
     assert paths.tolist() == rows
+
+
+# every system with its documented draw budget per row, as a function of n
+_DRAW_BUDGETS = [
+    (HouseOfCardsSpec.constant(0.5), lambda n: n),
+    (HouseOfCardsSpec.drifting(0.2, 0.3), lambda n: n),
+    (HouseOfCardsSpec.alternating(0.3, 0.6), lambda n: n),
+    (FiniteMarkovSpec(CRITERION_07), lambda n: n),
+    (ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal"), lambda n: n),
+    (ProductChainSpec((FiniteMarkovSpec(Q1),) * 3), lambda n: n),
+    (EXAMPLE_MAP, lambda n: n),
+    (FactorProductSpec(0.3), lambda n: n + 1),
+    (RegenerativeSpec.smith([1, 2, 5], [0.2, 0.3, 0.5]), lambda n: 2 * n),
+    (RegenerativeSpec.with_shared_lengths([0, 1, 2], [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]), lambda n: 2 * n),
+    (DoeblinChainSpec(0.0), lambda n: 2 * (3 * n - 2)),
+    (DoeblinChainSpec(0.5), lambda n: 2 * (3 * n - 2)),
+    (DoeblinChainSpec(0.5, n_chains=3), lambda n: 3 * (3 * n - 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    _DRAW_BUDGETS,
+    ids=[
+        "constant", "drifting", "alternating", "markov", "maximal pair", "3-chain product",
+        "interval map", "sign product", "smith", "shared lengths", "doeblin 0", "doeblin 0.5",
+        "doeblin 3 chains",
+    ],
+)
+def test_samplers_draw_their_fixed_budget(spec, budget):
+    for n in (1, 2, 37):
+        rngs = [trajectory_rng(13, i) for i in range(5)]
+        sample_paths(spec, n, rngs)
+        for i, rng in enumerate(rngs):
+            ref = trajectory_rng(13, i)
+            ref.random(budget(n))
+            assert rng.bit_generator.state == ref.bit_generator.state, (n, i)
+
+
+def _ks_distance(sample: np.ndarray, cdf) -> float:
+    x = np.sort(sample.ravel())
+    f = cdf(x)
+    k = np.arange(1, x.size + 1) / x.size
+    return float(max(np.max(k - f), np.max(f - (k - 1.0 / x.size))))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, 0.95])
+def test_doeblin_increments_follow_the_kernel(eta):
+    paths = sample_paths(DoeblinChainSpec(eta), 51, trajectory_rngs(17, 0, 2000))
+    assert paths.min() >= 0.0 and paths.max() < 1.0
+    # 200,000 increments of the circle walk, i.i.d. with CDF d + eta sin(2 pi d) / (2 pi)
+    incr = np.diff(paths, axis=1) % 1.0
+    ks = _ks_distance(incr, lambda d: d + eta * np.sin(2.0 * np.pi * d) / (2.0 * np.pi))
+    assert ks < 1.628 / np.sqrt(incr.size), ks  # 1% critical value
+    # the last states of 2000 independent rows: uniform, the invariant law
+    last = paths[:, -1]
+    assert _ks_distance(last, lambda x: x) < 1.628 / np.sqrt(last.size)
 
 
 def test_trajectory_rng_partitions():
@@ -777,15 +834,20 @@ def test_step_columns_array_route_matches_generators():
 
 def test_chain_samplers_array_route_match_generators():
     product = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
-    for sampler, spec in (
-        (sample_product_chain_batch, product),
-        (sample_chain, EXAMPLE_MAP),
-        (sample_chain, DOUBLING_MAP),
+    # (sampler, spec, n, doubles per row): regenerative rows draw 2n and
+    # Doeblin rows 2 (3n - 2)
+    for sampler, spec, n, draws in (
+        (sample_product_chain_batch, product, 60, 60),
+        (sample_chain, EXAMPLE_MAP, 60, 60),
+        (sample_chain, DOUBLING_MAP, 60, 60),
+        (sample_paths, RegenerativeSpec.smith([1, 2, 5], [0.2, 0.3, 0.5]), 30, 60),
+        (sample_paths, DoeblinChainSpec(0.5), 11, 62),
     ):
         streams, rngs = _streams_and_list(_ARRAY_ROWS)
-        batch = sampler(spec, 60, streams)
+        assert systems._array_route(streams, draws)
+        batch = sampler(spec, n, streams)
         assert batch.flags.c_contiguous
-        assert np.array_equal(batch, sampler(spec, 60, rngs)), type(spec).__name__
+        assert np.array_equal(batch, sampler(spec, n, rngs)), type(spec).__name__
 
 
 class _FirstChunk(Exception):
@@ -827,7 +889,7 @@ def test_decode_states_equals_mod_div_formula(m_states, n_chains):
         0, m_states**n_chains, size=(9, 31)
     )
     got = decode_states(codes, m_states, n_chains)
-    assert got.flags.c_contiguous and got.dtype == np.int64
+    assert got.flags.c_contiguous and got.dtype == np.uint8
     assert np.array_equal(got, _decode_reference(codes, m_states, n_chains))
 
 
