@@ -41,7 +41,6 @@ from .predictions import (
     geometric_alpha_sequence,
     predict_furstenberg,
     predict_house_of_cards,
-    predict_param_coupling,
     predict_periodic_cylinder,
     predict_poisson,
     predict_regenerative,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +182,26 @@ class DiscretePMF:
         return self.tail_mass + float(np.sum(self.probs[m + 1 :]))
 
 
+@contextmanager
+def _atomic_open(path: str, newline=None):
+    """Text file handle whose content appears at ``path`` only when complete.
+
+    Writes go to a temporary file in the same directory, which replaces
+    ``path`` after the block exits cleanly and is removed otherwise.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def pmf_to_csv(pmf: DiscretePMF, path) -> None:
     """Write rows (k, probability); the tail appears as a final 'tail' row."""
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "probability"])
         for k, p in enumerate(pmf.probs):

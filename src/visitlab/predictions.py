@@ -35,6 +35,7 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
+    _diagonal_codes,
     sync_kernel,
 )
 from .targets import (
@@ -273,26 +274,14 @@ def predict_periodic_cylinder(chain: FiniteMarkovSpec, word, t: float) -> Predic
     )
 
 
-def spectral_radius(matrix, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of a nonnegative matrix by power iteration."""
+def spectral_radius(matrix) -> float:
+    """Largest eigenvalue modulus of a nonnegative matrix, by one dense eigen-solve."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SpecError("matrix must be square")
-    if np.any(a < 0):
-        raise SpecError("matrix must be entrywise nonnegative")
-    v = np.ones(a.shape[0])
-    lam_prev = 0.0
-    for _ in range(max_iter):
-        w = a @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        lam = float(v @ w) / float(v @ v)
-        v = w / norm
-        if abs(lam - lam_prev) < tol * max(1.0, abs(lam)):
-            return lam
-        lam_prev = lam
-    raise ConvergenceError(f"power iteration did not settle within {max_iter} steps")
+    if not np.all(np.isfinite(a) & (a >= 0)):
+        raise SpecError("matrix entries must be finite and nonnegative")
+    return float(np.abs(np.linalg.eigvals(a)).max(initial=0.0))
 
 
 def predict_sync_markov(sync_matrix, t: float) -> PredictionResult:
@@ -303,9 +292,7 @@ def predict_sync_markov(sync_matrix, t: float) -> PredictionResult:
     """
     rho = spectral_radius(sync_matrix)
     if rho >= 1.0 - 1e-13:
-        raise SpecError(
-            f"diagonal kernel has spectral radius {rho}; coupling is degenerate"
-        )
+        raise SpecError(f"diagonal kernel has spectral radius {rho}; coupling is degenerate")
     return _result(
         _geometric_alphas(rho, 32),
         t,
@@ -316,73 +303,38 @@ def predict_sync_markov(sync_matrix, t: float) -> PredictionResult:
     )
 
 
+def _predict_sync_cylinder(system: ProductChainSpec, target, t: float) -> PredictionResult:
+    """PA(t, rho), refused when mu(n) = nu0 D^(n-1) 1 (:func:`sync_measure`) carries a
+    term of a peripheral eigenvalue |lam| >= rho (1 - 1e-6) other than rho (rho times a
+    root of unity of order <= m, so |lam - rho| > 1e-3 rho), as mu(n+1)/mu(n) then
+    oscillates; a term under 1e-9 of the largest peripheral term is rounding."""
+    d = sync_kernel(system)
+    pred = predict_sync_markov(d, t)
+    rho = pred.params["p"]
+    lam, right = np.linalg.eig(d)
+    peripheral = np.abs(lam) >= rho * (1.0 - 1e-6)
+    lam, right = lam[peripheral], right[:, peripheral]
+    other = np.abs(lam - rho) > 1e-3 * rho
+    if other.any():
+        lam_t, left = np.linalg.eig(d.T)
+        left = left[:, np.abs(lam_t) >= rho * (1.0 - 1e-6)]
+        nu0 = system.chain[0][_diagonal_codes(system)]
+        try:  # the peripheral terms, sum_i coef_i lam_i^(n-1), by the spectral projector
+            coef = (nu0 @ right) * np.linalg.solve(left.T @ right, left.sum(axis=0))
+        except np.linalg.LinAlgError:  # singular left.T @ right: refused
+            coef = np.ones(lam.size)
+        term = np.abs((np.abs(lam[:, None] - lam) <= 1e-3 * rho) @ coef)
+        if term[other].max() > 1e-9 * term.max():
+            raise UnsupportedPairError(
+                "the sync-cylinder measure oscillates with n (a peripheral eigenvalue of the "
+                "diagonal kernel other than rho), so the visit law has no limit; simulate instead"
+            )
+    return pred
+
+
 def coupling_sync_rate(q1, q2, gamma: float) -> float:
     """Spectral synchronisation rate of the sticky coupling (1 at gamma = 1)."""
     return spectral_radius(sync_kernel(ProductChainSpec((q1, q2), "parametrized", gamma=gamma)))
-
-
-# reference pair used by the sticky-coupling closed-form cross-check
-_COUPLING_REF_Q1 = np.array([[0.2, 0.8], [0.3, 0.7]])
-_COUPLING_REF_Q2 = np.array([[0.8, 0.2], [0.1, 0.9]])
-
-
-def _coupling_reference_value(gamma: float) -> float:
-    """Published closed form for the reference pair (held as written)."""
-    g = gamma
-    rad = 2401.0 + 7996.0 * g + 3006.0 * g * g - 7604.0 * g**3 + 4201.0 * g**4
-    return (79.0 + 2.0 * g + 19.0 * g * g + math.sqrt(rad)) / 200.0
-
-
-def _coupling_refit_value(gamma: float) -> float:
-    """Closed form refit from the sticky kernel's own characteristic polynomial."""
-    g = gamma
-    rad = 2401.0 - 3964.0 * g + 1086.0 * g * g + 116.0 * g**3 + 361.0 * g**4
-    return (79.0 + 102.0 * g + 19.0 * g * g + math.sqrt(rad)) / 200.0
-
-
-def predict_param_coupling(
-    q1, q2, gamma: float, t: float, strict: bool = True
-) -> PredictionResult:
-    """Sticky coupling of two binary chains, interpolating to full sync.
-
-    Computes the spectral synchronisation rate; for the reference pair it also
-    evaluates the published closed form and (in strict mode) insists the two
-    agree to 1e-10.
-    """
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    if q1.shape != (2, 2) or q2.shape != (2, 2):
-        raise SpecError("sticky coupling is defined for binary alphabets only")
-    p = coupling_sync_rate(q1, q2, gamma)
-    extras = {"rho": p, "gamma": gamma}
-    notes = ["spectral radius of the sticky diagonal kernel"]
-    is_ref = np.allclose(q1, _COUPLING_REF_Q1, atol=1e-12) and np.allclose(
-        q2, _COUPLING_REF_Q2, atol=1e-12
-    )
-    if is_ref:
-        ref = _coupling_reference_value(gamma)
-        extras["closed_form"] = ref
-        extras["closed_form_gap"] = abs(p - ref)
-        extras["closed_form_refit"] = _coupling_refit_value(gamma)
-        if abs(p - ref) > 1e-10:
-            msg = (
-                f"closed form {ref:.12f} disagrees with the spectral value "
-                f"{p:.12f} at gamma={gamma} (gap {abs(p - ref):.3e})"
-            )
-            if strict:
-                raise ConvergenceError(msg)
-            notes.append(msg)
-    if p >= 1.0 - 1e-13:
-        # full coupling: every window synchronises; degenerate cluster law
-        raise SpecError("coupling is fully synchronising (rate 1); no limit law")
-    return _result(
-        _geometric_alphas(p, 32),
-        t,
-        FAMILY_PA,
-        params={"p": p},
-        notes=notes,
-        extras=extras,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +727,7 @@ PAIRS = {
     ),
     (ProductChainSpec, SyncCylinderTarget): Pair(
         "product-chain + sync-cylinder", "exact:diagonal-iteration", sync_measure,
-        lambda system, target, t: predict_sync_markov(sync_kernel(system), t),
+        _predict_sync_cylinder,
     ),
     (DoeblinChainSpec, GeoDiagonalTarget): Pair(
         "doeblin + geo-diagonal", "exact:strip-area", strip_measure,

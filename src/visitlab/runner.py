@@ -14,14 +14,13 @@ import csv
 import json
 import os
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .compound import DiscretePMF, pmf_to_csv, tv_distance
+from .compound import DiscretePMF, _atomic_open, pmf_to_csv, tv_distance
 from .config import ExperimentConfig
 from .errors import (
     ConfigError,
@@ -296,37 +295,16 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
     return report
 
 
+def _without_artifacts(report: dict) -> dict:
+    """The report minus its entries' in-memory artifacts (underscore keys, as _pmfs)."""
+    results = [{k: v for k, v in e.items() if not k.startswith("_")} for e in report.get("results", ())]
+    return {**report, "results": results} if "results" in report else report
+
+
 def report_body(report: dict) -> str:
-    """Canonical JSON of everything except the volatile meta block.
-
-    Underscore-prefixed entry keys hold in-memory artifacts (PMF objects for
-    the CSV writers) and are not part of the report contract.
-    """
-    body = {k: v for k, v in report.items() if k != "meta"}
-    if "results" in body:
-        body = dict(body)
-        body["results"] = [
-            {k: v for k, v in entry.items() if not k.startswith("_")}
-            for entry in body["results"]
-        ]
+    """Canonical JSON of everything except the volatile meta block and the artifacts."""
+    body = {k: v for k, v in _without_artifacts(report).items() if k != "meta"}
     return json.dumps(_jsonable(body), sort_keys=True)
-
-
-@contextmanager
-def _atomic_open(path: str, newline=None):
-    """Text file handle whose content appears at ``path`` only when complete.
-
-    Writes go to a temporary file in the same directory, which replaces
-    ``path`` after the block exits cleanly and is removed otherwise.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _write_json(report: dict, path: str) -> None:
@@ -345,20 +323,14 @@ def write_report(report: dict, out_dir: str, mode: str) -> list:
     written = []
     results = report["results"]
     for entry in results:
-        pmfs = entry.pop("_pmfs", None)
-        if pmfs is not None:
-            token = _sweep_token(entry["sweep_value"])
-            emp, pred_pmf = pmfs
-            if pred_pmf is not None:
-                path = os.path.join(out_dir, f"predicted_pmf_{token}.csv")
-                pmf_to_csv(pred_pmf, path)
-                written.append(path)
-            if emp is not None:
-                path = os.path.join(out_dir, f"empirical_pmf_{token}.csv")
-                pmf_to_csv(emp, path)
+        emp, pred_pmf = entry.get("_pmfs", (None, None))
+        for kind, pmf in (("predicted", pred_pmf), ("empirical", emp)):
+            if pmf is not None:
+                path = os.path.join(out_dir, f"{kind}_pmf_{_sweep_token(entry['sweep_value'])}.csv")
+                pmf_to_csv(pmf, path)
                 written.append(path)
     path = os.path.join(out_dir, f"{mode}_report.json")
-    _write_json(report, path)
+    _write_json(_without_artifacts(report), path)
     written.append(path)
     if mode == "sweep":
         path = os.path.join(out_dir, "sweep_summary.csv")

@@ -450,7 +450,7 @@ _PREDICT_BODY_PINS = {
     "house-of-cards + run-length": "816b471cb2dbb8eb8b020d70b3a96988f7c022d85e70492e87e8f340626da591",
     "interval-map + cylinder": "8df1cbdd7e7e4a175de3c5a6c8f1d285245c4611999b48aca62a485e948a864e",
     "markov + cylinder": "c0bfd3a8abf44292079915c42c5ea52479ab254e6bf10d22b833ef41109edb87",
-    "product-chain + sync-cylinder": "9b88be007f1101327134711c47cd5d7f18413bbc4d67dc919ca26ba5a1585957",
+    "product-chain + sync-cylinder": "faea2a372f1feac5d4d2a4b4188f7850a6e6d9acc2c93a8e32b550722eee96b7",
     "regenerative + half-line": "1f3642eb8b6bef485eac7a2f1f2e4c998696209ebde382b3548878d1f852addc",
     "sign-product + sign-cylinder": "84fa4f66aea435c6f1f02d54299ff1b7abc47dc004d062d7c01ec2fa57a3fb64",
 }
@@ -503,6 +503,32 @@ def test_deep_targets_keep_the_exit_contract(name, verb, code, message, tmp_path
         assert "64-bit integer" in entry["stein"]["error"] and entry["stein"]["k_window"] == 1000
     else:
         assert err.startswith(message) and len(err.strip().splitlines()) == 1
+
+
+# a maximal coupling whose diagonal kernel [[0, 0.9], [0.1, 0]] has the
+# peripheral eigenvalues 0.3 and -0.3: the sync-cylinder measure alternates
+# with the parity of n, so there is no limit law to predict
+_OSCILLATING_SYNC = """\
+system:
+  kind: product-chain
+  coupling: maximal
+  components: [[[0, 1], [0.1, 0.9]], [[0.1, 0.9], [1, 0]]]
+target: {kind: sync-cylinder, sweep: [6]}
+"""
+
+
+@pytest.mark.parametrize("verb, code", [("predict", 3), ("compare", 3), ("sweep", 3), ("simulate", 0)])
+def test_oscillating_sync_law_is_refused(verb, code, tmp_path, capsys):
+    cfg = tmp_path / "oscillating.yaml"
+    cfg.write_text("experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.1}\n" + _OSCILLATING_SYNC)
+    assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("configuration error: ") and "no limit" in err
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert err == ""
+        assert (tmp_path / "out" / "simulate_report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,13 @@ from visitlab import (
     HouseOfCardsSpec,
     IntervalMapSpec,
     MixingProfile,
+    ProductChainSpec,
     RegenerativeSpec,
     SpecError,
     SteinBracketInputs,
     StructureError,
+    SyncCylinderTarget,
+    UnsupportedPairError,
     coupling_sync_rate,
     doeblin_alpha2_bound,
     furstenberg_ratio,
@@ -24,18 +27,20 @@ from visitlab import (
     poisson_pmf,
     predict_furstenberg,
     predict_house_of_cards,
-    predict_param_coupling,
     predict_periodic_cylinder,
     predict_poisson,
     predict_regenerative,
     predict_regenerative_entries,
+    predict_for,
     predict_sync_markov,
     renewal_ratio_sequence,
     spectral_radius,
     stein_bracket,
+    sync_kernel,
     word_overlap_period,
 )
 from visitlab.predictions import hurwitz_zeta
+from visitlab.targets import sync_measure
 
 F = Fraction
 
@@ -77,27 +82,99 @@ def test_spectral_radius_known_values():
     assert abs(spectral_radius(3.0 * a) - 3.0 * 0.64) < 1e-10
 
 
+def test_spectral_radius_of_periodic_kernels():
+    # peripheral eigenvalues -rho as well as rho: a power iteration never settles here
+    assert spectral_radius(np.array([[0.0, 0.9], [0.1, 0.0]])) == pytest.approx(0.3, abs=1e-15)
+    bipartite = np.array([[0.0, 0.25, 0.25], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert spectral_radius(bipartite) == pytest.approx(2.0**-0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[0.5, np.nan], [0.2, 0.3]], [[0.5, -0.1], [0.2, 0.3]], [[0.5, 0.1, 0.2]], [0.5, 0.5]],
+    ids=["nan", "negative", "non-square", "vector"],
+)
+def test_spectral_radius_refuses_bad_input(matrix):
+    with pytest.raises(SpecError):
+        spectral_radius(np.array(matrix))
+
+
+def _refit_coupling_rate(gamma: float) -> float:
+    """Closed form of the sticky reference pair's rate, refit from its
+    diagonal kernel's characteristic polynomial."""
+    g = gamma
+    rad = 2401.0 - 3964.0 * g + 1086.0 * g * g + 116.0 * g**3 + 361.0 * g**4
+    return (79.0 + 102.0 * g + 19.0 * g * g + math.sqrt(rad)) / 200.0
+
+
+def _printed_coupling_rate(gamma: float) -> float:
+    """The published closed form for the same pair, held as written."""
+    g = gamma
+    rad = 2401.0 + 7996.0 * g + 3006.0 * g * g - 7604.0 * g**3 + 4201.0 * g**4
+    return (79.0 + 2.0 * g + 19.0 * g * g + math.sqrt(rad)) / 200.0
+
+
 def test_coupling_rate_endpoints_exact():
-    assert coupling_sync_rate(Q1, Q2, 0.0) == pytest.approx(0.64, abs=1e-11)
+    assert coupling_sync_rate(Q1, Q2, 0.0) == pytest.approx(0.64, abs=1e-15)
     assert coupling_sync_rate(Q1, Q2, 1.0) == 1.0
 
 
-def test_param_coupling_printed_form_disagrees_inside():
-    # the printed closed form only matches the kernel spectrum at the
-    # endpoints; in between it sits ~1.7e-2 away and the refit form tracks
-    got = predict_param_coupling(Q1, Q2, 0.5, 2.0, strict=False)
-    assert got.extras["closed_form_gap"] == pytest.approx(0.0170834909, abs=1e-8)
-    assert abs(got.extras["closed_form_refit"] - got.params["p"]) < 2e-12
-    assert any("closed form" in n for n in got.notes)
-    with pytest.raises(ConvergenceError):
-        predict_param_coupling(Q1, Q2, 0.5, 2.0, strict=True)
-    at_zero = predict_param_coupling(Q1, Q2, 0.0, 2.0, strict=True)
-    assert at_zero.extras["closed_form_gap"] < 1e-13
+def test_sticky_coupling_degenerate_endpoint():
+    # at gamma = 1 a synchronised pair never splits: rate 1, no limit law
+    full = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "parametrized", gamma=1.0)
+    with pytest.raises(SpecError, match="degenerate"):
+        predict_sync_markov(sync_kernel(full), 2.0)
 
 
-def test_param_coupling_degenerate_endpoint():
-    with pytest.raises(SpecError):
-        predict_param_coupling(Q1, Q2, 1.0, 2.0, strict=False)
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.4, 0.5, 0.75, 1.0])
+def test_coupling_rate_matches_refit_form(gamma):
+    assert abs(coupling_sync_rate(Q1, Q2, gamma) - _refit_coupling_rate(gamma)) <= 1e-15
+
+
+def test_printed_coupling_form_disagrees_inside():
+    # the printed form matches the kernel spectrum only at the endpoints
+    gap = abs(coupling_sync_rate(Q1, Q2, 0.5) - _printed_coupling_rate(0.5))
+    assert gap == pytest.approx(0.0170834909, abs=1e-10)
+    for gamma in (0.0, 1.0):
+        assert abs(coupling_sync_rate(Q1, Q2, gamma) - _printed_coupling_rate(gamma)) <= 1e-15
+
+
+def _maximal_pair(q1, q2) -> ProductChainSpec:
+    return ProductChainSpec((FiniteMarkovSpec(np.array(q1)), FiniteMarkovSpec(np.array(q2))), "maximal")
+
+
+# maximal couplings whose diagonal kernel D is bipartite, with peripheral
+# eigenvalues rho and -rho; the sync-cylinder measure is mu(n) = nu0 D^(n-1) 1
+OSCILLATING_PAIR = _maximal_pair([[0, 1], [0.1, 0.9]], [[0.1, 0.9], [1, 0]])  # D = [[0, .9], [.1, 0]]
+STEADY_PAIRS = {
+    # D = [[0, .5], [.5, 0]]: D 1 = 1 / 2, so mu(n) has no (-1/2)^n term
+    "2-state": _maximal_pair([[0, 1], [0.5, 0.5]], [[0.5, 0.5], [1, 0]]),
+    # D = [[0, .3, .2], [.7, 0, 0], [.2, 0, 0]]: D 1 is a 1/2-eigenvector
+    "3-state": _maximal_pair(
+        [[0.5, 0.3, 0.2], [0.86, 0.14, 0.0], [0.9, 0.0, 0.1]],
+        [[0.0, 0.68, 0.32], [0.7, 0.0, 0.3], [0.2, 0.8, 0.0]],
+    ),
+}
+
+
+def test_oscillating_sync_law_is_refused():
+    d = sync_kernel(OSCILLATING_PAIR)
+    assert spectral_radius(d) == pytest.approx(0.3, abs=1e-15)
+    mu = [sync_measure(OSCILLATING_PAIR, SyncCylinderTarget(n)) for n in range(5, 9)]
+    ratios = [b / a for a, b in zip(mu, mu[1:])]
+    assert ratios[0] == pytest.approx(ratios[2]) and abs(ratios[0] - ratios[1]) > 0.3
+    with pytest.raises(UnsupportedPairError, match="no limit"):
+        predict_for(OSCILLATING_PAIR, SyncCylinderTarget(6), 2.0)
+
+
+@pytest.mark.parametrize("name", list(STEADY_PAIRS))
+def test_bipartite_sync_kernel_without_oscillation_keeps_its_law(name):
+    system = STEADY_PAIRS[name]
+    mu = [sync_measure(system, SyncCylinderTarget(n)) for n in range(5, 9)]
+    assert all(b / a == pytest.approx(0.5, abs=1e-12) for a, b in zip(mu, mu[1:]))
+    got = predict_for(system, SyncCylinderTarget(6), 2.0)
+    assert got.family == "polya-aeppli"
+    assert abs(got.params["p"] - 0.5) <= 1e-15
 
 
 def test_geometric_alpha_exact_fractions():

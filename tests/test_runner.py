@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import csv
 import functools
 import hashlib
 import importlib.util
@@ -449,6 +450,49 @@ def test_failed_write_leaves_no_partial_report(tmp_path, monkeypatch):
         write_report(copy.deepcopy(report), tmp_path, "compare")
     assert (tmp_path / "compare_report.json").read_text() == good
     assert not list(tmp_path.glob("*.tmp"))
+    monkeypatch.undo()
+    # so does a pmf CSV whose writer fails mid-table
+    tables = {p.name: p.read_text() for p in tmp_path.glob("*_pmf_*.csv")}
+    real_writer = csv.writer
+
+    def failing_writer(fh, *args, **kwargs):
+        inner = real_writer(fh, *args, **kwargs)
+
+        class Failing:
+            rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 3:
+                    raise OSError("disk full")
+                inner.writerow(row)
+
+        return Failing()
+
+    monkeypatch.setattr(csv, "writer", failing_writer)
+    with pytest.raises(OSError):
+        write_report(report, tmp_path, "compare")
+    assert len(tables) == 2 and all(text.count("\n") > 4 for text in tables.values())
+    assert {p.name: p.read_text() for p in tmp_path.glob("*_pmf_*.csv")} == tables
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_report_leaves_the_report_intact(tmp_path):
+    doc = {
+        "experiment": {"t": 1.0, "samples": 300, "seed": 2},
+        "system": {"kind": "regenerative", "symbols": [0, 1, 2], "probs": [0.5, 0.3, 0.2],
+                   "lengths": {"model": "shared", "law": [0.5, 0.3, 0.2]}},
+        "target": {"kind": "half-line", "sweep": [2]},
+    }
+    report = run_experiment(_cfg(doc), "simulate")
+    before = copy.deepcopy(report)
+    first = write_report(report, tmp_path / "a", "simulate")
+    second = write_report(report, tmp_path / "b", "simulate")
+    assert report == before
+    names = [Path(p).name for p in first]
+    assert names == [Path(p).name for p in second] == ["empirical_pmf_2.csv", "simulate_report.json"]
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # the cluster tables (values, bootstrap SEs, extras) of three compares, pinned
