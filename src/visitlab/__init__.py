@@ -43,7 +43,6 @@ from .predictions import (
     predict_house_of_cards,
     predict_periodic_cylinder,
     predict_poisson,
-    predict_regenerative,
     predict_regenerative_entries,
     predict_sync_markov,
     renewal_ratio_sequence,

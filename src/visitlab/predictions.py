@@ -56,7 +56,6 @@ from .targets import (
 FAMILY_PA = "polya-aeppli"
 FAMILY_POISSON = "poisson"
 FAMILY_COMPOUND = "compound-poisson"
-FAMILY_GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -154,71 +153,30 @@ def predict_house_of_cards(r_limit: float, t: float) -> PredictionResult:
     )
 
 
-def predict_regenerative(q, t: float) -> PredictionResult:
-    """Shared block-length law q over all symbols.
-
-    lambda_tilde_k = q(k)/nu and alpha_k = sum_{l>=k} q(l)/nu with nu the mean
-    block length; the extremal index is 1/nu and the mean cluster size nu.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or q.size == 0 or np.any(q < 0):
-        raise SpecError("block-length law must be a nonnegative vector")
-    s = float(q.sum())
-    if abs(s - 1.0) > 1e-9:
-        raise SpecError("block-length law must sum to 1 (tolerance 1e-9)")
-    q = q / s
-    k = np.arange(1, q.size + 1, dtype=float)
-    nu = float(k @ q)
-    lam = q / nu
-    alphas = np.cumsum(q[::-1])[::-1] / nu
-    notes = ["block-length tails over the mean block length"]
-    third = float((k**3) @ q)
-    if q[-1] * k[-1] ** 3 > 1e-9 * third:
-        notes.append("third moment carried by the truncated tail; treat with care")
+def predict_regenerative_entries(spec: RegenerativeSpec, n: int, t: float) -> PredictionResult:
+    """Cluster law of half-line visits [symbol >= n]: a cluster is the rest of the
+    block that covers a stationary entry, so alpha_k mixes the residual laws
+    :attr:`RegenerativeSpec.residual_laws` of the symbols a >= n by the length-biased
+    symbol law.  For one shared length law q, alpha_k = sum_{l>=k} q(l)/nu."""
+    keep = np.nonzero(np.asarray(spec.symbols) >= n)[0]
+    if keep.size == 0:
+        raise SpecError(f"no symbol reaches the half-line threshold {n}")
+    w = spec.stationary_symbol_probs()
+    # a table row per remaining length up to the longest, so that no cluster
+    # size is lumped into the last one (at least 32 rows)
+    alphas = np.zeros(max(32, max(spec.residual_laws[i].size for i in keep)))
+    for i in keep:
+        alphas[: spec.residual_laws[i].size] += w[i] * spec.residual_laws[i]
+    alphas /= w[keep].sum()
+    p_entry = spec.symbol_probs[keep]
+    mean_block = float((p_entry / p_entry.sum()) @ spec.mean_block_by_symbol()[keep])
     return _result(
         alphas,
         t,
         FAMILY_COMPOUND,
-        params={"mean_block": nu, "third_moment": third},
-        notes=notes,
-        extras={"lambda_tilde": tuple(float(x) for x in lam)},
-    )
-
-
-def predict_regenerative_entries(spec, n: int, t: float) -> PredictionResult:
-    """Cluster laws for half-line visits with symbol-dependent block lengths.
-
-    Aggregates over entry symbols a >= n: alpha_hat_l is the hit-weighted mean
-    of (L - l + 1)^+ over the block-length laws, divided by the mean length.
-    Covers the two-point length model whose alpha_hat_l are all exactly 1/2.
-    """
-    symbols = np.asarray(spec.symbols)
-    keep = np.nonzero(symbols >= n)[0]
-    if keep.size == 0:
-        raise SpecError(f"no symbol reaches the half-line threshold {n}")
-    p_sym = spec.symbol_probs[keep]
-    p_sym = p_sym / p_sym.sum()
-    laws = [spec.length_law(int(symbols[idx])) for idx in keep]
-    # a table row per block length up to the longest, so that no cluster
-    # size is lumped into the last one (at least 32 rows)
-    length = max(32, max(q.size for q in laws))
-    num = np.zeros(length + 1)
-    den = 0.0
-    for w, q in zip(p_sym, laws):
-        lengths = np.arange(1, q.size + 1, dtype=float)
-        den += w * float(lengths @ q)
-        for ell in range(1, length + 2):
-            num[ell - 1] += w * float(np.clip(lengths - ell + 1, 0.0, None) @ q)
-    hats = num / den
-    # rounding can put 1e-16 ripples on analytically flat stretches
-    alphas = np.minimum.accumulate(np.clip(hats[:-1] - hats[1:], 0.0, None))
-    return _result(
-        alphas,
-        t,
-        FAMILY_GENERAL,
-        params={"mean_block": den, "threshold": int(n)},
-        notes=("hit-weighted residual block lengths over entry symbols",),
-        extras={"alpha_hats": tuple(float(h) for h in hats[:-1])},
+        params={"mean_block": mean_block, "threshold": int(n)},
+        notes=("residual length of the stationary block whose symbol reaches the threshold",),
+        extras={"alpha_hats": tuple(float(h) for h in np.cumsum(alphas[::-1])[::-1])},
     )
 
 
@@ -690,12 +648,6 @@ def _predict_run_length(system: HouseOfCardsSpec, target, t: float) -> Predictio
     return predict_house_of_cards(system.params[0], t)
 
 
-def _predict_half_line(system: RegenerativeSpec, target, t: float) -> PredictionResult:
-    if system.length_model == "shared":
-        return predict_regenerative(system.shared_q, t)
-    return predict_regenerative_entries(system, target.n, t)
-
-
 def _predict_markov_cylinder(system, target, t: float) -> PredictionResult:
     m = word_overlap_period(target.word)
     if m < len(target.word):
@@ -704,10 +656,26 @@ def _predict_markov_cylinder(system, target, t: float) -> PredictionResult:
 
 
 def _predict_sign_cylinder(system: FactorProductSpec, target, t: float) -> PredictionResult:
+    """:func:`predict_furstenberg`, refused when nu(k + m)/nu(k), exact and rounded once,
+    varies over two lift periods of k at its check length (that check reads one residue)."""
     m = word_overlap_period(target.word)
-    if m < len(target.word):
-        return predict_furstenberg(system.plus_prob, target.word[:m], t)
-    return predict_poisson(t, "non-self-overlapping sign word: isolated visits")
+    if m == len(target.word):
+        return predict_poisson(t, "non-self-overlapping sign word: isolated visits")
+    pred = predict_furstenberg(system.plus_prob, target.word[:m], t)
+    n0, period = pred.extras["check_length"], pred.extras["lift_period"]
+    nu = [
+        sign_cylinder_measure(Fraction(system.plus_prob), (target.word[:m] * (k // m + 1))[:k])
+        for k in range(n0, n0 + 2 * period + m)
+    ]
+    ratios = [
+        b.numerator * a.denominator / (b.denominator * a.numerator) for a, b in zip(nu, nu[m:])
+    ]
+    if max(ratios) - min(ratios) > 1e-8 * max(ratios):
+        raise UnsupportedPairError(
+            f"the sign-cylinder ratio nu(k + {m})/nu(k) oscillates with k (its period can be "
+            "twice the lift's), so the visit law has no limit; simulate instead"
+        )
+    return pred
 
 
 PAIRS = {
@@ -715,7 +683,8 @@ PAIRS = {
         "house-of-cards + run-length", "exact:survival-sum", run_length_measure, _predict_run_length
     ),
     (RegenerativeSpec, HalfLineTarget): Pair(
-        "regenerative + half-line", "exact:length-biased-tail", half_line_measure, _predict_half_line
+        "regenerative + half-line", "exact:length-biased-tail", half_line_measure,
+        lambda system, target, t: predict_regenerative_entries(system, target.n, t),
     ),
     (FiniteMarkovSpec, CylinderTarget): Pair(
         "markov + cylinder", "exact:path-product", markov_cylinder_measure, _predict_markov_cylinder

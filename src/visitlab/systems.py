@@ -907,15 +907,15 @@ class RegenerativeSpec:
         w = self.symbol_probs * nu_a
         return w / w.sum()
 
-
-def _residual_length_cdf(spec: RegenerativeSpec, ai: int) -> np.ndarray:
-    """CDF of the remaining length of a stationary block of symbol index ai,
-    P(rem = k) = sum_{l >= k} q(l) / nu_a (index k-1 <-> remaining length k)."""
-    q = spec.length_law(spec.symbols[ai])
-    rem_law = np.cumsum(q[::-1])[::-1] / spec.mean_block_by_symbol()[ai]
-    cdf_rem = np.cumsum(rem_law)
-    cdf_rem[-1] = max(cdf_rem[-1], 1.0)
-    return cdf_rem
+    @functools.cached_property
+    def residual_laws(self) -> tuple:
+        """Per symbol a, the remaining length of the block that covers a
+        stationary time, given its symbol is a: rho_a(k) = sum_{l >= k} q_a(l)
+        / nu_a (index k-1 <-> remaining length k), read-only."""
+        return tuple(
+            _read_only(np.cumsum(self.length_law(a)[::-1])[::-1] / nu)
+            for a, nu in zip(self.symbols, self.mean_block_by_symbol())
+        )
 
 
 def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
@@ -931,7 +931,9 @@ def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
     sym_arr = np.asarray(spec.symbols, dtype=np.int64)
     cdf_first = np.cumsum(spec.stationary_symbol_probs())
     cdf_first[-1] = 1.0
-    cdf_rem = [_residual_length_cdf(spec, ai) for ai in range(sym_arr.size)]
+    cdf_rem = [np.cumsum(rho) for rho in spec.residual_laws]
+    for cdf in cdf_rem:
+        cdf[-1] = max(cdf[-1], 1.0)
     cdf_sym = np.cumsum(spec.symbol_probs)
     cdf_sym[-1] = 1.0
     nu = spec.mean_block()

@@ -442,7 +442,22 @@ def test_compare_does_not_import_scipy(tmp_path):
 _STEIN = "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n  mode: phi\n  window_policy: half\n"
 
 
-# sha256 of the predict report body (report_body) of each pair config above,
+# pinned beyond the pair configs: the two-point length model of the
+# regenerative pair, whose clusters mix residual laws of different symbols
+_PINNED_CONFIGS = {
+    **_PAIR_CONFIGS,
+    "regenerative two-point + half-line": """\
+system:
+  kind: regenerative
+  symbols: [1, 2, 3]
+  probs: [0.5, 0.3, 0.2]
+  lengths: {model: two-point}
+target: {kind: half-line, sweep: [2]}
+""",
+}
+
+
+# sha256 of the predict report body (report_body) of each config above,
 # with the stein section wherever the target takes one: a change meant to
 # leave report bodies byte-identical is checked against these
 _PREDICT_BODY_PINS = {
@@ -451,16 +466,17 @@ _PREDICT_BODY_PINS = {
     "interval-map + cylinder": "8df1cbdd7e7e4a175de3c5a6c8f1d285245c4611999b48aca62a485e948a864e",
     "markov + cylinder": "c0bfd3a8abf44292079915c42c5ea52479ab254e6bf10d22b833ef41109edb87",
     "product-chain + sync-cylinder": "faea2a372f1feac5d4d2a4b4188f7850a6e6d9acc2c93a8e32b550722eee96b7",
-    "regenerative + half-line": "1f3642eb8b6bef485eac7a2f1f2e4c998696209ebde382b3548878d1f852addc",
+    "regenerative + half-line": "f594d9031be0768ba51723a56dc4805eb077a58332727698dee1ee8151e0e2fa",
+    "regenerative two-point + half-line": "ad3ce79f620862024e0527210a1d0d6f16186e38013394d7c380f6aad96b48c8",
     "sign-product + sign-cylinder": "84fa4f66aea435c6f1f02d54299ff1b7abc47dc004d062d7c01ec2fa57a3fb64",
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PAIR_CONFIGS))
+@pytest.mark.parametrize("name", sorted(_PREDICT_BODY_PINS))
 def test_predict_bodies_are_pinned(name):
     stein = "" if name == "doeblin + geo-diagonal" else _STEIN
     doc = yaml.safe_load(
-        "experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n" + _PAIR_CONFIGS[name] + stein
+        "experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n" + _PINNED_CONFIGS[name] + stein
     )
     body = runner.report_body(runner.run_experiment(config_from_mapping(doc), "predict"))
     assert hashlib.sha256(body.encode()).hexdigest() == _PREDICT_BODY_PINS[name]
@@ -516,11 +532,17 @@ system:
 target: {kind: sync-cylinder, sweep: [6]}
 """
 
+# nu(k + 2)/nu(k) of the sign cycle (1, -1) runs through 0.21, 0.152, 0.21
+# and 0.29 with k mod 4, so its cylinders have no limit law
+_OSCILLATING_SIGN = """\
+system: {kind: sign-product, plus_prob: 0.3}
+target: {kind: sign-cylinder, word_cycle: [1, -1], sweep: [8]}
+"""
 
-@pytest.mark.parametrize("verb, code", [("predict", 3), ("compare", 3), ("sweep", 3), ("simulate", 0)])
-def test_oscillating_sync_law_is_refused(verb, code, tmp_path, capsys):
+
+def _assert_refused_without_limit(config, verb, code, tmp_path, capsys):
     cfg = tmp_path / "oscillating.yaml"
-    cfg.write_text("experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.1}\n" + _OSCILLATING_SYNC)
+    cfg.write_text("experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.1}\n" + config)
     assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     if code == 3:
@@ -529,6 +551,19 @@ def test_oscillating_sync_law_is_refused(verb, code, tmp_path, capsys):
     else:
         assert err == ""
         assert (tmp_path / "out" / "simulate_report.json").exists()
+
+
+_REFUSALS = [("predict", 3), ("compare", 3), ("sweep", 3), ("simulate", 0)]
+
+
+@pytest.mark.parametrize("verb, code", _REFUSALS)
+def test_oscillating_sync_law_is_refused(verb, code, tmp_path, capsys):
+    _assert_refused_without_limit(_OSCILLATING_SYNC, verb, code, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("verb, code", _REFUSALS)
+def test_oscillating_sign_law_is_refused(verb, code, tmp_path, capsys):
+    _assert_refused_without_limit(_OSCILLATING_SIGN, verb, code, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ import pytest
 
 from visitlab import (
     ConvergenceError,
+    CylinderTarget,
+    FactorProductSpec,
     FiniteMarkovSpec,
     HouseOfCardsSpec,
     IntervalMapSpec,
@@ -29,7 +31,6 @@ from visitlab import (
     predict_house_of_cards,
     predict_periodic_cylinder,
     predict_poisson,
-    predict_regenerative,
     predict_regenerative_entries,
     predict_for,
     predict_sync_markov,
@@ -39,8 +40,11 @@ from visitlab import (
     sync_kernel,
     word_overlap_period,
 )
+from visitlab.config import config_from_mapping
 from visitlab.predictions import hurwitz_zeta
-from visitlab.targets import sync_measure
+from visitlab.targets import sign_cylinder_measure, sync_measure
+
+from test_acceptance import _geometric_probs
 
 F = Fraction
 
@@ -274,6 +278,33 @@ def test_furstenberg_ratio_exact_rational():
     assert got["prepend_ratio"] == F(37, 58)
 
 
+def _sign_cycle_target(cycle, n) -> CylinderTarget:
+    return CylinderTarget(tuple(cycle[i % len(cycle)] for i in range(n)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_oscillating_sign_cycle_is_refused(n):
+    # nu(k + 2)/nu(k) for (1, -1) runs through 0.21, 0.152, 0.21, 0.29 with
+    # k mod 4, while the aligned check of predict_furstenberg reads 0.21 only
+    ratios = [
+        sign_cylinder_measure(F(3, 10), _sign_cycle_target((1, -1), k + 2).word)
+        / sign_cylinder_measure(F(3, 10), _sign_cycle_target((1, -1), k).word)
+        for k in range(n, n + 4)
+    ]
+    assert sorted(ratios)[1:3] == [F(21, 100)] * 2 and float(max(ratios) - min(ratios)) > 0.13
+    assert predict_furstenberg(0.3, (1, -1), 2.0).params["p"] == pytest.approx(0.21, abs=1e-15)
+    with pytest.raises(UnsupportedPairError, match="no limit"):
+        predict_for(FactorProductSpec(0.3), _sign_cycle_target((1, -1), n), 2.0)
+
+
+@pytest.mark.parametrize("cycle", [(1,), (-1, 1), (-1, 1, -1)])
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_steady_sign_cycles_keep_their_law(cycle, n):
+    got = predict_for(FactorProductSpec(0.3), _sign_cycle_target(cycle, n), 2.0)
+    assert got.family == "polya-aeppli"
+    assert got.params["p"] == predict_furstenberg(0.3, cycle, 2.0).params["p"]
+
+
 def test_word_overlap_period():
     assert word_overlap_period((1, 1, 1)) == 1
     assert word_overlap_period((1, 0, 1)) == 2
@@ -316,12 +347,70 @@ def test_house_of_cards_prediction_worked_value():
 
 def test_regenerative_prediction_tables():
     q = np.array([0.5, 0.25, 0.125, 0.125])
-    got = predict_regenerative(q, 2.0)
+    spec = RegenerativeSpec.with_shared_lengths([0, 1, 2], [0.5, 0.3, 0.2], q)
+    got = predict_regenerative_entries(spec, 1, 2.0)
     nu = 1.875
-    assert np.allclose(got.alphas, np.cumsum(q[::-1])[::-1] / nu, atol=1e-14)
-    assert got.law.extremal_index == pytest.approx(1.0 / nu)
-    assert got.law.mean_cluster_size == pytest.approx(nu)
-    assert np.allclose(got.law.cluster_probs, q, atol=1e-14)
+    assert got.family == "compound-poisson" and len(got.alphas) == 32
+    assert np.allclose(got.alphas[:4], np.cumsum(q[::-1])[::-1] / nu, rtol=0.0, atol=1e-15)
+    assert not any(got.alphas[4:])
+    assert got.law.extremal_index == pytest.approx(1.0 / nu, rel=1e-15)
+    assert got.law.mean_cluster_size == pytest.approx(nu, rel=1e-15)
+    assert np.allclose(got.law.cluster_probs[:4], q, rtol=0.0, atol=1e-15)
+    assert not any(got.law.cluster_probs[4:])
+    assert got.params["mean_block"] == pytest.approx(nu, rel=1e-15) and got.params["threshold"] == 1
+
+
+def _half_line_alphas_by_overlaps(spec, n):
+    """The half-line tails as once written: alpha_hat_l is the entry-weighted
+    mean of (L - l + 1)^+ over the block-length laws of the symbols >= n,
+    over their mean length, and alpha_l = alpha_hat_l - alpha_hat_(l+1)."""
+    symbols = np.asarray(spec.symbols)
+    keep = np.nonzero(symbols >= n)[0]
+    p_sym = spec.symbol_probs[keep]
+    p_sym = p_sym / p_sym.sum()
+    laws = [spec.length_law(int(symbols[idx])) for idx in keep]
+    length = max(32, max(q.size for q in laws))
+    num = np.zeros(length + 1)
+    den = 0.0
+    for w, q in zip(p_sym, laws):
+        lengths = np.arange(1, q.size + 1, dtype=float)
+        den += w * float(lengths @ q)
+        for ell in range(1, length + 2):
+            num[ell - 1] += w * float(np.clip(lengths - ell + 1, 0.0, None) @ q)
+    hats = num / den
+    return np.minimum.accumulate(np.clip(hats[:-1] - hats[1:], 0.0, None))
+
+
+def _regenerative(lengths, symbols, probs):
+    doc = {
+        "experiment": {"t": 1.0, "samples": 10, "seed": 1},
+        "system": {"kind": "regenerative", "symbols": symbols, "probs": probs, "lengths": lengths},
+        "target": {"kind": "half-line", "sweep": [1]},
+    }
+    return config_from_mapping(doc).build_system()
+
+
+# (spec, threshold): the shared law of the pair configs, criteria 05 and 06,
+# and two-point systems with short and with long blocks
+HALF_LINE_SYSTEMS = {
+    "shared": (RegenerativeSpec.with_shared_lengths([0, 1, 2], [0.5, 0.3, 0.2], [0.5, 0.3, 0.2]), 2),
+    "criterion 05": (_regenerative({"model": "shared-geometric", "rate": 0.5, "tail": 1e-12},
+                                   list(range(1, 41)), _geometric_probs(40)), 11),
+    "criterion 06": (_regenerative({"model": "two-point"}, list(range(1, 31)), _geometric_probs(30)), 11),
+    "two-point [2, 3]": (RegenerativeSpec.smith([2, 3], [0.5, 0.5]), 2),
+    "two-point [1, 2, 50]": (RegenerativeSpec.smith([1, 2, 50], [0.3, 0.3, 0.4]), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(HALF_LINE_SYSTEMS))
+def test_half_line_law_is_the_residual_block_law(name):
+    spec, n = HALF_LINE_SYSTEMS[name]
+    got = predict_regenerative_entries(spec, n, 2.0)
+    want = _half_line_alphas_by_overlaps(spec, n)
+    assert len(got.alphas) == want.size
+    assert np.max(np.abs(np.asarray(got.alphas) - want)) <= 1e-15
+    hats = got.extras["alpha_hats"]
+    assert hats[0] == pytest.approx(1.0, abs=1e-15) and hats[-1] == got.alphas[-1]
 
 
 def test_regenerative_entries_two_point_mixture():
@@ -458,7 +547,7 @@ def test_prediction_pmf_normalizes():
     for result in (
         predict_poisson(2.0),
         predict_house_of_cards(0.5, 2.0),
-        predict_regenerative(np.array([0.5, 0.5]), 2.0),
+        predict_regenerative_entries(RegenerativeSpec.with_shared_lengths([0, 1], [0.5, 0.5], [0.5, 0.5]), 1, 2.0),
     ):
         pmf = result.pmf(200)
         assert pmf.probs.sum() + pmf.tail_mass == pytest.approx(1.0, abs=1e-9)

@@ -321,6 +321,17 @@ def test_regenerative_stationary_probs_are_length_biased():
     assert np.allclose(spec.stationary_symbol_probs(), [0.3, 0.7])
 
 
+def test_regenerative_residual_laws():
+    smith = RegenerativeSpec.smith([1, 2, 5], [0.2, 0.3, 0.5])
+    laws = smith.residual_laws
+    # symbol 5: length 1 w.p. 0.8, 6 w.p. 0.2, mean 2
+    assert np.allclose(laws[2], [0.5, 0.1, 0.1, 0.1, 0.1, 0.1], rtol=0.0, atol=1e-16)
+    assert all(abs(rho.sum() - 1.0) <= 1e-15 and np.all(np.diff(rho) <= 0) for rho in laws)
+    assert smith.residual_laws is laws and not any(rho.flags.writeable for rho in laws)
+    sent = pickle.loads(pickle.dumps(smith))
+    assert "residual_laws" in vars(sent) and all(map(np.array_equal, sent.residual_laws, laws))
+
+
 def test_sample_path_values_and_shapes():
     rng = trajectory_rng(11, 0)
     hoc = sample_path(HouseOfCardsSpec.constant(0.5), 50, rng)
