@@ -348,6 +348,16 @@ def furstenberg_ratio(plus_prob, word) -> dict:
     return {"measure": nu, "prepend_ratio": nu_ext / nu}
 
 
+def _sign_weight(a: int, d: int, word) -> int:
+    """N with nu(word) = N / d**(len(word) + 1) at plus probability a / d, in integers."""
+    x, k_plus = 1, 1
+    for z in word:
+        x *= z
+        k_plus += x == 1
+    k_minus = len(word) + 1 - k_plus
+    return a**k_plus * (d - a) ** k_minus + a**k_minus * (d - a) ** k_plus
+
+
 def _lift_signs(word, count: int) -> list:
     x = [1]
     m = len(word)
@@ -392,21 +402,21 @@ def predict_furstenberg(
     else:
         p_case = (1.0 - eps) ** k * eps ** (m - k)
 
-    # exact ratio along lift-aligned cylinder lengths near 240
-    eps_frac = Fraction(eps)
+    # exact ratio along lift-aligned cylinder lengths near 240: nu(n + m)/nu(n)
+    # is w(n + m) / (w(n) d^m), and each int true division rounds once
+    a, d = eps.as_integer_ratio()
     n0 = 2 * lift_period * (240 // (2 * lift_period) + 1)
-    nu = {
-        n: sign_cylinder_measure(eps_frac, tuple(word[i % m] for i in range(n)))
+    w0, w1, w2, w3 = (
+        _sign_weight(a, d, tuple(word[i % m] for i in range(n)))
         for n in (n0, n0 + m, n0 + 2 * lift_period, n0 + 2 * lift_period + m)
-    }
-    r1 = nu[n0 + m] / nu[n0]
-    r2 = nu[n0 + 2 * lift_period + m] / nu[n0 + 2 * lift_period]
-    p_ratio = float(r1)
+    )
+    scale = d**m
+    p_ratio = w1 / (w0 * scale)
     gap = abs(p_case - p_ratio)
     extras = {
         "case_value": p_case,
         "ratio_value": p_ratio,
-        "ratio_stability": float(abs(r2 - r1)),
+        "ratio_stability": abs(w3 * w0 - w1 * w2) / (w2 * w0 * scale),
         "check_length": n0,
         "lift_period": lift_period,
         "plus_count": k,
@@ -663,13 +673,13 @@ def _predict_sign_cylinder(system: FactorProductSpec, target, t: float) -> Predi
         return predict_poisson(t, "non-self-overlapping sign word: isolated visits")
     pred = predict_furstenberg(system.plus_prob, target.word[:m], t)
     n0, period = pred.extras["check_length"], pred.extras["lift_period"]
-    nu = [
-        sign_cylinder_measure(Fraction(system.plus_prob), (target.word[:m] * (k // m + 1))[:k])
+    a, d = float(system.plus_prob).as_integer_ratio()
+    w = [
+        _sign_weight(a, d, (target.word[:m] * (k // m + 1))[:k])
         for k in range(n0, n0 + 2 * period + m)
     ]
-    ratios = [
-        b.numerator * a.denominator / (b.denominator * a.numerator) for a, b in zip(nu, nu[m:])
-    ]
+    scale = d**m
+    ratios = [after / (before * scale) for before, after in zip(w, w[m:])]
     if max(ratios) - min(ratios) > 1e-8 * max(ratios):
         raise UnsupportedPairError(
             f"the sign-cylinder ratio nu(k + {m})/nu(k) oscillates with k (its period can be "

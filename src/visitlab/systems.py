@@ -29,7 +29,8 @@ IntervalMapSpec
 DoeblinChainSpec
     Circle chain with transition density 1 + eta * cos(2*pi*(y - x)).
 FactorProductSpec
-    +/-1 spin products z_i = x_i * x_{i+1} of an i.i.d. sign sequence.
+    +/-1 spin products z_i = x_i * x_{i+1} of an i.i.d. sign sequence, held
+    as int8.
 
 A spec's derived laws (stationary laws, kernels, chains) are
 ``functools.cached_property`` values of the frozen spec: computed on first
@@ -201,17 +202,28 @@ class TrajectoryStreams(Sequence):
         whose XSL-RR output x gives the double ``(x >> 11) * 2**-53``.
         """
         words = self._words
-        inc_hi = (words[:, 2] << _ONE) | (words[:, 3] >> np.uint64(63))
+        inc_hi = (words[:, 2] << _ONE) | (words[:, 3] >> _S63)
         inc_lo = (words[:, 3] << _ONE) | _ONE
+        scratch = (*np.empty((4, len(words)), np.uint64), np.empty(len(words), bool))
+        # the output reuses the step's scratch, which is free between steps
+        s0, s1, s2 = scratch[:3]
         # from state 0 one step gives inc; add the seed state, step again
         lo = inc_lo + words[:, 1]
-        hi, lo = _pcg64_step(inc_hi + words[:, 0] + (lo < inc_lo), lo, inc_hi, inc_lo)
+        hi = inc_hi + words[:, 0] + (lo < inc_lo)
+        _pcg64_step(hi, lo, inc_hi, inc_lo, scratch)
         out = np.empty((n, len(words)))
         for t in range(n):
-            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-            x, rot = hi ^ lo, hi >> np.uint64(58)
-            x = (x >> rot) | (x << (-rot & np.uint64(63)))
-            np.multiply((x >> np.uint64(11)).view(np.int64), 2.0**-53, out=out[t])
+            _pcg64_step(hi, lo, inc_hi, inc_lo, scratch)
+            # XSL-RR: rotate hi ^ lo right by the top 6 bits of hi
+            np.bitwise_xor(hi, lo, out=s0)
+            np.right_shift(hi, _S58, out=s1)
+            np.right_shift(s0, s1, out=s2)
+            np.negative(s1, out=s1)
+            s1 &= _S63
+            s0 <<= s1
+            s0 |= s2
+            s0 >>= _S11
+            np.multiply(s0.view(np.int64), 2.0**-53, out=out[t])
         return out
 
 
@@ -219,17 +231,38 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M_HI, _M_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (2**64 - 1))
 _M_LO_HI, _M_LO_LO = _M_LO >> np.uint64(32), _M_LO & np.uint64(0xFFFFFFFF)
 _LOW32, _S32, _ONE = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1)
+_S11, _S58, _S63 = np.uint64(11), np.uint64(58), np.uint64(63)
 
 
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """``state * M + inc mod 2**128`` on uint64 halves (wrapping like the C code)."""
+def _pcg64_step(hi, lo, inc_hi, inc_lo, scratch) -> None:
+    """``state = state * M + inc mod 2**128`` in place on uint64 halves (wrapping
+    like the C code); ``scratch`` is four uint64 vectors and one bool vector."""
+    a0, a1, mid, cross, carry = scratch
     # high 64 bits of lo * M_LO, from 32-bit halves
-    a0, a1 = lo & _LOW32, lo >> _S32
-    mid = a1 * _M_LO_LO + ((a0 * _M_LO_LO) >> _S32)
-    cross = a0 * _M_LO_HI + (mid & _LOW32)
-    mulhi = a1 * _M_LO_HI + (mid >> _S32) + (cross >> _S32)
-    new_lo = lo * _M_LO + inc_lo
-    return hi * _M_LO + lo * _M_HI + mulhi + inc_hi + (new_lo < inc_lo), new_lo
+    np.bitwise_and(lo, _LOW32, out=a0)
+    np.right_shift(lo, _S32, out=a1)
+    np.multiply(a0, _M_LO_LO, out=cross)
+    cross >>= _S32
+    np.multiply(a1, _M_LO_LO, out=mid)
+    mid += cross
+    a0 *= _M_LO_HI
+    np.bitwise_and(mid, _LOW32, out=cross)
+    cross += a0
+    cross >>= _S32
+    mid >>= _S32
+    a1 *= _M_LO_HI
+    a1 += mid
+    a1 += cross
+    # a1 is now the high half of lo * M_LO
+    hi *= _M_LO
+    np.multiply(lo, _M_HI, out=a0)
+    hi += a0
+    hi += a1
+    hi += inc_hi
+    lo *= _M_LO
+    lo += inc_lo
+    np.less(lo, inc_lo, out=carry)
+    hi += carry
 
 
 # A chunk of ``rows`` streams drawing n uniforms each takes the array route
@@ -1193,19 +1226,21 @@ class FactorProductSpec:
 
 
 def sample_factor_product_batch(spec: FactorProductSpec, n: int, rngs) -> np.ndarray:
-    """n product symbols (+-1) per row, a C-contiguous ``(rows, n)`` int64 array.
+    """n product symbols (+-1) per row, a C-contiguous ``(rows, n)`` int8 array.
 
     Row i draws n + 1 sign uniforms from rngs[i], and sign j is +1 where
-    uniform j lies below ``plus_prob``.
+    uniform j lies below ``plus_prob``.  The signs are compared time-major
+    (on the array route ``u.T`` is the C-contiguous draw), and one
+    transposing copy writes the products into the paths.
     """
-    out = np.empty((len(rngs), n), dtype=np.int64)
+    out = np.empty((len(rngs), n), dtype=np.int8)
     for lo, u in _uniform_tiles(rngs, n + 1):
-        plus = u < spec.plus_prob
+        plus = u.T < spec.plus_prob
         # x_j * x_(j+1) is +1 exactly where the two signs agree
-        part = out[lo : lo + len(u)]
-        np.equal(plus[:, :-1], plus[:, 1:], out=part)
-        part *= 2
-        part -= 1
+        prod = np.equal(plus[:-1], plus[1:]).view(np.int8)
+        prod *= 2
+        prod -= 1
+        out[lo : lo + len(u)] = prod.T
     return out
 
 
@@ -1244,12 +1279,12 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
     doubles (module docstring) from rngs[i] and from nothing else.  Finite
     Markov chains and interval-map itineraries hold their states in the
     smallest unsigned dtype that fits them (uint8 up to 256 states), product
-    chains their components likewise (:func:`decode_states`), and
+    chains their components likewise (:func:`decode_states`),
     house-of-cards chains the smallest one that holds every state a path of
-    n steps can reach (:func:`sample_house_of_cards`).  The system's sampler
-    in ``_SAMPLERS`` steps all rows of a uniform tile at once, or each row in
-    turn (drifting and alternating house-of-cards chains, regenerative
-    processes).
+    n steps can reach (:func:`sample_house_of_cards`), and sign products
+    their +-1 symbols as int8.  The system's sampler in ``_SAMPLERS`` steps
+    all rows of a uniform tile at once, or each row in turn (drifting and
+    alternating house-of-cards chains, regenerative processes).
     """
     try:
         sampler = _SAMPLERS[type(spec)]

@@ -6,6 +6,9 @@ the artifact's sha256 (``-`` for a run that wrote no report).  The cases are
 
 * every pair config of ``test_cli._PAIR_CONFIGS`` under all five verbs, with
   the experiment block and stein section of ``test_predict_bodies_are_pinned``;
+* all five verbs on the sign cylinders of ``_SIGN_CASES`` at depth 8, which
+  run both branches of the exact sign checks: the all-plus word at two plus
+  probabilities, a steady cycle and a cycle whose law is refused;
 * ``compare --jobs 1`` on each benchmark workload in ``perfbench/workloads``,
   which it only reads;
 * all five verbs on every config file named on the command line.
@@ -35,6 +38,14 @@ from visitlab.cli import main  # noqa: E402
 from visitlab.runner import VERBS  # noqa: E402
 
 _EXPERIMENT = "experiment: {t: 1.0, samples: 400, seed: 2, tolerance: 0.1}\n"
+
+# case -> (plus_prob, word_cycle) of a depth-8 sign cylinder
+_SIGN_CASES = {
+    "sign (1,) at 0.1": (0.1, [1]),
+    "sign (1,) at 0.7": (0.7, [1]),
+    "sign cycle (-1, 1)": (0.3, [-1, 1]),
+    "sign cycle (1, -1), refused": (0.3, [1, -1]),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -66,6 +77,15 @@ def all_digests(extra_configs):
             config = Path(tmp) / f"pair{i}.yaml"
             stein = "" if name == "doeblin + geo-diagonal" else _STEIN
             config.write_text(_EXPERIMENT + body + stein)
+            yield from digests(name, config, VERBS)
+        for name, (plus_prob, cycle) in _SIGN_CASES.items():
+            config = Path(tmp) / f"{name}.yaml"
+            config.write_text(
+                _EXPERIMENT
+                + f"system: {{kind: sign-product, plus_prob: {plus_prob}}}\n"
+                + f"target: {{kind: sign-cylinder, word_cycle: {cycle}, sweep: [8]}}\n"
+                + _STEIN
+            )
             yield from digests(name, config, VERBS)
     for workload in sorted((HERE.parent / "perfbench" / "workloads").glob("*.yaml")):
         yield from digests(workload.stem, workload, ["compare"], "--jobs", "1")

@@ -258,6 +258,43 @@ def test_furstenberg_table_covers_all_primitive_words():
     assert listed == everything and len(listed) == 22
 
 
+def _fraction_sign_checks(eps: float, word: tuple):
+    """The exact sign checks in Fractions, for reference: predict_furstenberg's
+    aligned ratio, its stability and check length, and whether the ratio
+    nu(k + m)/nu(k) is steady over two lift periods of k from there."""
+    m = len(word)
+    lift_period = m if math.prod(word) == 1 else 2 * m
+    n0 = 2 * lift_period * (240 // (2 * lift_period) + 1)
+
+    def nu(n):
+        return sign_cylinder_measure(F(eps), tuple(word[i % m] for i in range(n)))
+
+    r1 = nu(n0 + m) / nu(n0)
+    r2 = nu(n0 + 2 * lift_period + m) / nu(n0 + 2 * lift_period)
+    ratios = [float(nu(k + m) / nu(k)) for k in range(n0, n0 + 2 * lift_period + m)]
+    steady = max(ratios) - min(ratios) <= 1e-8 * max(ratios)
+    return {"ratio_value": float(r1), "ratio_stability": float(abs(r2 - r1)), "check_length": n0}, steady
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.7, 0.123456])
+def test_integer_sign_checks_match_fractions(eps):
+    for word, _, _ in FURSTENBERG_TABLE:
+        want, steady = _fraction_sign_checks(eps, word)
+        got = predict_furstenberg(eps, word, 2.0, strict=False).extras
+        assert {key: got[key] for key in want} == want, word
+        assert got["consistency_error"] == abs(got["case_value"] - want["ratio_value"]), word
+        if got["consistency_error"] > 1e-8:
+            expected = ConvergenceError
+        else:
+            expected = None if steady else UnsupportedPairError
+        try:
+            predict_for(FactorProductSpec(eps), _sign_cycle_target(word, 8), 2.0)
+            outcome = None
+        except (ConvergenceError, UnsupportedPairError) as refused:
+            outcome = type(refused)
+        assert outcome is expected, (word, outcome)
+
+
 def test_furstenberg_strict_mode_rejects_mismatch():
     with pytest.raises(ConvergenceError):
         predict_furstenberg(0.3, (-1,), 2.0, strict=True)

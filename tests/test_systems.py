@@ -787,7 +787,7 @@ def test_sign_product_batch_matches_solo():
     for n in (1, 2, 57):
         batch = sample_factor_product_batch(spec, n, trajectory_rngs(7, 0, 40))
         assert batch.shape == (40, n) and batch.flags.c_contiguous
-        assert batch.dtype == np.int64
+        assert batch.dtype == np.int8
         for i, row in enumerate(batch):
             x = np.where(trajectory_rng(7, i).random(n + 1) < 0.3, 1, -1)
             assert np.array_equal(row, x[:-1] * x[1:]), (n, i)
@@ -809,7 +809,7 @@ def test_sign_product_array_route_matches_generators():
         streams, rngs = _streams_and_list(_ARRAY_ROWS)
         assert systems._array_route(streams, n + 1) == (n < 64)
         batch = sample_factor_product_batch(spec, n, streams)
-        assert batch.flags.c_contiguous and batch.dtype == np.int64
+        assert batch.flags.c_contiguous and batch.dtype == np.int8
         assert np.array_equal(batch, sample_factor_product_batch(spec, n, rngs)), n
 
 
