@@ -49,6 +49,8 @@ from .targets import (
     markov_cylinder_measure,
     run_length_measure,
     sign_cylinder_measure,
+    sign_lift_plus,
+    sign_lift_weight,
     strip_measure,
     sync_measure,
 )
@@ -348,24 +350,6 @@ def furstenberg_ratio(plus_prob, word) -> dict:
     return {"measure": nu, "prepend_ratio": nu_ext / nu}
 
 
-def _sign_weight(a: int, d: int, word) -> int:
-    """N with nu(word) = N / d**(len(word) + 1) at plus probability a / d, in integers."""
-    x, k_plus = 1, 1
-    for z in word:
-        x *= z
-        k_plus += x == 1
-    k_minus = len(word) + 1 - k_plus
-    return a**k_plus * (d - a) ** k_minus + a**k_minus * (d - a) ** k_plus
-
-
-def _lift_signs(word, count: int) -> list:
-    x = [1]
-    m = len(word)
-    for i in range(count):
-        x.append(x[-1] * word[i % m])
-    return x
-
-
 def predict_furstenberg(
     plus_prob: float, word, t: float, strict: bool = True
 ) -> PredictionResult:
@@ -395,7 +379,7 @@ def predict_furstenberg(
         prod *= z
     lift_period = m if prod == 1 else 2 * m
     window = 2 * lift_period - 1
-    s_plus = sum(1 for x in _lift_signs(word, window - 1) if x == 1)
+    s_plus = sign_lift_plus(tuple(word[i % m] for i in range(window - 1)))
     density = s_plus / window
     if (0.5 - eps) * (0.5 - density) > 0:
         p_case = eps**k * (1.0 - eps) ** (m - k)
@@ -407,7 +391,7 @@ def predict_furstenberg(
     a, d = eps.as_integer_ratio()
     n0 = 2 * lift_period * (240 // (2 * lift_period) + 1)
     w0, w1, w2, w3 = (
-        _sign_weight(a, d, tuple(word[i % m] for i in range(n)))
+        sign_lift_weight(a, d - a, tuple(word[i % m] for i in range(n)))
         for n in (n0, n0 + m, n0 + 2 * lift_period, n0 + 2 * lift_period + m)
     )
     scale = d**m
@@ -611,6 +595,10 @@ def renewal_ratio_sequence(spec, n_values) -> np.ndarray:
 
     Written with H(n) = sum_{i>=n} prod_{u<i}(1 - r_u); the ratio is
     H(n+1)/H(n), evaluated in log space with a certified geometric tail.
+    Unlike :func:`~visitlab.targets.run_length_measure`, the survival
+    products stay in log space here: n may run far past the point where
+    the linear products underflow a double, and the ratio of two such tails
+    is still of order 1.
     """
     n_values = np.asarray(list(n_values), dtype=int)
     if n_values.size == 0 or np.any(n_values < 0):
@@ -675,7 +663,7 @@ def _predict_sign_cylinder(system: FactorProductSpec, target, t: float) -> Predi
     n0, period = pred.extras["check_length"], pred.extras["lift_period"]
     a, d = float(system.plus_prob).as_integer_ratio()
     w = [
-        _sign_weight(a, d, (target.word[:m] * (k // m + 1))[:k])
+        sign_lift_weight(a, d - a, (target.word[:m] * (k // m + 1))[:k])
         for k in range(n0, n0 + 2 * period + m)
     ]
     scale = d**m

@@ -237,24 +237,39 @@ class TargetMeasure:
             raise SpecError(f"target measure must be positive, got {self.value}")
 
 
-def sign_cylinder_measure(plus_prob, word):
-    """Measure of a +-1 product-symbol cylinder via its two sign lifts.
+def sign_lift_plus(word) -> int:
+    """Number of +1 signs in the lift x_0 = 1, x_(i+1) = x_i z_i of a +-1 word.
 
-    Works in the arithmetic of ``plus_prob``: pass a Fraction for an exact
-    rational answer, a float for a float.
+    The lift has len(word) + 1 signs; its flip -x carries the other count.
     """
-    eps = plus_prob
-    one = eps / eps  # 1 in the right arithmetic
-    x = 1
-    k_plus = 1  # the lift starts at +1
+    x, k_plus = 1, 1
     for z in word:
         if z not in (-1, 1):
             raise SpecError("sign word must be over {-1, +1}")
         x *= z
         if x == 1:
             k_plus += 1
-    k_minus = (len(word) + 1) - k_plus
-    return eps**k_plus * (one - eps) ** k_minus + eps**k_minus * (one - eps) ** k_plus
+    return k_plus
+
+
+def sign_lift_weight(p, q, word):
+    """p^k q^m + p^m q^k for the k plus and m minus signs of the word's lift.
+
+    With (p, q) = (eps, 1 - eps) this is the cylinder measure; with integers
+    (a, d - a) it is that measure times d^(len(word) + 1), at eps = a / d.
+    """
+    k_plus = sign_lift_plus(word)
+    k_minus = len(word) + 1 - k_plus
+    return p**k_plus * q**k_minus + p**k_minus * q**k_plus
+
+
+def sign_cylinder_measure(plus_prob, word):
+    """Measure of a +-1 product-symbol cylinder via its two sign lifts.
+
+    Works in the arithmetic of ``plus_prob``: pass a Fraction for an exact
+    rational answer, a float for a float.
+    """
+    return sign_lift_weight(plus_prob, 1 - plus_prob, word)
 
 
 def interval_cylinder_measure(spec: IntervalMapSpec, word) -> Fraction:
@@ -339,26 +354,17 @@ def measure_exact(target, system) -> TargetMeasure:
 def run_length_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> float:
     """P(state >= level now and no reset for n further steps), stationary.
 
-    Written as sum_s pi(s) * prod_{u=s}^{s+n-1}(1 - r_u) over start states
-    s >= level; the product is evaluated in log space to dodge underflow.
+    The sum over start states s >= level of pi(s) G(s + n) / G(s), with the
+    survival products G(k) = prod_{u<k}(1 - r_u) that weigh pi itself:
+    pi(s) = pi(0) G(s), so the sum is pi(0) times the G(k) with k >= level + n
+    over the table's start states.  G is one linear product: it rounds nowhere
+    its products are doubles (r = 1/2 gives mu = 2^-(level + n) exactly), and
+    it is 0 past a certain reset.
     """
-    law = system.stationary
-    j_max = law.probs.size - 1
-    n = target.n
-    if n == 0:
-        return float(law.probs[target.level :].sum())
-    r = system.reset_probs(np.arange(j_max + n))
-    if np.any(r >= 1.0):
-        # a certain reset inside some window: fall back to direct products
-        surv_steps = 1.0 - r
-        mu = 0.0
-        for s in range(target.level, j_max + 1):
-            mu += float(law.probs[s]) * float(np.prod(surv_steps[s : s + n]))
-        return mu
-    logs = np.concatenate([[0.0], np.cumsum(np.log1p(-r))])
-    s_idx = np.arange(target.level, j_max + 1)
-    surv = np.exp(logs[s_idx + n] - logs[s_idx])
-    return float(np.dot(law.probs[target.level :], surv))
+    probs = system.stationary.probs
+    r = system.reset_probs(np.arange(probs.size - 1 + target.n))
+    g = np.cumprod(np.concatenate([[1.0], 1.0 - r]))
+    return float(probs[0] * g[target.level + target.n :].sum())
 
 
 def sync_measure(system: ProductChainSpec, target: SyncCylinderTarget) -> float:

@@ -9,6 +9,9 @@ the artifact's sha256 (``-`` for a run that wrote no report).  The cases are
 * all five verbs on the sign cylinders of ``_SIGN_CASES`` at depth 8, which
   run both branches of the exact sign checks: the all-plus word at two plus
   probabilities, a steady cycle and a cycle whose law is refused;
+* all five verbs on the run-length targets of ``_RUN_LENGTH_CASES``, with the
+  stein section, so the outer sets down to n = 0 are measured too: dyadic
+  resets, where the measure and the Kac horizon are exact, and others;
 * ``compare --jobs 1`` on each benchmark workload in ``perfbench/workloads``,
   which it only reads;
 * all five verbs on every config file named on the command line.
@@ -45,6 +48,15 @@ _SIGN_CASES = {
     "sign (1,) at 0.7": (0.7, [1]),
     "sign cycle (-1, 1)": (0.3, [-1, 1]),
     "sign cycle (1, -1), refused": (0.3, [1, -1]),
+}
+
+# case -> (house-of-cards system section, run-length sweep) at level 1
+_RUN_LENGTH_CASES = {
+    "run-length at reset 0.5": ("{kind: house-of-cards, reset: 0.5}", [5, 6]),
+    "run-length at reset 0.3": ("{kind: house-of-cards, reset: 0.3}", [8]),
+    "run-length at drifting reset (0.5, 0.3)": (
+        "{kind: house-of-cards, reset_limit: 0.5, reset_drift: 0.3}", [4],
+    ),
 }
 
 
@@ -84,6 +96,15 @@ def all_digests(extra_configs):
                 _EXPERIMENT
                 + f"system: {{kind: sign-product, plus_prob: {plus_prob}}}\n"
                 + f"target: {{kind: sign-cylinder, word_cycle: {cycle}, sweep: [8]}}\n"
+                + _STEIN
+            )
+            yield from digests(name, config, VERBS)
+        for name, (system, sweep) in _RUN_LENGTH_CASES.items():
+            config = Path(tmp) / f"{name}.yaml"
+            config.write_text(
+                _EXPERIMENT
+                + f"system: {system}\n"
+                + f"target: {{kind: run-length, level: 1, sweep: {sweep}}}\n"
                 + _STEIN
             )
             yield from digests(name, config, VERBS)

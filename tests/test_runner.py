@@ -507,7 +507,7 @@ _TABLE_PINS = {
             "system": {"kind": "house-of-cards", "reset": 0.5},
             "target": {"kind": "run-length", "level": 1, "sweep": [5]},
         },
-        "cd315997cd38d590a29db57b7adebd40819f950cf2c751aa7a8125fe514ce251",
+        "25bbe70f98f237686df0ee4c770ed5d3791961dcbe066e430d620319aa9f1de4",
     ),
     "some tables insufficient": (
         {
@@ -558,7 +558,7 @@ _CHAIN_PINS = {
             "system": {"kind": "house-of-cards", "reset": 0.5},
             "target": {"kind": "run-length", "level": 1, "sweep": [6]},
         },
-        "8f3bfabfbc965d289ead0115bc4c4fc2aba211866403c3d13ed61d45741966bd",
+        "f0824520053f1baf4f503e0ee8a65818455c222bf42ea896f2803698a803df44",
     ),
     "markov + cylinder, criterion 07's chain": (
         {

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,15 @@ from visitlab import (
     sign_cylinder_measure,
 )
 from visitlab import runner, systems
+from visitlab.stats import kac_horizon
 from visitlab.systems import sample_chain
-from visitlab.targets import TargetMeasure, _match_word, _window_all, interval_cylinder_measure
+from visitlab.targets import (
+    TargetMeasure,
+    _match_word,
+    _window_all,
+    interval_cylinder_measure,
+    run_length_measure,
+)
 
 F = Fraction
 
@@ -42,10 +50,84 @@ def test_run_length_measure_halves_per_step():
     hoc = HouseOfCardsSpec.constant(0.5)
     for n in (0, 3, 10):
         got = measure_exact(RunLengthTarget(n, level=1), hoc)
-        assert np.isclose(got.value, 2.0 ** -(n + 1), atol=1e-12)
+        assert got.value == 2.0 ** -(n + 1)
         assert got.se == 0.0 and got.method.startswith("exact")
     lvl2 = measure_exact(RunLengthTarget(0, level=2), hoc)
-    assert np.isclose(lvl2.value, 0.25, atol=1e-12)
+    assert lvl2.value == 0.25
+
+
+@pytest.mark.parametrize("r", [0.5, 0.75])
+def test_dyadic_run_length_measures_and_horizons_are_exact(r):
+    # mu = (1 - r)^(level + n) is a double, so mu and N = floor(t / mu) come out exact
+    hoc = HouseOfCardsSpec.constant(r)
+    for level in (1, 2, 3):
+        for n in range(40):
+            exact = (1 - Fraction(r)) ** (level + n)
+            mu = run_length_measure(hoc, RunLengthTarget(n, level))
+            assert Fraction(mu) == exact, (level, n)
+            for t in (1, 2, 3):
+                assert kac_horizon(t, mu) == int(Fraction(t) / exact), (level, n, t)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.1, 0.9])
+def test_run_length_measure_is_within_1e13_of_the_rational(r):
+    hoc = HouseOfCardsSpec.constant(r)
+    for level in (1, 2):
+        for n in (0, 1, 5, 10, 30, 100, 300):
+            exact = (1 - Fraction(r)) ** (level + n)
+            mu = run_length_measure(hoc, RunLengthTarget(n, level))
+            assert abs(Fraction(mu) - exact) <= Fraction(1, 10**13) * exact, (level, n)
+
+
+def _fraction_table_sum(spec, target):
+    """sum_{s >= level} pi(s) prod_{u=s}^{s+n-1} (1 - r_u) over the stationary table,
+    in Fractions of the table's and the resets' doubles."""
+    probs = spec.stationary.probs
+    n = target.n
+    surv = [1 - Fraction(r) for r in spec.reset_probs(np.arange(probs.size - 1 + n)).tolist()]
+    return sum(
+        Fraction(float(probs[s])) * math.prod(surv[s : s + n], start=Fraction(1))
+        for s in range(target.level, probs.size)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [HouseOfCardsSpec.drifting(0.5, 0.3), HouseOfCardsSpec.alternating(0.2, 0.6)],
+    ids=["drifting (0.5, 0.3)", "alternating (0.2, 0.6)"],
+)
+def test_run_length_measure_matches_the_table_sum_in_fractions(spec):
+    for level in (1, 2):
+        for n in (0, 1, 4, 12):
+            target = RunLengthTarget(n, level)
+            exact = _fraction_table_sum(spec, target)
+            got = Fraction(run_length_measure(spec, target))
+            assert abs(got - exact) <= Fraction(1, 10**13) * exact, (level, n)
+
+
+@pytest.mark.parametrize(
+    "spec, reference",
+    [
+        (HouseOfCardsSpec.constant(0.01), (1 - Fraction(0.01)) ** 4095),
+        # the same table sum, in 60-digit decimal arithmetic
+        (HouseOfCardsSpec.drifting(0.01, 0.5), Fraction("1.131826706947032511958135321808360813e-19")),
+    ],
+    ids=["constant 0.01", "drifting (0.01, 0.5)"],
+)
+def test_deep_run_length_measures_reach_past_the_table(spec, reference):
+    # the table ends at 4,097 states, so a tail sum of it alone would read
+    # 2.66e-20 at reset 0.01; the survival products run n states further
+    assert spec.stationary.probs.size == 4097
+    got = Fraction(run_length_measure(spec, RunLengthTarget(4094, 1)))
+    assert abs(got - reference) <= Fraction(1, 10**12) * reference
+
+
+def test_certain_reset_cuts_the_survival_products():
+    # r = 1 at odd states: pi = (2/3, 1/3) and no run outlives one step
+    spec = HouseOfCardsSpec.alternating(0.5, 1.0)
+    assert run_length_measure(spec, RunLengthTarget(0, 1)) == pytest.approx(1 / 3, rel=1e-15)
+    with pytest.raises(StructureError, match="zero stationary measure"):
+        measure_exact(RunLengthTarget(1, 1), spec)
 
 
 def test_half_line_measure_smith_symbols():
