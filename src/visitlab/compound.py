@@ -253,8 +253,8 @@ def cp_pmf(spec: CompoundPoissonSpec, kmax: int) -> DiscretePMF:
 
 
 def poisson_pmf(t: float, kmax: int) -> DiscretePMF:
-    """Plain Poisson(t) table (unit cluster size)."""
-    return cp_pmf(CompoundPoissonSpec(t, np.array([1.0])), kmax)
+    """Plain Poisson(t) table: the Polya-Aeppli table at p = 0, every cluster of size one."""
+    return pa_pmf(t, 0.0, kmax)
 
 
 def pa_pmf(t: float, p: float, kmax: int) -> DiscretePMF:

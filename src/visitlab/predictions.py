@@ -24,9 +24,9 @@ from .compound import (
     cluster_law_from_alphas,
     cp_pmf,
     pa_pmf,
-    poisson_pmf,
 )
 from .errors import ConvergenceError, SpecError, StructureError, UnsupportedPairError
+from .stats import kac_horizon
 from .systems import (
     DoeblinChainSpec,
     FactorProductSpec,
@@ -73,42 +73,32 @@ class PredictionResult:
     extras: dict = field(default_factory=dict)
 
     def pmf(self, kmax: int) -> DiscretePMF:
-        """Predicted law of W on 0..kmax (exact family forms where available)."""
-        if self.family == FAMILY_POISSON:
-            return poisson_pmf(self.t, kmax)
-        if self.family == FAMILY_PA:
-            return pa_pmf(self.t, self.params["p"], kmax)
-        return cp_pmf(self.law.compound, kmax)
+        """Predicted law of W on 0..kmax: :func:`cp_pmf` for compound laws, else
+        :func:`pa_pmf` at ``params["p"]``, which is 0 for Poisson."""
+        if self.family == FAMILY_COMPOUND:
+            return cp_pmf(self.law.compound, kmax)
+        return pa_pmf(self.t, self.params["p"], kmax)
 
     @property
     def mean_cluster(self) -> float:
         """Mean cluster size of the law :meth:`pmf` tabulates: 1/(1-p) for
-        Polya-Aeppli, whose alphas are cut at 32 terms."""
-        if self.family == FAMILY_PA:
-            return 1.0 / (1.0 - self.params["p"])
-        return self.law.mean_cluster_size
+        Polya-Aeppli, whose alphas are cut at 32 terms, and Poisson."""
+        if self.family == FAMILY_COMPOUND:
+            return self.law.mean_cluster_size
+        return 1.0 / (1.0 - self.params["p"])
 
     def as_dict(self) -> dict:
+        """The prediction as a report entry; ``runner._jsonable`` maps what JSON lacks."""
         return {
             "family": self.family,
             "t": self.t,
             "alphas": [float(a) for a in self.alphas],
             "extremal_index": float(self.law.extremal_index),
             "mean_cluster": float(self.mean_cluster),
-            "params": {k: _plain(v) for k, v in self.params.items()},
+            "params": dict(self.params),
             "notes": list(self.notes),
-            "extras": {k: _plain(v) for k, v in self.extras.items()},
+            "extras": dict(self.extras),
         }
-
-
-def _plain(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, (tuple, list)):
-        return [_plain(x) for x in v]
-    return v
 
 
 def _result(alphas, t, family, params=None, notes=(), extras=None) -> PredictionResult:
@@ -182,14 +172,6 @@ def predict_regenerative_entries(spec: RegenerativeSpec, n: int, t: float) -> Pr
     )
 
 
-def _word_min_period(word) -> int:
-    m = len(word)
-    for p in range(1, m):
-        if m % p == 0 and all(word[i] == word[i % p] for i in range(m)):
-            return p
-    return m
-
-
 def word_overlap_period(word) -> int:
     """Least m >= 1 with word[m:] == word[:-m]; len(word) when none.
 
@@ -216,7 +198,8 @@ def predict_periodic_cylinder(chain: FiniteMarkovSpec, word, t: float) -> Predic
     word = tuple(int(a) for a in word)
     if len(word) == 0 or max(word) >= chain.n_states or min(word) < 0:
         raise StructureError("cycle word must use the chain's alphabet")
-    if _word_min_period(word) != len(word):
+    m = word_overlap_period(word)
+    if m < len(word) and len(word) % m == 0:  # a power of a shorter word (Fine-Wilf)
         raise SpecError("pass exactly one period of the cycle word")
     p = 1.0
     for i, a in enumerate(word):
@@ -263,32 +246,41 @@ def predict_sync_markov(sync_matrix, t: float) -> PredictionResult:
     )
 
 
-def _predict_sync_cylinder(system: ProductChainSpec, target, t: float) -> PredictionResult:
-    """PA(t, rho), refused when mu(n) = nu0 D^(n-1) 1 (:func:`sync_measure`) carries a
-    term of a peripheral eigenvalue |lam| >= rho (1 - 1e-6) other than rho (rho times a
-    root of unity of order <= m, so |lam - rho| > 1e-3 rho), as mu(n+1)/mu(n) then
-    oscillates; a term under 1e-9 of the largest peripheral term is rounding."""
-    d = sync_kernel(system)
-    pred = predict_sync_markov(d, t)
-    rho = pred.params["p"]
+def _sync_law_oscillates(d, nu0) -> bool:
+    """Whether mu(n) = nu0 D^(n-1) 1 (:func:`sync_measure`) carries a term of a peripheral
+    eigenvalue |lam| >= rho (1 - 1e-6) other than rho (rho times a root of unity of order
+    <= m, so |lam - rho| > 1e-3 rho), as mu(n+1)/mu(n) then oscillates; a term under 1e-9
+    of the largest peripheral term is rounding.  The terms come from the spectral
+    projector, whose left.T @ right pairs unit eigenvectors: a simple eigenvalue gives a
+    pair with |l.r| = 1/cond(lam), a defective one (whose n lam^n terms the projector
+    cannot show) none, so a smallest singular value under 1e-6 counts as oscillating."""
+    rho = spectral_radius(d)
     lam, right = np.linalg.eig(d)
     peripheral = np.abs(lam) >= rho * (1.0 - 1e-6)
     lam, right = lam[peripheral], right[:, peripheral]
     other = np.abs(lam - rho) > 1e-3 * rho
-    if other.any():
-        lam_t, left = np.linalg.eig(d.T)
-        left = left[:, np.abs(lam_t) >= rho * (1.0 - 1e-6)]
-        nu0 = system.chain[0][_diagonal_codes(system)]
-        try:  # the peripheral terms, sum_i coef_i lam_i^(n-1), by the spectral projector
-            coef = (nu0 @ right) * np.linalg.solve(left.T @ right, left.sum(axis=0))
-        except np.linalg.LinAlgError:  # singular left.T @ right: refused
-            coef = np.ones(lam.size)
-        term = np.abs((np.abs(lam[:, None] - lam) <= 1e-3 * rho) @ coef)
-        if term[other].max() > 1e-9 * term.max():
-            raise UnsupportedPairError(
-                "the sync-cylinder measure oscillates with n (a peripheral eigenvalue of the "
-                "diagonal kernel other than rho), so the visit law has no limit; simulate instead"
-            )
+    if not other.any():
+        return False
+    lam_t, left = np.linalg.eig(d.T)
+    left = left[:, np.abs(lam_t) >= rho * (1.0 - 1e-6)]
+    gram = left.T @ right
+    if np.linalg.svd(gram, compute_uv=False).min() < 1e-6:
+        return True
+    # the peripheral terms, sum_i coef_i lam_i^(n-1)
+    coef = (nu0 @ right) * np.linalg.solve(gram, left.sum(axis=0))
+    term = np.abs((np.abs(lam[:, None] - lam) <= 1e-3 * rho) @ coef)
+    return bool(term[other].max() > 1e-9 * term.max())
+
+
+def _predict_sync_cylinder(system: ProductChainSpec, target, t: float) -> PredictionResult:
+    """PA(t, rho), refused where the sync-cylinder measure oscillates with n."""
+    d = sync_kernel(system)
+    pred = predict_sync_markov(d, t)
+    if _sync_law_oscillates(d, system.chain[0][_diagonal_codes(system)]):
+        raise UnsupportedPairError(
+            "the sync-cylinder measure oscillates with n (a peripheral eigenvalue of the "
+            "diagonal kernel other than rho), so the visit law has no limit; simulate instead"
+        )
     return pred
 
 
@@ -371,7 +363,8 @@ def predict_furstenberg(
     if any(z not in (-1, 1) for z in word) or not word:
         raise SpecError("word must be a nonempty +-1 sequence")
     m = len(word)
-    if _word_min_period(word) != m:
+    period = word_overlap_period(word)
+    if period < m and m % period == 0:  # a power of a shorter word (Fine-Wilf)
         raise SpecError("pass exactly one least period of the word")
     k = sum(1 for z in word if z == 1)
     prod = 1
@@ -553,10 +546,7 @@ def stein_bracket(inputs: SteinBracketInputs, mode: str = "phi") -> dict:
     if mode not in ("phi", "psi"):
         raise SpecError("mode must be 'phi' or 'psi'")
     k_w, n, mu, t = inputs.k_window, inputs.n, inputs.mu, inputs.t
-    ratio = t / mu
-    if not math.isfinite(ratio):
-        raise SpecError(f"t / mu = {t} / {mu:.3g} overflows a float")
-    hi = int(math.floor(ratio)) - 1
+    hi = kac_horizon(t, mu) - 1
     if hi > np.iinfo(np.int64).max:
         raise SpecError(f"the Delta range up to t/mu - 1 = {hi:.3g} exceeds a 64-bit integer")
     lo = k_w + 1
@@ -626,8 +616,8 @@ def renewal_ratio_sequence(spec, n_values) -> np.ndarray:
 
 class Pair(NamedTuple):
     """One supported pair.  ``measure(system, target)`` is the exact
-    stationary measure, or None where the formula does not cover the
-    parameters (Monte Carlo then stands in); ``method`` names it in reports.
+    stationary measure, a number for every parameter it accepts (it raises
+    on the others); ``method`` names it in reports.
     ``predict(system, target, t)`` is the predicted visit law."""
 
     name: str

@@ -156,7 +156,7 @@ def collect_cluster_stats(
     indicators,
     window_l: int,
     window_k: int,
-    cap: int = 16,
+    cap: int,
     start_index: int = 0,
 ) -> ClusterStats:
     """Window statistics for a batch of indicator rows.

@@ -57,6 +57,9 @@ from .errors import (
 )
 
 _ROW_TOL = 1e-12
+_STATIONARY_TOL = 1e-10  # largest residual max |pi Q - pi| of :func:`markov_stationary`
+_HOC_TAIL = 1e-12  # relative tail bound at which :func:`hoc_stationary` stops
+_HOC_CAP = 2_000_000  # states after which it gives up
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -389,14 +392,12 @@ class StationaryLaw:
     tail_bound: float
 
 
-def hoc_stationary(
-    spec: HouseOfCardsSpec, tail: float = 1e-12, cap: int = 2_000_000
-) -> StationaryLaw:
+def hoc_stationary(spec: HouseOfCardsSpec) -> StationaryLaw:
     """Stationary law pi(k) proportional to prod_{i<k} (1 - r_i).
 
-    Truncates once the geometric remainder bound drops below ``tail`` of the
+    Truncates once the geometric remainder bound drops below 1e-12 of the
     accumulated mass; raises :class:`NonStationaryError` when the weights are
-    not summable (or not certifiably so) within ``cap`` states.
+    not summable (or not certifiably so) within 2,000,000 states.
     """
     if not isinstance(spec, HouseOfCardsSpec):
         raise SpecError("expected a HouseOfCardsSpec")
@@ -405,7 +406,7 @@ def hoc_stationary(
     total = 1.0
     w_next = 1.0  # weight of the first state of the next chunk
     start = 0
-    while start < cap:
+    while start < _HOC_CAP:
         r = spec.reset_probs(np.arange(start, start + chunk))
         surv = np.cumprod(1.0 - r)
         w = w_next * surv  # weights for states start+1 .. start+chunk
@@ -415,7 +416,7 @@ def hoc_stationary(
         bound = 0.0
         if not done and q < 1.0:
             bound = w_next * q / (1.0 - q)
-            done = bound <= tail * (total + float(np.sum(w)))
+            done = bound <= _HOC_TAIL * (total + float(np.sum(w)))
         if done:
             keep = np.concatenate(weights + [w])
             nz = np.nonzero(keep)[0]
@@ -427,7 +428,7 @@ def hoc_stationary(
         start += chunk
     raise NonStationaryError(
         "stationary weights for this reset family are not summable with a "
-        f"certifiable geometric tail within {cap} states"
+        f"certifiable geometric tail within {_HOC_CAP} states"
     )
 
 
@@ -578,7 +579,7 @@ def _require_strongly_connected(q: np.ndarray) -> None:
         )
 
 
-def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
+def markov_stationary(matrix) -> np.ndarray:
     """Unique stationary row vector of an irreducible stochastic matrix."""
     if isinstance(matrix, FiniteMarkovSpec):
         q = matrix.matrix
@@ -593,8 +594,8 @@ def markov_stationary(matrix, tol: float = 1e-10) -> np.ndarray:
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = float(np.max(np.abs(pi @ q - pi)))
-    if residual > tol:
-        raise ConvergenceError(f"stationary solve residual {residual} exceeds {tol}")
+    if residual > _STATIONARY_TOL:
+        raise ConvergenceError(f"stationary solve residual {residual} exceeds {_STATIONARY_TOL}")
     return pi
 
 

@@ -313,22 +313,25 @@ def markov_cylinder_measure(system: FiniteMarkovSpec, target: CylinderTarget) ->
     return value
 
 
-def strip_measure(system: DoeblinChainSpec, target: GeoDiagonalTarget):
-    """Area of the diagonal strip; None unless there are two chains."""
-    if system.n_chains != 2:
-        return None
-    d = target.delta
-    return 2.0 * d - d * d
+def strip_measure(system: DoeblinChainSpec, target: GeoDiagonalTarget) -> float:
+    """P(max - min <= delta) = c delta^(c-1) - (c-1) delta^c for c independent
+    stationary uniform chains; at c = 2 it is 2 delta - delta * delta to the bit."""
+    c, d = system.n_chains, target.delta
+    if c < 2:
+        raise SpecError("a diagonal target needs at least two chains")
+    lead = d ** (c - 1)
+    return c * lead - (c - 1) * lead * d
 
 
 def _exact_measure(target, system):
-    """The pair table's exact measure, None where it has no formula, an error where it is 0."""
+    """The pair table's exact measure (every listed pair's rule is total), None for an
+    unlisted pair, an error where it is 0."""
     from .predictions import PAIRS  # predictions imports this module
 
     pair = PAIRS.get((type(system), type(target)))
-    value = None if pair is None else pair.measure(system, target)
-    if value is None:
+    if pair is None:
         return None
+    value = pair.measure(system, target)
     if not value > 0.0:
         raise StructureError(
             f"the target has zero stationary measure ({pair.method} gives {value}); "
@@ -403,10 +406,10 @@ def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
 
 
 def measure(target, system, samples: int = 100_000, seed: int = 0) -> TargetMeasure:
-    """Exact measure when a formula exists, Monte Carlo otherwise.
+    """Exact measure for a pair of the pair table, Monte Carlo otherwise.
 
-    Monte Carlo runs only when the pair has no exact rule, or its rule has
-    no formula for these parameters; errors of an exact rule propagate.
+    Monte Carlo runs only for pairs the table does not list; errors of an
+    exact rule propagate.
     """
     exact = _exact_measure(target, system)
     return exact if exact is not None else measure_mc(target, system, samples, seed)

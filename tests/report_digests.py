@@ -12,19 +12,25 @@ the artifact's sha256 (``-`` for a run that wrote no report).  The cases are
 * all five verbs on the run-length targets of ``_RUN_LENGTH_CASES``, with the
   stein section, so the outer sets down to n = 0 are measured too: dyadic
   resets, where the measure and the Kac horizon are exact, and others;
+* all five verbs on the non-self-overlapping words of ``_ISOLATED_CASES``,
+  whose visit law is Poisson(t): one on a Markov chain, one on an interval
+  map and one sign word;
 * ``compare --jobs 1`` on each benchmark workload in ``perfbench/workloads``,
   which it only reads;
 * all five verbs on every config file named on the command line.
 
-Run it at two commits and compare the outputs::
+Run it at one commit, then at another with ``--against``, which prints the
+lines that differ (``-`` saved, ``+`` now) and exits 1 when any do::
 
     python3 tests/report_digests.py [config.yaml ...] > digests.txt
+    python3 tests/report_digests.py [config.yaml ...] --against digests.txt
 
 Its name does not match ``test_*``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -56,6 +62,24 @@ _RUN_LENGTH_CASES = {
     "run-length at reset 0.3": ("{kind: house-of-cards, reset: 0.3}", [8]),
     "run-length at drifting reset (0.5, 0.3)": (
         "{kind: house-of-cards, reset_limit: 0.5, reset_drift: 0.3}", [4],
+    ),
+}
+
+
+# case -> (system section, target section) of a word that cannot overlap itself
+_ISOLATED_CASES = {
+    "markov word (1, 2, 2)": (
+        "{kind: markov, matrix: [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]}",
+        "{kind: cylinder, word: [1, 2, 2], sweep: [3]}",
+    ),
+    "interval-map word (0, 1, 2)": (
+        "{kind: interval-map, breaks: [0, 1/3, 2/3, 1], slopes: [3, -2, 3], "
+        "intercepts: [0, 5/3, -2]}",
+        "{kind: cylinder, word: [0, 1, 2], sweep: [3]}",
+    ),
+    "sign word (-1, 1, 1, 1, 1, 1, 1, 1)": (
+        "{kind: sign-product, plus_prob: 0.3}",
+        "{kind: sign-cylinder, word: [-1, 1, 1, 1, 1, 1, 1, 1], sweep: [8]}",
     ),
 }
 
@@ -108,12 +132,33 @@ def all_digests(extra_configs):
                 + _STEIN
             )
             yield from digests(name, config, VERBS)
+        for name, (system, target) in _ISOLATED_CASES.items():
+            config = Path(tmp) / f"{name}.yaml"
+            config.write_text(_EXPERIMENT + f"system: {system}\ntarget: {target}\n" + _STEIN)
+            yield from digests(name, config, VERBS)
     for workload in sorted((HERE.parent / "perfbench" / "workloads").glob("*.yaml")):
         yield from digests(workload.stem, workload, ["compare"], "--jobs", "1")
     for path in extra_configs:
         yield from digests(path, Path(path), VERBS)
 
 
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", help="further config files, run under all five verbs")
+    parser.add_argument("--against", metavar="FILE", help="a saved run to compare with")
+    args = parser.parse_args(argv)
+    lines = ("\t".join(str(field) for field in line) for line in all_digests(args.configs))
+    if args.against is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    now = list(lines)
+    differ = [f"- {line}" for line in saved if line not in now]
+    differ += [f"+ {line}" for line in now if line not in saved]
+    print("\n".join(differ) if differ else f"all {len(now)} lines match {args.against}")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    for line in all_digests(sys.argv[1:]):
-        print("\t".join(str(field) for field in line), flush=True)
+    sys.exit(run())

@@ -41,9 +41,12 @@ def test_cp_matches_pa_on_grid():
 
 
 def test_pa_zero_p_is_poisson():
-    pa = pa_pmf(2.0, 0.0, 40)
-    po = poisson_pmf(2.0, 40)
-    assert np.allclose(pa.probs, po.probs, atol=1e-14)
+    # the unit-cluster compound table, bit for bit: P(W = k) = (t P(W = k-1)) / k
+    for t in np.linspace(0.01, 50.0, 400):
+        for kmax in (0, 1, 5, 16, 64, 300):
+            unit = cp_pmf(CompoundPoissonSpec(t, np.array([1.0])), kmax)
+            assert pa_pmf(t, 0.0, kmax) == unit, (t, kmax)
+            assert poisson_pmf(t, kmax) == unit, (t, kmax)
 
 
 def _pa_exact(t, p, kmax):

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 
 from visitlab import (
     ConvergenceError,
@@ -41,10 +43,12 @@ from visitlab import (
     word_overlap_period,
 )
 from visitlab.config import config_from_mapping
-from visitlab.predictions import hurwitz_zeta
+from visitlab.predictions import _sync_law_oscillates, hurwitz_zeta
+from visitlab.systems import _diagonal_codes
 from visitlab.targets import sign_cylinder_measure, sync_measure
 
 from test_acceptance import _geometric_probs
+from test_cli import _PAIR_CONFIGS
 
 F = Fraction
 
@@ -169,6 +173,39 @@ def test_oscillating_sync_law_is_refused():
     assert ratios[0] == pytest.approx(ratios[2]) and abs(ratios[0] - ratios[1]) > 0.3
     with pytest.raises(UnsupportedPairError, match="no limit"):
         predict_for(OSCILLATING_PAIR, SyncCylinderTarget(6), 2.0)
+
+
+# two classes of D with one spectral radius rho, the second feeding the first,
+# (D, nu0, rho): mu(n) carries an n (-rho)^n term, so mu(n+1)/mu(n) alternates
+DEFECTIVE_SYNC_KERNELS = [
+    (np.array([[0, 0.5, 0, 0], [0.2, 0, 0.1, 0], [0, 0, 0, 0.5], [0, 0, 0.2, 0]]),
+     np.array([3.0, 1.0, 3.0, 3.0]) / 10.0, math.sqrt(0.1)),
+    # through transient states: left.T @ right is uniformly tiny, so its
+    # condition number (5.8) shows nothing, but no singular value reaches 1e-6
+    (np.array([[0, 0, 5, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 4, 0, 3, 0, 0],
+               [0, 0, 0, 0, 0, 5], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 4, 0]]) / 8,
+     np.array([1.0, 2.0, 4.0, 2.0, 1.0, 2.0]) / 12.0, 0.25),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DEFECTIVE_SYNC_KERNELS)))
+def test_defective_peripheral_sync_kernel_is_refused(case):
+    d, nu0, rho = DEFECTIVE_SYNC_KERNELS[case]
+    exact = [[F(x) for x in row] for row in d.tolist()]
+    v, mu = [F(1)] * len(exact), []
+    for n in range(1, 404):
+        if n >= 400:
+            mu.append(sum(F(a) * b for a, b in zip(nu0.tolist(), v)))
+        v = [sum(a * b for a, b in zip(row, v)) for row in exact]
+    scaled = [float(b / a) / rho for a, b in zip(mu, mu[1:])]
+    assert abs(scaled[0] - scaled[1]) > 0.05 and abs(scaled[0] - scaled[2]) < 1e-2
+    assert _sync_law_oscillates(d, nu0)
+
+
+def test_sync_refusals_of_the_pair_table_are_kept():
+    for system, oscillates in [(OSCILLATING_PAIR, True), *((s, False) for s in STEADY_PAIRS.values())]:
+        nu0 = system.chain[0][_diagonal_codes(system)]
+        assert _sync_law_oscillates(sync_kernel(system), nu0) is oscillates
 
 
 @pytest.mark.parametrize("name", list(STEADY_PAIRS))
@@ -347,6 +384,34 @@ def test_word_overlap_period():
     assert word_overlap_period((1, 0, 1)) == 2
     assert word_overlap_period((0, 1, 1)) == 3
     assert word_overlap_period((0, 1, 0, 1)) == 2
+
+
+def _word_min_period(word) -> int:
+    """Least p dividing len(word) with word a power of word[:p], by brute force."""
+    m = len(word)
+    for p in range(1, m):
+        if m % p == 0 and all(word[i] == word[i % p] for i in range(m)):
+            return p
+    return m
+
+
+def test_non_primitive_words_are_refused_by_the_overlap_period():
+    # every word over {0, 1} up to length 12 and over {0, 1, 2} up to length 8
+    words = [w for k in range(1, 13) for w in itertools.product((0, 1), repeat=k)]
+    words += [w for k in range(1, 9) for w in itertools.product((0, 1, 2), repeat=k)]
+    assert len(words) == 18_030
+    chain = FiniteMarkovSpec(np.full((3, 3), 1.0 / 3.0))
+    for word in words:
+        primitive = _word_min_period(word) == len(word)
+        try:
+            predict_periodic_cylinder(chain, word, 1.0)
+            refused = False
+        except SpecError:
+            refused = True
+        assert refused is not primitive, word
+        if not primitive and len(word) <= 8 and max(word) <= 1:
+            with pytest.raises(SpecError, match="least period"):
+                predict_furstenberg(0.3, tuple(2 * a - 1 for a in word), 1.0, strict=False)
 
 
 def test_periodic_cylinder_cycle_product():
@@ -554,6 +619,8 @@ def test_stein_bracket_needs_room_for_the_gap():
     for mu, t in ((2.0**-64, 1.0), (1e-310, 1.0), (0.5, float("inf")), (0.5, float("nan"))):
         with pytest.raises(SpecError):
             stein_bracket(SteinBracketInputs(prof, mu, (mu, mu), 1, 1, t))
+    with pytest.raises(SpecError, match="Kac horizon"):
+        stein_bracket(SteinBracketInputs(prof, 5e-324, (5e-324, 5e-324), 1, 1, 2.0))
     widest = stein_bracket(SteinBracketInputs(prof, 2.0**-62, (0.5, 0.5), 1, 1, 1.0))
     assert 2 <= widest["argmin_delta"] <= 2**62 - 1
 
@@ -578,6 +645,15 @@ def test_renewal_ratio_alternating_never_settles():
 def test_renewal_ratio_drifting_rate_converges_slowly():
     rats = renewal_ratio_sequence(HouseOfCardsSpec.drifting(0.5, 0.3), [200])
     assert abs(rats[0] - 0.5) == pytest.approx(0.0014852629828840946, abs=1e-12)
+
+
+def test_prediction_dicts_are_plain_json():
+    preds = [predict_furstenberg(0.3, word, 2.0, strict=False) for word, _, _ in FURSTENBERG_TABLE]
+    for body in _PAIR_CONFIGS.values():
+        cfg = config_from_mapping({"experiment": {"t": 1.0, "samples": 400}, **yaml.safe_load(body)})
+        preds.append(predict_for(cfg.build_system(), cfg.build_target(cfg.sweep[0]), cfg.t))
+    for pred in preds:
+        assert json.loads(json.dumps(pred.as_dict()))["family"] == pred.family
 
 
 def test_prediction_pmf_normalizes():

@@ -208,7 +208,7 @@ def test_bootstrap_errors_are_seeded():
 
 
 def test_insufficient_data_reports_count():
-    tiny = collect_cluster_stats(np.zeros((3, 30), dtype=bool), 2, 2)
+    tiny = collect_cluster_stats(np.zeros((3, 30), dtype=bool), 2, 2, cap=16)
     with pytest.raises(InsufficientDataError) as exc:
         estimate_alpha(tiny)
     assert exc.value.count == 0

@@ -34,6 +34,7 @@ from visitlab.targets import (
     _window_all,
     interval_cylinder_measure,
     run_length_measure,
+    strip_measure,
 )
 
 F = Fraction
@@ -178,6 +179,27 @@ def test_sync_measure_independent_product():
 def test_geo_diagonal_strip_area():
     got = measure_exact(GeoDiagonalTarget(0.1), DoeblinChainSpec(0.5))
     assert np.isclose(got.value, 0.19, atol=1e-15)
+    # two chains: 2 d - d * d bit for bit, also where d ** 2 rounds differently
+    deltas = np.random.default_rng(7).uniform(1e-6, 1.0 - 1e-6, 20_000)
+    assert any(d**2 != d * d for d in deltas.tolist())
+    two = DoeblinChainSpec(0.5)
+    for d in deltas.tolist():
+        assert strip_measure(two, GeoDiagonalTarget(d)) == 2.0 * d - d * d, d
+
+
+@pytest.mark.parametrize("chains", [3, 4])
+def test_strip_measure_of_more_chains_matches_monte_carlo(chains):
+    spec, target = DoeblinChainSpec(0.5, n_chains=chains), GeoDiagonalTarget(0.3)
+    exact = measure(target, spec)
+    assert exact.method == "exact:strip-area"
+    assert exact.value == pytest.approx(chains * 0.3 ** (chains - 1) - (chains - 1) * 0.3**chains, rel=1e-14)
+    mc = measure_mc(target, spec, samples=2000, seed=11)
+    assert abs(mc.value - exact.value) < 4.0 * mc.se
+
+
+def test_one_chain_has_no_diagonal():
+    with pytest.raises(SpecError):
+        measure(GeoDiagonalTarget(0.1), DoeblinChainSpec(0.5, n_chains=1))
 
 
 def test_sign_cylinder_measure_exact():
