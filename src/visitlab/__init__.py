@@ -8,7 +8,6 @@ cluster statistics, and reports how well the two agree.
 __version__ = "0.1.0"
 
 from .compound import (
-    ClusterLaw,
     CompoundPoissonSpec,
     DiscretePMF,
     PolyaAeppliSpec,

@@ -106,28 +106,6 @@ class PolyaAeppliSpec:
         return CompoundPoissonSpec(self.t, self.cluster_rates(length))
 
 
-@dataclass(frozen=True)
-class ClusterLaw:
-    """Cluster-level summary derived from a return-probability sequence.
-
-    Attributes
-    ----------
-    compound : CompoundPoissonSpec
-        The induced visit-count law (unnormalised rates alpha_k - alpha_{k+1}).
-    extremal_index : float
-        alpha_1, the rate of cluster starts per target hit.
-    cluster_probs : np.ndarray
-        Normalized cluster-size law, cluster_probs[k-1] = P(size = k).
-    mean_cluster_size : float
-        Expected cluster size; equals 1/alpha_1 when the alphas sum to one.
-    """
-
-    compound: CompoundPoissonSpec
-    extremal_index: float
-    cluster_probs: np.ndarray = field(repr=False)
-    mean_cluster_size: float
-
-
 # ---------------------------------------------------------------------------
 # finite PMF tables
 # ---------------------------------------------------------------------------
@@ -334,10 +312,10 @@ def tv_distance(pmf_a: DiscretePMF, pmf_b: DiscretePMF) -> float:
     return core + 0.5 * (pmf_a.tail_beyond(m) + pmf_b.tail_beyond(m))
 
 
-def cluster_law_from_alphas(alphas, t: float) -> ClusterLaw:
-    """Turn a nonincreasing return-probability sequence (alpha_1, ..., alpha_L)
-    into the induced cluster law: rates r_k = alpha_k - alpha_{k+1} (with
-    alpha_{L+1} = 0), extremal index alpha_1, normalized sizes r_k / alpha_1.
+def cluster_law_from_alphas(alphas, t: float) -> CompoundPoissonSpec:
+    """The compound law of a nonincreasing return-probability sequence
+    (alpha_1, ..., alpha_L) at time budget t: rates r_k = alpha_k - alpha_{k+1}
+    (with alpha_{L+1} = 0), whose sum is the extremal index alpha_1.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
@@ -353,10 +331,4 @@ def cluster_law_from_alphas(alphas, t: float) -> ClusterLaw:
     rates = np.empty_like(alphas)
     rates[:-1] = alphas[:-1] - alphas[1:]
     rates[-1] = alphas[-1]
-    compound = CompoundPoissonSpec(t, rates)
-    return ClusterLaw(
-        compound=compound,
-        extremal_index=float(alphas[0]),
-        cluster_probs=rates / alphas[0],
-        mean_cluster_size=float(np.sum(alphas)) / float(alphas[0]),
-    )
+    return CompoundPoissonSpec(t, rates)

@@ -1,7 +1,7 @@
 """Limit-law predictions and diagnostic bounds for the worked systems.
 
-Every operation returns either a :class:`PredictionResult` (a cluster-size
-law wrapped into a compound-Poisson visit law at time scale t) or a plain
+Every operation returns either a :class:`PredictionResult` (one visit law at
+time scale t, stated by its family and its alpha table) or a plain
 diagnostic value.  Each formula ships with an independently computable
 cross-check used by the test-suite; the sign-product predictor carries its
 cross-check inline because its closed form is only trustworthy when it
@@ -18,13 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .compound import (
-    ClusterLaw,
-    DiscretePMF,
-    cluster_law_from_alphas,
-    cp_pmf,
-    pa_pmf,
-)
+from .compound import DiscretePMF, cluster_law_from_alphas, cp_pmf, pa_pmf
 from .errors import ConvergenceError, SpecError, StructureError, UnsupportedPairError
 from .stats import kac_horizon
 from .systems import (
@@ -62,12 +56,12 @@ FAMILY_COMPOUND = "compound-poisson"
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """A predicted visit law: cluster-size tail sequence plus its compound law."""
+    """One predicted visit law, stated by ``family``, ``t``, the return-probability
+    table ``alphas`` and ``params``; every other quantity is read from these."""
 
     family: str
     t: float
     alphas: tuple
-    law: ClusterLaw
     params: dict = field(default_factory=dict)
     notes: tuple = ()
     extras: dict = field(default_factory=dict)
@@ -76,15 +70,20 @@ class PredictionResult:
         """Predicted law of W on 0..kmax: :func:`cp_pmf` for compound laws, else
         :func:`pa_pmf` at ``params["p"]``, which is 0 for Poisson."""
         if self.family == FAMILY_COMPOUND:
-            return cp_pmf(self.law.compound, kmax)
+            return cp_pmf(cluster_law_from_alphas(self.alphas, self.t), kmax)
         return pa_pmf(self.t, self.params["p"], kmax)
 
     @property
+    def extremal_index(self) -> float:
+        """alpha_1, the rate of cluster starts per target hit."""
+        return self.alphas[0]
+
+    @property
     def mean_cluster(self) -> float:
-        """Mean cluster size of the law :meth:`pmf` tabulates: 1/(1-p) for
-        Polya-Aeppli, whose alphas are cut at 32 terms, and Poisson."""
+        """Mean cluster size of the law :meth:`pmf` tabulates: sum(alphas)/alpha_1
+        for compound laws, 1/(1-p) for Polya-Aeppli and Poisson."""
         if self.family == FAMILY_COMPOUND:
-            return self.law.mean_cluster_size
+            return float(np.sum(self.alphas)) / self.alphas[0]
         return 1.0 / (1.0 - self.params["p"])
 
     def as_dict(self) -> dict:
@@ -93,7 +92,7 @@ class PredictionResult:
             "family": self.family,
             "t": self.t,
             "alphas": [float(a) for a in self.alphas],
-            "extremal_index": float(self.law.extremal_index),
+            "extremal_index": self.extremal_index,
             "mean_cluster": float(self.mean_cluster),
             "params": dict(self.params),
             "notes": list(self.notes),
@@ -103,12 +102,11 @@ class PredictionResult:
 
 def _result(alphas, t, family, params=None, notes=(), extras=None) -> PredictionResult:
     alphas = tuple(float(a) for a in alphas)
-    law = cluster_law_from_alphas(np.asarray(alphas), t)
+    cluster_law_from_alphas(alphas, t)  # validates the table
     return PredictionResult(
         family=family,
         t=float(t),
         alphas=alphas,
-        law=law,
         params=params or {},
         notes=tuple(notes),
         extras=extras or {},
@@ -192,8 +190,8 @@ def predict_periodic_cylinder(chain: FiniteMarkovSpec, word, t: float) -> Predic
     """Cylinders around a periodic symbol word in a finite Markov chain.
 
     p is the transition product once around the cycle; the visit law is
-    Polya-Aeppli(t, p).  Words around a non-returning point get no clustering:
-    use :func:`predict_poisson`.
+    Polya-Aeppli(t, p).  A certain cycle (p = 1) is refused.  Words around a
+    non-returning point get no clustering: use :func:`predict_poisson`.
     """
     word = tuple(int(a) for a in word)
     if len(word) == 0 or max(word) >= chain.n_states or min(word) < 0:
@@ -208,6 +206,11 @@ def predict_periodic_cylinder(chain: FiniteMarkovSpec, word, t: float) -> Predic
         if step <= 0.0:
             raise StructureError(f"transition {a}->{b} is not admissible")
         p *= step
+    if p >= 1.0:
+        raise UnsupportedPairError(
+            f"the transition product around the cycle word {word} is {p}: the chain repeats "
+            "the cycle forever, so its visits have no compound-Poisson law; simulate instead"
+        )
     return _result(
         _geometric_alphas(p, 32),
         t,

@@ -11,10 +11,14 @@ the artifact's sha256 (``-`` for a run that wrote no report).  The cases are
   probabilities, a steady cycle and a cycle whose law is refused;
 * all five verbs on the run-length targets of ``_RUN_LENGTH_CASES``, with the
   stein section, so the outer sets down to n = 0 are measured too: dyadic
-  resets, where the measure and the Kac horizon are exact, and others;
+  resets, where the measure and the Kac horizon are exact, and others, down
+  to reset 0.05, whose stated mean cluster 20 a 32-term alpha table cuts to
+  16.13;
 * all five verbs on the non-self-overlapping words of ``_ISOLATED_CASES``,
   whose visit law is Poisson(t): one on a Markov chain, one on an interval
   map and one sign word;
+* all five verbs on ``_LONG_CLUSTER_CASES``, a regenerative half-line whose
+  compound law has clusters of up to 51 steps;
 * ``compare --jobs 1`` on each benchmark workload in ``perfbench/workloads``,
   which it only reads;
 * all five verbs on every config file named on the command line.
@@ -60,6 +64,7 @@ _SIGN_CASES = {
 _RUN_LENGTH_CASES = {
     "run-length at reset 0.5": ("{kind: house-of-cards, reset: 0.5}", [5, 6]),
     "run-length at reset 0.3": ("{kind: house-of-cards, reset: 0.3}", [8]),
+    "run-length at reset 0.05": ("{kind: house-of-cards, reset: 0.05}", [3]),
     "run-length at drifting reset (0.5, 0.3)": (
         "{kind: house-of-cards, reset_limit: 0.5, reset_drift: 0.3}", [4],
     ),
@@ -80,6 +85,17 @@ _ISOLATED_CASES = {
     "sign word (-1, 1, 1, 1, 1, 1, 1, 1)": (
         "{kind: sign-product, plus_prob: 0.3}",
         "{kind: sign-cylinder, word: [-1, 1, 1, 1, 1, 1, 1, 1], sweep: [8]}",
+    ),
+}
+
+
+# case -> (system section, target section) of a compound law whose clusters
+# run past 32: blocks of 51 steps give a 51-row alpha table
+_LONG_CLUSTER_CASES = {
+    "regenerative two-point [1, 2, 50]": (
+        "{kind: regenerative, symbols: [1, 2, 50], probs: [0.3, 0.3, 0.4], "
+        "lengths: {model: two-point}}",
+        "{kind: half-line, sweep: [2]}",
     ),
 }
 
@@ -132,7 +148,7 @@ def all_digests(extra_configs):
                 + _STEIN
             )
             yield from digests(name, config, VERBS)
-        for name, (system, target) in _ISOLATED_CASES.items():
+        for name, (system, target) in {**_ISOLATED_CASES, **_LONG_CLUSTER_CASES}.items():
             config = Path(tmp) / f"{name}.yaml"
             config.write_text(_EXPERIMENT + f"system: {system}\ntarget: {target}\n" + _STEIN)
             yield from digests(name, config, VERBS)

@@ -540,13 +540,13 @@ target: {kind: sign-cylinder, word_cycle: [1, -1], sweep: [8]}
 """
 
 
-def _assert_refused_without_limit(config, verb, code, tmp_path, capsys):
+def _assert_refused_without_limit(config, verb, code, tmp_path, capsys, says="no limit"):
     cfg = tmp_path / "oscillating.yaml"
     cfg.write_text("experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.1}\n" + config)
     assert main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     if code == 3:
-        assert err.startswith("configuration error: ") and "no limit" in err
+        assert err.startswith("configuration error: ") and says in err
         assert len(err.strip().splitlines()) == 1
     else:
         assert err == ""
@@ -564,6 +564,26 @@ def test_oscillating_sync_law_is_refused(verb, code, tmp_path, capsys):
 @pytest.mark.parametrize("verb, code", _REFUSALS)
 def test_oscillating_sign_law_is_refused(verb, code, tmp_path, capsys):
     _assert_refused_without_limit(_OSCILLATING_SIGN, verb, code, tmp_path, capsys)
+
+
+# a chain that follows its cycle with probability 1 (transition product 1)
+# visits the cycle's cylinders at a fixed pace: no compound-Poisson law
+_CERTAIN_CYCLES = {
+    "two-state swap": ("[[0, 1], [1, 0]]", (0, 1)),
+    "three-state rotation": ("[[0, 1, 0], [0, 0, 1], [1, 0, 0]]", (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("verb, code", _REFUSALS)
+@pytest.mark.parametrize("name", list(_CERTAIN_CYCLES))
+def test_certain_cycle_is_refused_by_name(name, verb, code, tmp_path, capsys):
+    matrix, word = _CERTAIN_CYCLES[name]
+    config = (
+        f"system: {{kind: markov, matrix: {matrix}}}\n"
+        f"target: {{kind: cylinder, word_cycle: {list(word)}, sweep: [{len(word) + 1}]}}\n"
+    )
+    says = f"around the cycle word {word} is 1.0: the chain repeats the cycle forever"
+    _assert_refused_without_limit(config, verb, code, tmp_path, capsys, says)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from visitlab import (
     CompoundPoissonSpec,
     DiscretePMF,
     PolyaAeppliSpec,
+    PredictionResult,
     SpecError,
     cluster_law_from_alphas,
     cp_pmf,
@@ -145,11 +146,11 @@ def test_pmf_csv_roundtrip(tmp_path):
 def test_cluster_law_polya_aeppli_correspondence():
     p = 0.6
     alphas = (1 - p) * p ** np.arange(40)
-    law = cluster_law_from_alphas(alphas, 2.0)
-    assert np.isclose(law.extremal_index, 1 - p)
-    assert np.isclose(law.mean_cluster_size, 1.0 / (1 - p), atol=1e-6)
+    pred = PredictionResult("compound-poisson", 2.0, tuple(alphas))
+    assert np.isclose(pred.extremal_index, 1 - p)
+    assert np.isclose(pred.mean_cluster, 1.0 / (1 - p), atol=1e-6)
     expected_rates = (1 - p) ** 2 * p ** np.arange(39)
-    assert np.allclose(law.compound.cluster_rates[:39], expected_rates)
+    assert np.allclose(cluster_law_from_alphas(pred.alphas, pred.t).cluster_rates[:39], expected_rates)
 
 
 def test_cluster_law_rejects_bad_sequences():

@@ -23,6 +23,7 @@ from visitlab import (
     StructureError,
     SyncCylinderTarget,
     UnsupportedPairError,
+    cluster_law_from_alphas,
     coupling_sync_rate,
     doeblin_alpha2_bound,
     furstenberg_ratio,
@@ -433,7 +434,7 @@ def test_poisson_prediction_family():
     got = predict_poisson(2.0)
     assert got.family == "poisson"
     assert np.allclose(got.pmf(20).probs, poisson_pmf(2.0, 20).probs, atol=1e-15)
-    assert got.law.mean_cluster_size == 1.0
+    assert got.mean_cluster == 1.0
 
 
 def test_house_of_cards_prediction_worked_value():
@@ -455,10 +456,11 @@ def test_regenerative_prediction_tables():
     assert got.family == "compound-poisson" and len(got.alphas) == 32
     assert np.allclose(got.alphas[:4], np.cumsum(q[::-1])[::-1] / nu, rtol=0.0, atol=1e-15)
     assert not any(got.alphas[4:])
-    assert got.law.extremal_index == pytest.approx(1.0 / nu, rel=1e-15)
-    assert got.law.mean_cluster_size == pytest.approx(nu, rel=1e-15)
-    assert np.allclose(got.law.cluster_probs[:4], q, rtol=0.0, atol=1e-15)
-    assert not any(got.law.cluster_probs[4:])
+    assert got.extremal_index == pytest.approx(1.0 / nu, rel=1e-15)
+    assert got.mean_cluster == pytest.approx(nu, rel=1e-15)
+    cluster_probs = cluster_law_from_alphas(got.alphas, got.t).size_distribution()
+    assert np.allclose(cluster_probs[:4], q, rtol=0.0, atol=1e-15)
+    assert not any(cluster_probs[4:])
     assert got.params["mean_block"] == pytest.approx(nu, rel=1e-15) and got.params["threshold"] == 1
 
 
@@ -524,7 +526,7 @@ def test_regenerative_entries_two_point_mixture():
     assert hats[2] == pytest.approx(7.0 / 24.0)
     assert got.alphas[0] == pytest.approx(0.5)
     assert got.alphas[1] == pytest.approx(5.0 / 24.0)
-    assert got.law.mean_cluster_size == pytest.approx(2.0)
+    assert got.mean_cluster == pytest.approx(2.0)
 
 
 def test_regenerative_entries_keep_clusters_longer_than_32():
@@ -533,7 +535,7 @@ def test_regenerative_entries_keep_clusters_longer_than_32():
     spec = RegenerativeSpec.smith([1, 2, 50], [0.3, 0.3, 0.4])
     got = predict_regenerative_entries(spec, 2, 2.0)
     assert len(got.alphas) == 51 and got.alphas[-1] > 0.0
-    assert got.law.compound.mean() == pytest.approx(2.0, rel=1e-12)
+    assert cluster_law_from_alphas(got.alphas, got.t).mean() == pytest.approx(2.0, rel=1e-12)
     # short blocks keep their 32 rows
     assert len(predict_regenerative_entries(RegenerativeSpec.smith([2, 3], [0.5, 0.5]), 2, 2.0).alphas) == 32
 
@@ -547,6 +549,24 @@ def test_polya_aeppli_mean_cluster_is_the_tabulated_laws(reset, mean):
     # clusters arrive at rate t / mean: P(W = 0) = exp(-t / mean)
     assert got.pmf(0).probs[0] == pytest.approx(math.exp(-2.0 / mean), rel=1e-12)
     assert predict_poisson(2.0).as_dict()["mean_cluster"] == 1.0
+
+
+@pytest.mark.parametrize("name", [*_PAIR_CONFIGS, "reset 0.1", "reset 0.05", "reset 0.02"])
+def test_the_tabulated_law_has_the_stated_mean(name):
+    # one law per prediction: the pmf's mean is t * extremal_index * mean_cluster,
+    # also where the 32-term alpha table of a Polya-Aeppli law is far from summed
+    if name in _PAIR_CONFIGS:
+        cfg = config_from_mapping({"experiment": {"t": 1.0, "samples": 400}, **yaml.safe_load(_PAIR_CONFIGS[name])})
+        pred = predict_for(cfg.build_system(), cfg.build_target(cfg.sweep[0]), cfg.t)
+    else:
+        reset = float(name.split()[1])
+        pred = predict_house_of_cards(reset, 2.0)
+        assert pred.mean_cluster == 1.0 / (1.0 - pred.params["p"]) == pytest.approx(1.0 / reset)
+    kmax = 64
+    while (pmf := pred.pmf(kmax)).tail_mass >= 1e-13:
+        kmax *= 2
+    mean = float(np.arange(kmax + 1) @ pmf.probs)
+    assert mean == pytest.approx(pred.t * pred.extremal_index * pred.mean_cluster, rel=1e-9, abs=0.0)
 
 
 def test_mixing_profile_values_and_tails():

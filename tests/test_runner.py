@@ -683,6 +683,58 @@ def test_setup_probe_runs_from_a_checkout():
     )
 
 
+def _report_gate(monkeypatch):
+    # tests/report_digests.py, the report-body gate, is named so that pytest does
+    # not collect it; it prepends src and tests to sys.path, which is restored
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", Path(__file__).with_name("report_digests.py")
+    )
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def test_report_gate_runs_every_case(monkeypatch):
+    gate = _report_gate(monkeypatch)
+    lines = list(gate.all_digests([]))
+    keys = [line[:3] for line in lines]
+    assert len(set(keys)) == len(keys)
+    assert {code for *_, code, _ in lines} <= {0, 2, 3}
+    workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
+    expected = {w["name"]: w["expected_exit"] for w in workloads["workloads"]}
+    cases = {
+        **gate._PAIR_CONFIGS, **gate._SIGN_CASES, **gate._RUN_LENGTH_CASES,
+        **gate._ISOLATED_CASES, **gate._LONG_CLUSTER_CASES,
+    }
+    bodies = {}
+    for case, verb, artifact, code, _ in lines:
+        if artifact == "report_body":
+            bodies.setdefault(case, {})[verb] = code
+    assert set(bodies) == set(cases) | set(expected)
+    for case in cases:
+        assert set(bodies[case]) == set(runner.VERBS), case
+    for name, code in expected.items():
+        assert bodies[name] == {"compare": code}
+
+
+def test_report_gate_prints_the_lines_that_differ(monkeypatch, tmp_path, capsys):
+    gate = _report_gate(monkeypatch)
+    lines = [("case", "predict", "report_body", 0, "ab"), ("case", "compare", "report_body", 2, "cd")]
+    monkeypatch.setattr(gate, "all_digests", lambda configs: iter(lines))
+    assert gate.run([]) == 0
+    saved = tmp_path / "digests.txt"
+    saved.write_text(capsys.readouterr().out)
+    assert gate.run(["--against", str(saved)]) == 0
+    assert capsys.readouterr().out == f"all 2 lines match {saved}\n"
+    lines[1] = ("case", "compare", "report_body", 0, "cd")
+    assert gate.run(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "- case\tcompare\treport_body\t2\tcd",
+        "+ case\tcompare\treport_body\t0\tcd",
+    ]
+
+
 def test_merge_ranges_joins_49_parts_as_pairwise_merges():
     rng = np.random.default_rng(4)
     ind = rng.random((49 * 3, 30)) < 0.3
