@@ -74,11 +74,15 @@ class WSampleSet:
 
 
 def collect_w(indicators, horizon: int, start_index: int = 0) -> WSampleSet:
-    """W per trajectory: sum of indicator columns 0..horizon inclusive."""
-    ind = np.atleast_2d(np.asarray(indicators))
+    """W per trajectory: sum of indicator columns 0..horizon inclusive, counted
+    in the smallest unsigned dtype that holds horizon + 1."""
+    ind = np.atleast_2d(np.asarray(indicators, dtype=bool))
     if ind.shape[1] < horizon + 1:
         raise SpecError("indicator rows shorter than the requested horizon")
-    return WSampleSet(start_index, ind[:, : horizon + 1].sum(axis=1, dtype=np.int64))
+    counts = ind[:, : horizon + 1].view(np.uint8).sum(
+        axis=1, dtype=np.min_scalar_type(horizon + 1)
+    )
+    return WSampleSet(start_index, counts)
 
 
 def empirical_pmf(samples: WSampleSet) -> DiscretePMF:
@@ -144,12 +148,12 @@ class ClusterStats:
         return ClusterStats.concat([self, other])
 
 
-def _row_hist(rows: np.ndarray, vals: np.ndarray, n_rows: int, cap: int) -> np.ndarray:
+def _row_hist(rows: np.ndarray, vals: np.ndarray, n_rows: int, cap: int, dtype) -> np.ndarray:
     """Per-row histogram of clipped values via one flat bincount."""
     clipped = np.minimum(vals, cap)
     flat = rows * (cap + 1) + clipped
     out = np.bincount(flat, minlength=n_rows * (cap + 1))
-    return out.reshape(n_rows, cap + 1).astype(np.int32)
+    return out.reshape(n_rows, cap + 1).astype(dtype)
 
 
 def collect_cluster_stats(
@@ -163,12 +167,15 @@ def collect_cluster_stats(
 
     Hits whose forward window of length L (resp. K) would cross the end of
     the indicator range are not counted as entries; hits within K of either
-    end are left out of the two-sided histogram.
+    end are left out of the two-sided histogram.  A row holds at most t_len
+    hits, so every histogram is stored in the smallest unsigned dtype that
+    holds t_len, as paths are.
     """
     ind = np.atleast_2d(np.asarray(indicators, dtype=bool))
     m, t_len = ind.shape
     if min(window_l, window_k) < 1:
         raise SpecError("window radii must be >= 1")
+    dtype = np.min_scalar_type(t_len)
     # sorted flat hit positions; every counted window lies inside its row,
     # so a window's hits are a range of flat positions found by bisection
     flat = np.flatnonzero(ind)
@@ -176,10 +183,10 @@ def collect_cluster_stats(
 
     def forward(window: int) -> np.ndarray:
         if t_len <= window:
-            return np.zeros((m, cap + 1), np.int32)
+            return np.zeros((m, cap + 1), dtype)
         sel = np.flatnonzero(cols < t_len - window)
         further = np.searchsorted(flat, flat[sel] + window, side="right") - sel - 1
-        return _row_hist(rows[sel], further, m, cap)
+        return _row_hist(rows[sel], further, m, cap, dtype)
 
     after_l = forward(window_l)
     after_k = forward(window_k)
@@ -190,9 +197,9 @@ def collect_cluster_stats(
         around_counts = np.searchsorted(flat, mid + window_k, side="right") - np.searchsorted(
             flat, mid - window_k, side="left"
         )
-        around = _row_hist(rows[sel], around_counts - 1, m, cap)
+        around = _row_hist(rows[sel], around_counts - 1, m, cap, dtype)
     else:
-        around = np.zeros((m, cap + 1), np.int32)
+        around = np.zeros((m, cap + 1), dtype)
 
     return ClusterStats(start_index, after_l, after_k, around, window_l, window_k, cap)
 
@@ -250,9 +257,12 @@ def estimate_tables(
       both indicator ends) seeing exactly l hits.  The mean cluster size
       1 / sum_l lambda_tilde_l rides along in the extras.
 
-    The weights are drawn and applied in blocks of 16 resamples, so besides
-    the float copy of the counted rows this takes O(M) memory for M
-    trajectories, whatever the number of resamples.
+    Equal trajectory rows are grouped exactly, and a resample's weight on a
+    group is the number of its draws that land in the group, so the weights
+    are drawn for the trajectories but applied to the U distinct rows alone.
+    They are drawn and applied in blocks of 16 resamples, so besides a float
+    copy of the distinct rows this takes O(M) memory for M trajectories,
+    whatever the number of resamples.
     """
     layout = (
         ("alpha", stats.after_l, stats.window_l),
@@ -261,37 +271,36 @@ def estimate_tables(
     )
     tables, counted = {}, []
     for kind, hist, window in layout:
-        count = int(hist.sum(dtype=np.int64))
+        totals = hist.sum(axis=0, dtype=np.int64)
+        count = int(totals.sum())
         if count < min_count:
             tables[kind] = InsufficientDataError(
                 f"only {count} counted hits for {kind} (< {min_count})", count=count
             )
         else:
-            counted.append((kind, hist, count, window))
+            counted.append((kind, hist, totals, count, window))
     if not counted:
         return tables
-    # one float row per trajectory holding its row of each counted histogram;
-    # every weight and count is an integer below 2**53, so every sum below,
-    # and every sum of sums, is exact in any order
     m, width = stats.total, stats.cap + 1
-    columns = np.empty((m, len(counted) * width))
-    for i, (_, hist, *_) in enumerate(counted):
-        columns[:, i * width : (i + 1) * width] = hist
+    group, distinct = _distinct_rows(
+        [hist for _, hist, *_ in counted], [totals for _, _, totals, *_ in counted]
+    )
     # per resample (a row of weights), the weighted column sums, a block of
-    # 16 resamples at a time in one reused weight matrix
+    # 16 resamples at a time in one reused weight matrix; every weight and
+    # count is an integer below 2**53, so every sum below, and every sum of
+    # sums, is exact in any order, and grouping the rows changes no sum
     rng = np.random.default_rng(seed)
-    sums = np.empty((resamples, columns.shape[1]))
-    weights = np.empty((min(_RESAMPLE_BLOCK, resamples), m))
+    sums = np.empty((resamples, distinct.shape[1]))
+    weights = np.empty((min(_RESAMPLE_BLOCK, resamples), len(distinct)))
     for lo in range(0, resamples, _RESAMPLE_BLOCK):
         block = weights[: min(_RESAMPLE_BLOCK, resamples - lo)]
         for row in block:
-            row[:] = np.bincount(rng.integers(0, m, m), minlength=m)
-        np.matmul(block, columns, out=sums[lo : lo + len(block)])
+            row[:] = np.bincount(group.take(rng.integers(0, m, m)), minlength=len(distinct))
+        np.matmul(block, distinct, out=sums[lo : lo + len(block)])
     ell = np.arange(1, width + 1, dtype=np.float64)
-    for i, (kind, hist, count, window) in enumerate(counted):
+    for i, (kind, _, totals, count, window) in enumerate(counted):
         num = sums[:, i * width : (i + 1) * width]
         d = num.sum(axis=1, keepdims=True)  # the resample's counted hits
-        totals = hist.sum(axis=0, dtype=np.int64)
         if kind == "alpha_hat":
             # tail sums: column l-1 counts hits with >= l-1 further hits
             num = np.cumsum(num[:, ::-1], axis=1)[:, ::-1]
@@ -306,6 +315,34 @@ def estimate_tables(
             kind, values, ses, count, window, int(totals[-1]), _extras(kind, values, ses, reps)
         )
     return {kind: tables[kind] for kind, *_ in layout}
+
+
+def _distinct_rows(hists, totals) -> tuple:
+    """``(group, distinct)`` for histograms that share their rows, with
+    ``totals[i]`` the column sums of ``hists[i]``.
+
+    A trajectory's row is its row of every histogram, side by side;
+    ``distinct`` holds each distinct row once, as floats, and ``group[i]`` is
+    the index of trajectory i's row in it.  The rows are sorted by one
+    ``np.lexsort`` over the columns that hold a count (a nonzero total), one
+    column at a time, with no full-size copy of the rows.
+    """
+    keys = [hist[:, j] for hist, tot in zip(hists, totals) for j in np.flatnonzero(tot)]
+    m = len(hists[0])
+    order = np.lexsort(keys) if keys else np.arange(m)
+    # first[i]: sorted row i starts a group
+    first = np.zeros(m, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    group = np.empty(m, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    starts = order[first]
+    distinct = np.concatenate(
+        [hist.take(starts, axis=0) for hist in hists], axis=1, dtype=np.float64
+    )
+    return group, distinct
 
 
 def _extras(kind: str, values, ses, reps) -> dict:

@@ -557,6 +557,18 @@ class FiniteMarkovSpec:
         """``(start, chain)``: the stationary law (read-only) and the chain itself."""
         return _read_only(markov_stationary(self)), self
 
+    @functools.cached_property
+    def step_tables(self) -> tuple:
+        """``(cum, table)`` that :func:`_step_columns` steps by, read-only: the
+        cumulative transition rows, each ending at exactly 1.0, and their
+        :func:`_bucket_table` (None where it does not fit)."""
+        cum = np.cumsum(self.matrix, axis=1)
+        cum[:, -1] = 1.0
+        table = _bucket_table(cum)
+        if table is not None:
+            table = tuple(_read_only(a) for a in table)
+        return _read_only(cum), table
+
 
 def _reaches_all(adj: np.ndarray) -> bool:
     """Whether state 0 reaches every state along the boolean edges ``adj``."""
@@ -608,7 +620,7 @@ def sample_chain(spec, n: int, rngs) -> np.ndarray:
     later one takes an inverse-CDF step (:func:`_step_columns`).
     """
     start, chain = spec.chain
-    return _step_columns(rngs, n, start, chain.matrix)
+    return _step_columns(rngs, n, start, chain)
 
 
 # Chains with too many distinct thresholds for :func:`_bucket_table` step
@@ -639,15 +651,17 @@ def _bucket_table(cum: np.ndarray):
     return breaks, lut.astype(np.uint8).ravel()
 
 
-def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def _step_columns(rngs, n: int, stationary: np.ndarray, chain: FiniteMarkovSpec) -> np.ndarray:
     """Inverse-CDF stepping of one chain per row; C-contiguous ``(rows, n)``.
 
     Row i draws its n uniforms from rngs[i]: the first picks the start from
     the ``stationary`` law, each later one steps from state s to the number
     of cumulative thresholds ``cum[s]`` at or below it, as
-    ``searchsorted(cum[s], u, "right")`` does.  States are stored in the
-    smallest unsigned dtype that holds them and stepped column by column in
-    an ``(n, rows)`` array, transposed once at the end.
+    ``searchsorted(cum[s], u, "right")`` does; ``cum`` and its bucket table
+    are the chain's :attr:`FiniteMarkovSpec.step_tables`, built once per
+    spec.  States are stored in the smallest unsigned dtype that holds them
+    and stepped column by column in an ``(n, rows)`` array, transposed once
+    at the end.
 
     Chains with few distinct thresholds (:func:`_bucket_table`) bucket the
     uniforms as they are drawn, one cached row tile (:func:`_uniform_tiles`)
@@ -661,10 +675,8 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, matrix: np.ndarray) -> n
     """
     cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
-    cum = np.cumsum(matrix, axis=1)
-    cum[:, -1] = 1.0
+    cum, table = chain.step_tables
     k = cum.shape[1]
-    table = _bucket_table(cum)
     if table is not None:
         breaks, lut = table
         # time-major on the array route, where the transpose below is a view

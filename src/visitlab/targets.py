@@ -26,6 +26,7 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
+    _BLOCK_UNIFORMS,
     _STEP_GUARD,
     _diagonal_codes,
     path_chunks,
@@ -205,14 +206,30 @@ def hits(paths, target, horizon: int) -> np.ndarray:
     """Indicator rows I_0 .. I_horizon (window start times) for each path.
 
     Paths must hold at least ``horizon + target.window`` time steps; windows
-    that would run past the simulated data are never counted.
+    that would run past the simulated data are never counted.  The target
+    tests one row tile of paths at a time, 512 kB of them as in
+    :func:`~visitlab.systems.sample_house_of_cards`, and the tiles' rows go
+    into one C-contiguous ``(rows, horizon + 1)`` bool array, so no target's
+    temporaries outgrow a tile.
     """
-    ind = target.indicators(paths)
-    if ind.shape[1] < horizon + 1:
-        raise SpecError(
-            f"paths support {ind.shape[1]} windows, horizon needs {horizon + 1}"
-        )
-    return ind[:, : horizon + 1]
+    paths = np.atleast_2d(np.asarray(paths))
+    per = max(1, _BLOCK_UNIFORMS * 8 // max(paths[:1].nbytes, 1))
+
+    def tile(lo: int) -> np.ndarray:
+        ind = target.indicators(paths[lo : lo + per])
+        if ind.shape[1] < horizon + 1:
+            raise SpecError(
+                f"paths support {ind.shape[1]} windows, horizon needs {horizon + 1}"
+            )
+        return ind[:, : horizon + 1]
+
+    if len(paths) <= per:
+        # one tile: the target's own array, copied only where the horizon cuts it
+        return np.ascontiguousarray(tile(0))
+    out = np.empty((len(paths), horizon + 1), dtype=bool)
+    for lo in range(0, len(paths), per):
+        out[lo : lo + per] = tile(lo)
+    return out
 
 
 # ---------------------------------------------------------------------------

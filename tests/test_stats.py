@@ -18,7 +18,7 @@ from visitlab import (
     estimate_tables,
     kac_horizon,
 )
-from visitlab.stats import _extras
+from visitlab.stats import _distinct_rows, _extras
 
 
 def test_kac_horizon_floor():
@@ -57,6 +57,11 @@ def test_collect_w_hand_count():
     assert got.values.tolist() == [2, 0]
     with pytest.raises(SpecError):
         collect_w(ind, horizon=4)
+    # the count runs in uint8 up to 255 columns and in uint16 from 256 on
+    full = np.ones((2, 300), dtype=bool)
+    for horizon in (254, 255, 299):
+        got = collect_w(full, horizon)
+        assert got.values.dtype == np.int64 and got.values.tolist() == [horizon + 1] * 2
 
 
 def test_empirical_pmf_from_counts():
@@ -147,8 +152,22 @@ def test_cluster_stats_equal_running_sum_reference(density):
         want = _cluster_stats_reference(ind, window_l, window_k, cap=6)
         for name, ref in zip(("after_l", "after_k", "around"), want):
             arr = getattr(got, name)
-            assert arr.dtype == np.int32 and np.array_equal(arr, ref), (t_len, name)
+            assert arr.dtype == np.min_scalar_type(t_len), (t_len, name)
+            assert np.array_equal(arr, ref), (t_len, name)
         assert (got.start, got.total) == (11, rows)
+
+
+def test_cluster_stats_keep_cells_past_the_uint8_range():
+    # 600 windows: uint16 histograms.  An all-hit row has 599 hits with one
+    # further hit within L = 1 and 596 mid hits whose radius-2 window holds 5
+    ind = np.ones((3, 600), dtype=bool)
+    ind[1, ::2] = False
+    got = collect_cluster_stats(ind, window_l=1, window_k=2, cap=6)
+    want = _cluster_stats_reference(ind, 1, 2, cap=6)
+    for name, ref in zip(("after_l", "after_k", "around"), want):
+        arr = getattr(got, name)
+        assert arr.dtype == np.uint16 and np.array_equal(arr, ref), name
+    assert got.after_l[0, 1] == 599 and got.around[0, 4] == 596
 
 
 def test_cluster_stats_of_an_empty_indicator():
@@ -163,6 +182,22 @@ def _random_stats(seed=3, rows=400, cols=120):
     rng = np.random.default_rng(seed)
     ind = rng.random((rows, cols)) < 0.25
     return collect_cluster_stats(ind, window_l=3, window_k=5, cap=8)
+
+
+def _clustered_stats(seed=3, rows=400, cols=120, starts=0.002):
+    # run-length-like rows: rare clusters of three hits, so most rows are all
+    # zero and the rest repeat a few histogram rows
+    rng = np.random.default_rng(seed)
+    first = rng.random((rows, cols)) < starts
+    ind = first.copy()
+    ind[:, 1:] |= first[:, :-1]
+    ind[:, 2:] |= first[:, :-2]
+    return collect_cluster_stats(ind, window_l=3, window_k=5, cap=8)
+
+
+def _distinct_count(stats):
+    hists = [stats.after_l, stats.after_k, stats.around]
+    return len(_distinct_rows(hists, [h.sum(axis=0) for h in hists])[1])
 
 
 def test_alpha_table_sums_to_one():
@@ -335,22 +370,27 @@ def _one_matrix_reference(stats, min_count, resamples, seed):
 @pytest.mark.parametrize("m", [1, 3, 8192])
 @pytest.mark.parametrize("resamples", [1, 15, 16, 17, 50, 200])
 def test_blocked_bootstrap_equals_one_weight_matrix(m, resamples):
-    stats = _random_stats(seed=m, rows=m, cols=max(120, 4000 // m))
-    got = {
-        kind: {"insufficient_data": True, "count": est.count}
-        if isinstance(est, InsufficientDataError) else est.as_dict()
-        for kind, est in estimate_tables(stats, min_count=50, resamples=resamples, seed=9).items()
-    }
-    want = _one_matrix_reference(stats, 50, resamples, 9)
-    assert any("values" in table for table in want.values())
-    # json prints each float's shortest round-trip repr, NaN included
-    assert json.dumps(got) == json.dumps(want)
+    # dense random rows, all distinct at m = 8192, and clustered rows, mostly
+    # all zero and the rest a few dozen distinct rows
+    dense = _random_stats(seed=m, rows=m, cols=max(120, 4000 // m))
+    clustered = _clustered_stats(seed=m, rows=m, cols=max(120, 400_000 // m))
+    if m == 8192:
+        assert _distinct_count(dense) == m and _distinct_count(clustered) < 100
+        counted = clustered.after_l.any(axis=1) | clustered.around.any(axis=1)
+        assert counted.mean() < 0.5
+    for stats in (dense, clustered):
+        got = {
+            kind: {"insufficient_data": True, "count": est.count}
+            if isinstance(est, InsufficientDataError) else est.as_dict()
+            for kind, est in estimate_tables(stats, min_count=50, resamples=resamples, seed=9).items()
+        }
+        want = _one_matrix_reference(stats, 50, resamples, 9)
+        assert any("values" in table for table in want.values())
+        # json prints each float's shortest round-trip repr, NaN included
+        assert json.dumps(got) == json.dumps(want)
 
 
-def test_bootstrap_memory_does_not_grow_with_resamples():
-    # 50,000 trajectories: one (200, M) float weight matrix alone is 80 MB
-    stats = _random_stats(rows=50_000, cols=40)
-    columns_nbytes = stats.total * 3 * (stats.cap + 1) * 8
+def _traced_tables(stats):
     tracemalloc.start()
     try:
         tables = estimate_tables(stats, resamples=200)
@@ -358,5 +398,21 @@ def test_bootstrap_memory_does_not_grow_with_resamples():
     finally:
         tracemalloc.stop()
     assert all(isinstance(t, AlphaEstimates) for t in tables.values())
+    return peak
+
+
+def test_bootstrap_memory_does_not_grow_with_resamples():
+    # 50,000 distinct trajectory rows: one (200, M) float weight matrix alone
+    # is 80 MB, and a float copy of the rows 10.8 MB
+    stats = _random_stats(rows=50_000, cols=40)
+    columns_nbytes = stats.total * 3 * (stats.cap + 1) * 8
+    peak = _traced_tables(stats)
     assert peak < columns_nbytes + 16 * 2**20, (peak, columns_nbytes)
+    # 200,000 trajectories with few distinct rows: a float copy of every row
+    # would be 41 MB, the distinct rows take a few kB
+    stats = _clustered_stats(rows=200_000, cols=40, starts=0.004)
+    columns_nbytes = stats.total * 3 * (stats.cap + 1) * 8
+    assert _distinct_count(stats) < 200
+    peak = _traced_tables(stats)
+    assert peak < columns_nbytes / 4, (peak, columns_nbytes)
 

@@ -482,8 +482,26 @@ def test_step_columns_fill_their_buffer_tile_by_tile(monkeypatch):
         assert _route(spec.matrix) == route
         stationary = markov_stationary(spec)
         rngs = [trajectory_rng(7, i) for i in range(rows)]
-        batch = systems._step_columns(rngs, n, stationary, spec.matrix)
+        batch = systems._step_columns(rngs, n, stationary, spec)
         assert np.array_equal(batch, _reference_rows(stationary, spec.matrix, n, rows)), route
+
+
+def test_chain_step_tables_are_built_once_per_spec(monkeypatch):
+    built = []
+    bucket_table = systems._bucket_table
+    monkeypatch.setattr(systems, "_bucket_table", lambda cum: built.append(1) or bucket_table(cum))
+    spec = ProductChainSpec((FiniteMarkovSpec(Q1), FiniteMarkovSpec(Q2)), "maximal")
+    chunks = [
+        sample_product_chain_batch(spec, 50, [trajectory_rng(3, i) for i in range(lo, lo + 8)])
+        for lo in (0, 8, 16)
+    ]
+    assert len(built) == 1
+    cum, table = spec.chain[1].step_tables
+    assert not any(a.flags.writeable for a in (cum, *table))
+    # a pickled spec carries its tables, and draws the same paths
+    copy = pickle.loads(pickle.dumps(spec))
+    again = sample_product_chain_batch(copy, 50, [trajectory_rng(3, i) for i in range(8, 16)])
+    assert len(built) == 1 and np.array_equal(again, chunks[1])
 
 
 def test_markov_batch_widens_past_256_states():
@@ -497,7 +515,9 @@ def test_markov_batch_widens_past_256_states():
 def _check_product_chain(spec, route, rows=32, n=300):
     stationary, kernel = spec.chain[0], pair_kernel(spec)
     assert _route(kernel) == route
-    codes = systems._step_columns([trajectory_rng(7, i) for i in range(rows)], n, stationary, kernel)
+    codes = systems._step_columns(
+        [trajectory_rng(7, i) for i in range(rows)], n, stationary, FiniteMarkovSpec(kernel)
+    )
     assert codes.dtype == np.uint8 and codes.flags.c_contiguous
     ref = _reference_rows(stationary, kernel, n, rows)
     assert np.array_equal(codes, ref)
@@ -833,13 +853,14 @@ def test_step_columns_array_route_matches_generators():
     ]
     for matrix, route in cases:
         assert _route(matrix) == route
-        stationary = markov_stationary(matrix)
+        chain = FiniteMarkovSpec(matrix)
+        stationary = markov_stationary(chain)
         for n in (1, 2, 64):
             streams, rngs = _streams_and_list(_ARRAY_ROWS)
             assert systems._array_route(streams, n)
-            batch = systems._step_columns(streams, n, stationary, matrix)
+            batch = systems._step_columns(streams, n, stationary, chain)
             assert batch.flags.c_contiguous and batch.shape == (_ARRAY_ROWS, n)
-            ref = systems._step_columns(rngs, n, stationary, matrix)
+            ref = systems._step_columns(rngs, n, stationary, chain)
             assert batch.dtype == ref.dtype and np.array_equal(batch, ref), (route, n)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,72 @@ def test_hits_word_match():
     path = np.array([[0, 1, 0, 1, 1, 0, 1]])
     got = hits(path, CylinderTarget((0, 1)), horizon=5)
     assert np.array_equal(got, [[True, False, True, False, False, True]])
+
+
+# one hits tile holds _TILE_BYTES of paths
+_TILE_BYTES = systems._BLOCK_UNIFORMS * 8
+
+
+def _tiled_cases():
+    """(target, paths) pairs whose row counts span several hits tiles."""
+    rng = np.random.default_rng(26)
+
+    def rows_for(tiles, row_bytes):
+        # a few full tiles and a partial one
+        return tiles * (_TILE_BYTES // row_bytes) + 7
+
+    runs = rng.integers(0, 4, (rows_for(3, 2 * 4307), 4307)).astype(np.uint16)
+    cells = rng.integers(0, 3, (rows_for(2, 2156), 2156)).astype(np.uint8)
+    wide = rng.integers(0, 40, (rows_for(3, 8 * 2000), 2000))
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), (rows_for(2, 600), 600))
+    pairs = rng.integers(0, 2, (rows_for(2, 2 * 3000), 3000, 2)).astype(np.uint8)
+    reals = rng.random((rows_for(3, 16 * 500), 500, 2))
+    # one row that is wider than a tile on its own
+    long_row = rng.integers(0, 3, (1, _TILE_BYTES // 8 + 999))
+    return [
+        (RunLengthTarget(10), runs),
+        (RunLengthTarget(2, level=2), long_row),
+        (HalfLineTarget(35), wide),
+        (CylinderTarget((0, 1, 0, 2)), cells),
+        (CylinderTarget((1, 1, -1)), signs),
+        (SyncCylinderTarget(3), pairs),
+        (GeoDiagonalTarget(0.05), reals),
+    ]
+
+
+def test_tiled_hits_equal_whole_batch_indicators():
+    for target, paths in _tiled_cases():
+        whole = target.indicators(paths)
+        windows = whole.shape[1]
+        row_bytes = paths[:1].nbytes
+        assert row_bytes > _TILE_BYTES or len(paths) > 2 * (_TILE_BYTES // row_bytes)
+        for horizon in (windows - 1, windows // 2):
+            got = hits(paths, target, horizon)
+            assert got.dtype == bool and got.flags.c_contiguous
+            assert np.array_equal(got, whole[:, : horizon + 1]), (target, horizon)
+        message = f"paths support {windows} windows, horizon needs {windows + 1}"
+        with pytest.raises(SpecError, match=message):
+            hits(paths, target, windows)
+        empty = hits(paths[:0], target, windows - 1)
+        assert empty.shape == (0, windows)
+        with pytest.raises(SpecError, match=f"support {windows} windows"):
+            hits(paths[:0], target, windows)
+
+
+def test_hits_peak_is_the_output_and_a_tile():
+    # a runlength-long chunk: 973 rows of 4307 uint16 states, 4297 windows
+    rng = np.random.default_rng(5)
+    paths = rng.integers(0, 3, (973, 4307)).astype(np.uint16)
+    target = RunLengthTarget(10)
+    tracemalloc.start()
+    try:
+        out = hits(paths, target, 4296)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three full-size bool temporaries would add 12.5 MB
+    assert out.shape == (973, 4297)
+    assert peak < out.nbytes + 4 * _TILE_BYTES, (peak, out.nbytes)
 
 
 def _match_word_reference(paths, word):
