@@ -45,6 +45,9 @@ from .systems import _CHUNK_ELEMS, _STEP_GUARD, path_chunks
 from .targets import hits, measure
 
 _BLOCK = 4096
+# simulated steps each forked worker must get: below this the pool's fork,
+# pipes and join (10-15 ms on a 2-CPU VM) outweigh the work it splits
+_POOL_STEPS = _CHUNK_ELEMS // 2
 
 # derived-seed streams, disjoint from the trajectory index range
 _STREAM_ALPHA = 2**49
@@ -75,13 +78,15 @@ def _simulate_block(args):
 
 
 def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
+    """W samples, cluster stats, path length and the number of processes that simulated."""
     window_f, window_k = cfg.window_forward, cfg.window_two_sided
     pad = max(window_f or 0, window_k or 0)
     ext_horizon = horizon + pad
     path_len = ext_horizon + target.window
-    if path_len * cfg.samples > _STEP_GUARD:
+    steps = path_len * cfg.samples
+    if steps > _STEP_GUARD:
         raise ResourceLimitError(
-            f"run needs {path_len * cfg.samples:.2e} simulated steps "
+            f"run needs {steps:.2e} simulated steps "
             f"(> {_STEP_GUARD:.0e}); shrink samples or the target"
         )
     blocks = [
@@ -89,7 +94,8 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
          path_len, ext_horizon, horizon, window_f, window_k, cfg.cluster_cap)
         for start in range(0, cfg.samples, _BLOCK)
     ]
-    workers = min(cfg.workers, _usable_cpus(), len(blocks))
+    # cfg.workers is an upper bound, like the usable CPUs, the blocks and the work
+    workers = min(cfg.workers, _usable_cpus(), len(blocks), max(1, steps // _POOL_STEPS))
     if workers == 1:
         results = [_simulate_block(b) for b in blocks]
     else:
@@ -106,7 +112,7 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
                 f"a worker process died ({exc}); it may have run out of memory, "
                 "so retry with fewer workers (--jobs) or samples"
             ) from exc
-    return (*_merge_ranges(results), path_len)
+    return (*_merge_ranges(results), path_len, workers)
 
 
 def _usable_cpus() -> int:
@@ -219,6 +225,7 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
     started = time.perf_counter()
     system = cfg.build_system()
     results = []
+    pool_workers = []
     for index, sweep_value in enumerate(cfg.stein.sweep if mode == "bound" else cfg.sweep):
         target = cfg.build_target(sweep_value)
         # the pair's rule is looked up first: an unsupported pair is refused before any measure
@@ -253,7 +260,8 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
             pred = pair.predict(system, target, cfg.t)
             entry["prediction"] = pred.as_dict()
         if mode in ("simulate", "compare", "sweep"):
-            w_all, stats_all, path_len = _run_simulation(cfg, system, target, horizon)
+            w_all, stats_all, path_len, workers = _run_simulation(cfg, system, target, horizon)
+            pool_workers.append(workers)
             entry["simulated_steps"] = path_len * cfg.samples
             emp = empirical_pmf(w_all)
             entry["empirical"] = {
@@ -287,6 +295,8 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_clock_s": time.perf_counter() - started,
             "workers": cfg.workers,
+            # processes that simulated each sweep value; 1 means in-process
+            "pool_workers": pool_workers,
         },
     }
     if mode == "bound":

@@ -50,6 +50,7 @@ from visitlab import (
     tv_distance,
     WSampleSet,
 )
+from visitlab import runner
 from visitlab.systems import FiniteMarkovSpec, ProductChainSpec
 
 F = Fraction
@@ -437,7 +438,9 @@ def test_criterion_09b_sign_cylinder_tv():
     assert _line("09b", ok, f"all-plus 8-cylinder TV {tv:.4f} vs PA(2, {p:.2f}) at M=2e5")
 
 
-def test_criterion_13_worker_determinism():
+def test_criterion_13_worker_determinism(monkeypatch):
+    # a 3.4M-step run is below the pool's work floor, so force the pool
+    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
     doc = {
         "experiment": {
             "t": 2.0,
@@ -450,9 +453,12 @@ def test_criterion_13_worker_determinism():
         "system": {"kind": "house-of-cards", "reset": 0.5},
         "target": {"kind": "run-length", "level": 1, "sweep": [6]},
     }
-    bodies = {}
+    bodies, pools = {}, {}
     for workers in (1, 8):
         cfg = config_from_mapping(copy.deepcopy(doc), {"workers": workers})
-        bodies[workers] = report_body(run_experiment(cfg, "compare"))
+        report = run_experiment(cfg, "compare")
+        bodies[workers], pools[workers] = report_body(report), report["meta"]["pool_workers"]
     ok = bodies[1] == bodies[8]
     assert _line("13", ok, f"workers 1 vs 8 report bodies identical: {ok}")
+    # three 4096-row blocks: the workers: 8 run forks as many processes as the CPUs allow
+    assert pools == {1: [1], 8: [min(8, runner._usable_cpus(), 3)]}

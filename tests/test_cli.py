@@ -403,18 +403,22 @@ def test_every_table_pair_compares(name, tmp_path):
 
 
 _COLD_START = """\
+import os
 import sys
 from pathlib import Path
 
 import visitlab
 from visitlab.cli import main
 
+# two usable CPUs, so only the work cap keeps the two-block run in-process
+os.sched_getaffinity = lambda pid: {0, 1}
 out = Path(sys.argv[1])
 chain = "system: {kind: markov, matrix: [[0.4, 0.6], [0.2, 0.8]]}\\n"
-for name, word in (("pa", "[1]"), ("poisson", "[0, 1, 1]")):
+runs = (("pa", "[1]", 64, 1), ("poisson", "[0, 1, 1]", 64, 1), ("two-blocks", "[1]", 8192, 2))
+for name, word, samples, workers in runs:
     cfg = out / (name + ".yaml")
     cfg.write_text(
-        "experiment: {t: 1.0, samples: 64, seed: 2, tolerance: 0.5, workers: 1}\\n"
+        f"experiment: {{t: 1.0, samples: {samples}, seed: 2, tolerance: 0.5, workers: {workers}}}\\n"
         + chain
         + "target: {kind: cylinder, word_cycle: " + word + ", sweep: [3]}\\n"
     )
@@ -427,7 +431,8 @@ assert not loaded, loaded
 
 def test_compare_does_not_import_scipy(tmp_path):
     # scipy costs about 0.3 s of cold start and visitlab does not depend on it;
-    # the process pool's modules cost about 20 ms and only workers > 1 need them
+    # the process pool's modules cost about 20 ms and only a pooled run needs
+    # them: a workers: 2 run of two blocks but few steps stays in-process
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run(
@@ -435,8 +440,10 @@ def test_compare_does_not_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    reports = [json.loads((tmp_path / n / "compare_report.json").read_text()) for n in ("pa", "poisson")]
-    assert [r["results"][0]["prediction"]["family"] for r in reports] == ["polya-aeppli", "poisson"]
+    reports = [json.loads((tmp_path / n / "compare_report.json").read_text())
+               for n in ("pa", "poisson", "two-blocks")]
+    assert [r["results"][0]["prediction"]["family"] for r in reports] == ["polya-aeppli", "poisson", "polya-aeppli"]
+    assert [r["meta"]["pool_workers"] for r in reports] == [[1], [1], [1]]
 
 
 _STEIN = "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n  mode: phi\n  window_policy: half\n"

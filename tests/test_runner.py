@@ -210,11 +210,16 @@ def test_compare_report_structure_and_tv():
     assert exit_code_for(report) == 0
 
 
-def test_report_body_is_worker_invariant():
+def test_report_body_is_worker_invariant(monkeypatch):
+    # a 1.6M-step run is below the pool's work floor, so force the pool
+    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
     base = run_experiment(_cfg(), "compare")
     threaded = run_experiment(_cfg(workers=3), "compare")
     assert report_body(base) == report_body(threaded)
     assert base["meta"]["workers"] == 1 and threaded["meta"]["workers"] == 3
+    # two 4096-row blocks
+    assert base["meta"]["pool_workers"] == [1]
+    assert threaded["meta"]["pool_workers"] == [min(3, runner._usable_cpus(), 2)]
 
 
 def test_seed_changes_the_body():
@@ -359,6 +364,7 @@ class _SerialPool:
 def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samples, pool_size):
     # a platform without affinity masks: the cap is the CPU count
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
     monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     _SerialPool.sizes = []
@@ -372,11 +378,56 @@ def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samp
 def test_workers_are_clamped_to_the_affinity_mask(monkeypatch, mask, pool_size):
     # a run pinned to one CPU stays serial however many CPUs the machine has
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: mask, raising=False)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
     _SerialPool.sizes = []
     run_experiment(_cfg(workers=8, samples=9000), "simulate")
     assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_pool_is_sized_by_the_work(monkeypatch):
+    # each forked worker needs _POOL_STEPS simulated steps: floor(steps / _POOL_STEPS) caps the pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    serial = run_experiment(_cfg(samples=9000), "simulate")
+    steps = serial["results"][0]["simulated_steps"]
+    # two shares; one share and a bit; less than one share, which still runs
+    for pool_steps, pool_size in ((steps // 2, 2), (steps // 2 + 1, None), (steps + 1, None)):
+        monkeypatch.setattr(runner, "_POOL_STEPS", pool_steps)
+        _SerialPool.sizes = []
+        report = run_experiment(_cfg(workers=8, samples=9000), "simulate")
+        assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
+        assert report["meta"]["pool_workers"] == [pool_size or 1]
+        assert report_body(report) == report_body(serial)
+
+
+# the benchmark's short and pooled workloads, with their step counts
+SIGN_SHORT_DOC = {
+    "experiment": {"t": 2.0, "samples": 32768, "seed": 909, "tolerance": 0.03, "workers": 2},
+    "system": {"kind": "sign-product", "plus_prob": 0.3},
+    "target": {"kind": "sign-cylinder", "word_cycle": [1], "sweep": [8]},
+}
+MARKOV_POOL_DOC = {
+    "experiment": {"t": 2.0, "samples": 16384, "seed": 707, "tolerance": 0.03, "workers": 2},
+    "system": {"kind": "markov", "matrix": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]},
+    "target": {"kind": "cylinder", "word_cycle": [1], "sweep": [13]},
+}
+
+
+@pytest.mark.parametrize("doc, steps, pool_size", [
+    (SIGN_SHORT_DOC, 1_867_776, None),  # eight blocks, but under one worker's share
+    (MARKOV_POOL_DOC, 35_323_904, 2),
+])
+def test_benchmark_sized_runs_pool_by_their_work(monkeypatch, doc, steps, pool_size):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    _SerialPool.sizes = []
+    report = run_experiment(_cfg(doc), "simulate")
+    assert report["results"][0]["simulated_steps"] == steps
+    assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
+    assert report["meta"]["workers"] == 2
+    assert report["meta"]["pool_workers"] == [pool_size or 1]
 
 
 class _BrokenPool(_SerialPool):
@@ -388,6 +439,7 @@ class _BrokenPool(_SerialPool):
 
 def test_worker_crash_exits_four(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(HOC_DOC))
