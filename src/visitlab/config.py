@@ -8,8 +8,9 @@ Schema (all numeric scalars accept decimal literals or rational strings like
       samples: 200000         # trajectories M
       seed: 1                 # root seed for the whole run
       workers: 4              # upper bound on worker processes: the pool gets
-                              # min(workers, usable CPUs, 4096-row blocks,
-                              # simulated steps // 2**21), and 1 runs in-process
+                              # min(workers, usable CPUs, 4096-row blocks, one
+                              # per 0.03 s of the run's projected in-process
+                              # simulation), and 1 runs in-process
       tolerance: 0.03         # TV pass threshold for compare/sweep
       window_forward: 200     # L, forward cluster window (optional)
       window_two_sided: 48    # K, two-sided cluster window (optional)

@@ -40,14 +40,20 @@ from .stats import (
     estimate_tables,
     kac_horizon,
 )
-# perfbench/traced.py reads the chunk rule's _CHUNK_ELEMS from this module
+# the chunk rule's _CHUNK_ELEMS sizes a timed first chunk; perfbench/traced.py
+# reads it from this module
 from .systems import _CHUNK_ELEMS, _STEP_GUARD, path_chunks
 from .targets import hits, measure
 
 _BLOCK = 4096
-# simulated steps each forked worker must get: below this the pool's fork,
-# pipes and join (10-15 ms on a 2-CPU VM) outweigh the work it splits
-_POOL_STEPS = _CHUNK_ELEMS // 2
+# CPU seconds of in-process simulation each forked worker must take over:
+# below this the pool's fork, pipes and join (10-15 ms on a 2-CPU VM) and
+# the two workers' contention (each block about 35% slower) outweigh the split
+_POOL_SECONDS = 0.03
+# a lower bound on every sampler's in-process CPU seconds per simulated step:
+# the cheapest, long run-length paths, take 4.6 ns on a 2-CPU VM, sign paths
+# 15-23, markov chains 8-31, doeblin 114-133 and short regenerative paths 980
+_STEP_SECONDS = 4e-9
 
 # derived-seed streams, disjoint from the trajectory index range
 _STREAM_ALPHA = 2**49
@@ -89,24 +95,42 @@ def _run_simulation(cfg: ExperimentConfig, system, target, horizon: int):
             f"run needs {steps:.2e} simulated steps "
             f"(> {_STEP_GUARD:.0e}); shrink samples or the target"
         )
-    blocks = [
-        (system, target, cfg.seed, start, min(_BLOCK, cfg.samples - start),
-         path_len, ext_horizon, horizon, window_f, window_k, cfg.cluster_cap)
-        for start in range(0, cfg.samples, _BLOCK)
-    ]
-    # cfg.workers is an upper bound, like the usable CPUs, the blocks and the work
-    workers = min(cfg.workers, _usable_cpus(), len(blocks), max(1, steps // _POOL_STEPS))
+
+    def task(start, stop):
+        return (system, target, cfg.seed, start, stop - start, path_len, ext_horizon,
+                horizon, window_f, window_k, cfg.cluster_cap)
+
+    # cfg.workers is an upper bound, like the usable CPUs, the 4096-row blocks
+    # and one process per _POOL_SECONDS of the run's in-process simulation
+    workers = min(cfg.workers, _usable_cpus(), -(-cfg.samples // _BLOCK))
+    done, results = 0, []
+    if workers > steps * _STEP_SECONDS / _POOL_SECONDS:
+        # the cheapest sampler's price does not pay for every worker: simulate the
+        # first chunk in-process and let its CPU time per row price the rest
+        done = min(cfg.samples, _BLOCK, max(1, _CHUNK_ELEMS // path_len))
+        started = time.thread_time()
+        results.append(_simulate_block(task(0, done)))
+        rest_s = (time.thread_time() - started) * (cfg.samples - done) / done
+        workers = max(1, min(workers, int(rest_s / _POOL_SECONDS)))
+    rest = cfg.samples - done
     if workers == 1:
-        results = [_simulate_block(b) for b in blocks]
+        # the rest of block 0, then whole blocks: the chunks that
+        # perfbench/traced.py re-enacts
+        bounds = [done, *range(_BLOCK, cfg.samples, _BLOCK), cfg.samples]
+        results += (_simulate_block(task(a, b)) for a, b in zip(bounds, bounds[1:]) if b > a)
     else:
         # the pool's modules load only here: serial runs never start one
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # pool.map yields the blocks in order, so the ranges merge end to end
+        # the rest in near-equal shares of at most a block, as many for every
+        # worker; pool.map yields them in order, so the ranges merge end to end
+        parts = workers * -(-rest // (workers * _BLOCK))
+        shares = [task(done + rest * i // parts, done + rest * (i + 1) // parts)
+                  for i in range(parts)]
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_simulate_block, blocks, chunksize=1))
+                results += pool.map(_simulate_block, shares, chunksize=1)
         except BrokenProcessPool as exc:
             raise ResourceLimitError(
                 f"a worker process died ({exc}); it may have run out of memory, "

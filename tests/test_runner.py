@@ -211,8 +211,8 @@ def test_compare_report_structure_and_tv():
 
 
 def test_report_body_is_worker_invariant(monkeypatch):
-    # a 1.6M-step run is below the pool's work floor, so force the pool
-    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
+    # a run this small costs less than a worker's share, so force the pool
+    monkeypatch.setattr(runner, "_POOL_SECONDS", 1e-9)
     base = run_experiment(_cfg(), "compare")
     threaded = run_experiment(_cfg(workers=3), "compare")
     assert report_body(base) == report_body(threaded)
@@ -364,7 +364,7 @@ class _SerialPool:
 def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samples, pool_size):
     # a platform without affinity masks: the cap is the CPU count
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
+    monkeypatch.setattr(runner, "_POOL_SECONDS", 1e-9)
     monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     _SerialPool.sizes = []
@@ -378,7 +378,7 @@ def test_workers_are_clamped_to_cpus_and_blocks(monkeypatch, workers, cpus, samp
 def test_workers_are_clamped_to_the_affinity_mask(monkeypatch, mask, pool_size):
     # a run pinned to one CPU stays serial however many CPUs the machine has
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
+    monkeypatch.setattr(runner, "_POOL_SECONDS", 1e-9)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: mask, raising=False)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
     _SerialPool.sizes = []
@@ -386,15 +386,18 @@ def test_workers_are_clamped_to_the_affinity_mask(monkeypatch, mask, pool_size):
     assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
 
 
-def test_pool_is_sized_by_the_work(monkeypatch):
-    # each forked worker needs _POOL_STEPS simulated steps: floor(steps / _POOL_STEPS) caps the pool
+def test_pool_is_sized_by_the_first_chunks_time(monkeypatch):
+    # the first chunk's CPU time, scaled to the rows after it, buys one worker
+    # per _POOL_SECONDS; the run's blocks, CPUs and workers still cap the pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     serial = run_experiment(_cfg(samples=9000), "simulate")
-    steps = serial["results"][0]["simulated_steps"]
-    # two shares; one share and a bit; less than one share, which still runs
-    for pool_steps, pool_size in ((steps // 2, 2), (steps // 2 + 1, None), (steps + 1, None)):
-        monkeypatch.setattr(runner, "_POOL_STEPS", pool_steps)
+    # short paths: the first chunk is block 0, and 4904 rows follow it
+    assert serial["results"][0]["simulated_steps"] < 9000 * 1024
+    rest_per_probe = 4904 / 4096
+    for shares, pool_size in ((2.5, 2), (1.5, None), (0.5, None), (5.0, 3)):
+        ticks = iter([1.0, 1.0 + shares * runner._POOL_SECONDS / rest_per_probe])
+        monkeypatch.setattr(runner.time, "thread_time", lambda: next(ticks))
         _SerialPool.sizes = []
         report = run_experiment(_cfg(workers=8, samples=9000), "simulate")
         assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
@@ -402,28 +405,61 @@ def test_pool_is_sized_by_the_work(monkeypatch):
         assert report_body(report) == report_body(serial)
 
 
-# the benchmark's short and pooled workloads, with their step counts
-SIGN_SHORT_DOC = {
-    "experiment": {"t": 2.0, "samples": 32768, "seed": 909, "tolerance": 0.03, "workers": 2},
-    "system": {"kind": "sign-product", "plus_prob": 0.3},
-    "target": {"kind": "sign-cylinder", "word_cycle": [1], "sweep": [8]},
-}
-MARKOV_POOL_DOC = {
-    "experiment": {"t": 2.0, "samples": 16384, "seed": 707, "tolerance": 0.03, "workers": 2},
-    "system": {"kind": "markov", "matrix": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]},
-    "target": {"kind": "cylinder", "word_cycle": [1], "sweep": [13]},
-}
+def test_pool_shares_are_near_equal_and_in_order(monkeypatch):
+    # the pool gets a multiple of its size in near-equal shares of at most a
+    # block, which tile the rows after the timed first chunk, if any, in order
+    shares = []
+
+    class _RecordingPool(_SerialPool):
+        def map(self, fn, items, chunksize=1):
+            shares.extend((item[3], item[4]) for item in items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial = run_experiment(_cfg(samples=13000), "simulate")
+    # timed: a second of CPU for block 0 prices the 8904 rows after it well above two shares
+    ticks = iter([0.0, 1.0])
+    monkeypatch.setattr(runner.time, "thread_time", lambda: next(ticks))
+    report = run_experiment(_cfg(workers=2, samples=13000), "simulate")
+    assert report["meta"]["pool_workers"] == [2]
+    # four shares, since two would exceed a block
+    assert shares == [(4096, 2226), (6322, 2226), (8548, 2226), (10774, 2226)]
+    assert report_body(report) == report_body(serial)
+    # untimed: the whole run in four shares
+    shares.clear()
+    monkeypatch.setattr(runner, "_STEP_SECONDS", 1.0)
+    report = run_experiment(_cfg(workers=2, samples=13000), "simulate")
+    assert shares == [(0, 3250), (3250, 3250), (6500, 3250), (9750, 3250)]
+    assert report_body(report) == report_body(serial)
 
 
-@pytest.mark.parametrize("doc, steps, pool_size", [
-    (SIGN_SHORT_DOC, 1_867_776, None),  # eight blocks, but under one worker's share
-    (MARKOV_POOL_DOC, 35_323_904, 2),
+def test_runs_whose_step_price_pays_every_worker_are_not_timed(monkeypatch):
+    # at the cheapest sampler's price per step a large run pays for every
+    # worker the caps allow, so nothing is simulated in-process first
+    def untimed():
+        raise AssertionError("the run was timed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(runner.time, "thread_time", untimed)
+    monkeypatch.setattr(runner, "_STEP_SECONDS", 1.0)
+    _SerialPool.sizes = []
+    report = run_experiment(_cfg(workers=8, samples=9000), "simulate")
+    assert _SerialPool.sizes == [3]
+    assert report["meta"]["pool_workers"] == [3]
+
+
+@pytest.mark.parametrize("workload, steps, pool_size", [
+    ("sign-short", 1_867_776, None),  # eight blocks, but its timed chunk prices under two shares
+    ("markov-pool", 35_323_904, 2),  # its steps pay for two workers untimed
 ])
-def test_benchmark_sized_runs_pool_by_their_work(monkeypatch, doc, steps, pool_size):
+def test_benchmark_sized_runs_pool_by_their_work(monkeypatch, workload, steps, pool_size):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     _SerialPool.sizes = []
-    report = run_experiment(_cfg(doc), "simulate")
+    path = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{workload}.yaml"
+    report = run_experiment(load_config(str(path), {}), "simulate")
     assert report["results"][0]["simulated_steps"] == steps
     assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
     assert report["meta"]["workers"] == 2
@@ -439,7 +475,7 @@ class _BrokenPool(_SerialPool):
 
 def test_worker_crash_exits_four(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
-    monkeypatch.setattr(runner, "_POOL_STEPS", 1)
+    monkeypatch.setattr(runner, "_POOL_SECONDS", 1e-9)
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     cfg = tmp_path / "exp.yaml"
     cfg.write_text(yaml.safe_dump(HOC_DOC))
