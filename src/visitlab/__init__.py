@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 from .compound import (
     CompoundPoissonSpec,
     DiscretePMF,
-    PolyaAeppliSpec,
     cluster_law_from_alphas,
     cp_pmf,
     cp_sample,
     pa_pmf,
-    poisson_pmf,
     tv_distance,
 )
 from .errors import (
@@ -35,8 +33,6 @@ from .predictions import (
     SteinBracketInputs,
     coupling_sync_rate,
     doeblin_alpha2_bound,
-    furstenberg_ratio,
-    geometric_alpha,
     geometric_alpha_sequence,
     predict_furstenberg,
     predict_house_of_cards,
@@ -70,7 +66,6 @@ from .systems import (
     IntervalMapSpec,
     ProductChainSpec,
     RegenerativeSpec,
-    sample_path,
     sample_paths,
     sync_kernel,
     trajectory_rng,
@@ -85,7 +80,6 @@ from .targets import (
     hits,
     interval_cylinder_measure,
     measure,
-    measure_exact,
     measure_mc,
     sign_cylinder_measure,
 )

@@ -82,30 +82,6 @@ class CompoundPoissonSpec:
         return self.t * float(sizes @ self.cluster_rates)
 
 
-@dataclass(frozen=True)
-class PolyaAeppliSpec:
-    """Geometric-cluster compound Poisson law with aggregation parameter p."""
-
-    t: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise SpecError(f"time budget must be finite and >= 0, got {self.t}")
-        if not (0.0 <= self.p < 1.0):
-            raise SpecError(f"aggregation parameter must lie in [0, 1), got {self.p}")
-
-    def cluster_rates(self, length: int) -> np.ndarray:
-        """First ``length`` geometric rates (1-p)^2 p^(l-1)."""
-        if length < 1:
-            raise SpecError("length must be >= 1")
-        l = np.arange(length)
-        return (1.0 - self.p) ** 2 * self.p**l
-
-    def to_compound(self, length: int = 64) -> CompoundPoissonSpec:
-        return CompoundPoissonSpec(self.t, self.cluster_rates(length))
-
-
 # ---------------------------------------------------------------------------
 # finite PMF tables
 # ---------------------------------------------------------------------------
@@ -187,21 +163,6 @@ def pmf_to_csv(pmf: DiscretePMF, path) -> None:
         writer.writerow(["tail", repr(pmf.tail_mass)])
 
 
-def pmf_from_csv(path) -> DiscretePMF:
-    probs, tail = [], 0.0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["k", "probability"]:
-            raise SpecError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            if row[0] == "tail":
-                tail = float(row[1])
-            else:
-                probs.append(float(row[1]))
-    return DiscretePMF(np.array(probs), tail)
-
-
 # ---------------------------------------------------------------------------
 # PMF constructors
 # ---------------------------------------------------------------------------
@@ -230,11 +191,6 @@ def cp_pmf(spec: CompoundPoissonSpec, kmax: int) -> DiscretePMF:
     return DiscretePMF(out, tail)
 
 
-def poisson_pmf(t: float, kmax: int) -> DiscretePMF:
-    """Plain Poisson(t) table: the Polya-Aeppli table at p = 0, every cluster of size one."""
-    return pa_pmf(t, 0.0, kmax)
-
-
 def pa_pmf(t: float, p: float, kmax: int) -> DiscretePMF:
     """Polya-Aeppli PMF on {0..kmax} by its three-term recurrence.
 
@@ -250,7 +206,10 @@ def pa_pmf(t: float, p: float, kmax: int) -> DiscretePMF:
     order 1e-323, so every entry is clamped at 0.  At p = 0 the recurrence
     is exactly P(W = k-1) t / k, the Poisson(t) table.
     """
-    PolyaAeppliSpec(t, p)  # validates parameters
+    if not (math.isfinite(t) and t >= 0.0):
+        raise SpecError(f"time budget must be finite and >= 0, got {t}")
+    if not (0.0 <= p < 1.0):
+        raise SpecError(f"aggregation parameter must lie in [0, 1), got {p}")
     if kmax < 0:
         raise SpecError("kmax must be >= 0")
     theta = (1.0 - p) * t

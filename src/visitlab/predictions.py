@@ -322,27 +322,9 @@ def geometric_alpha_sequence(spec: IntervalMapSpec, kmax: int) -> list:
     return out[: kmax + 1]
 
 
-def geometric_alpha(spec: IntervalMapSpec, k: int) -> Fraction:
-    """Exact alpha_hat_{k+1} (k = 0 gives 1)."""
-    return geometric_alpha_sequence(spec, k)[k]
-
-
 # ---------------------------------------------------------------------------
 # sign-product factors
 # ---------------------------------------------------------------------------
-
-
-def furstenberg_ratio(plus_prob, word) -> dict:
-    """Exact cylinder data for a +-1 product word.
-
-    Returns the cylinder measure and the one-symbol ratio obtained by
-    prepending +1; both in the arithmetic of ``plus_prob`` (Fractions stay
-    Fractions).
-    """
-    word = tuple(int(z) for z in word)
-    nu = sign_cylinder_measure(plus_prob, word)
-    nu_ext = sign_cylinder_measure(plus_prob, (1,) + word)
-    return {"measure": nu, "prepend_ratio": nu_ext / nu}
 
 
 def predict_furstenberg(

@@ -1276,14 +1276,6 @@ _SAMPLERS = {
 }
 
 
-def sample_path(spec, n: int, rng):
-    """Single stationary path for any system spec: row 0 of :func:`sample_paths`.
-
-    ``rng`` is a Generator, which draws the path, or a seed for a fresh one.
-    """
-    return sample_paths(spec, n, [np.random.default_rng(rng)])[0]
-
-
 def sample_paths(spec, n: int, rngs) -> np.ndarray:
     """Stationary paths of n steps, one row per generator in ``rngs``.
 

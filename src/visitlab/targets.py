@@ -210,13 +210,21 @@ def hits(paths, target, horizon: int) -> np.ndarray:
     tests one row tile of paths at a time, 512 kB of them as in
     :func:`~visitlab.systems.sample_house_of_cards`, and the tiles' rows go
     into one C-contiguous ``(rows, horizon + 1)`` bool array, so no target's
-    temporaries outgrow a tile.
+    temporaries outgrow a tile.  Indicators that are not one row of windows
+    per path raise SpecError: a one-symbol target keeps the component axis of
+    product-chain and doeblin paths.
     """
     paths = np.atleast_2d(np.asarray(paths))
     per = max(1, _BLOCK_UNIFORMS * 8 // max(paths[:1].nbytes, 1))
 
     def tile(lo: int) -> np.ndarray:
         ind = target.indicators(paths[lo : lo + per])
+        if ind.ndim != 2:
+            components = paths.shape[2] if paths.ndim == 3 else 1
+            raise SpecError(
+                f"{type(target).__name__} reads one symbol per step and cannot read "
+                f"paths of {components} components"
+            )
         if ind.shape[1] < horizon + 1:
             raise SpecError(
                 f"paths support {ind.shape[1]} windows, horizon needs {horizon + 1}"
@@ -340,37 +348,6 @@ def strip_measure(system: DoeblinChainSpec, target: GeoDiagonalTarget) -> float:
     return c * lead - (c - 1) * lead * d
 
 
-def _exact_measure(target, system):
-    """The pair table's exact measure (every listed pair's rule is total), None for an
-    unlisted pair, an error where it is 0."""
-    from .predictions import PAIRS  # predictions imports this module
-
-    pair = PAIRS.get((type(system), type(target)))
-    if pair is None:
-        return None
-    value = pair.measure(system, target)
-    if not value > 0.0:
-        raise StructureError(
-            f"the target has zero stationary measure ({pair.method} gives {value}); "
-            "no trajectory can ever visit it"
-        )
-    return TargetMeasure(value, 0.0, pair.method)
-
-
-def measure_exact(target, system) -> TargetMeasure:
-    """Closed-form stationary measure for a supported (system, target) pair.
-
-    Raises SpecError when no formula is known; see :func:`measure` for the
-    Monte Carlo fallback.
-    """
-    exact = _exact_measure(target, system)
-    if exact is None:
-        raise SpecError(
-            f"no exact measure for ({type(system).__name__}, {type(target).__name__})"
-        )
-    return exact
-
-
 def run_length_measure(system: HouseOfCardsSpec, target: RunLengthTarget) -> float:
     """P(state >= level now and no reset for n further steps), stationary.
 
@@ -411,7 +388,7 @@ def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
     means = np.empty(samples)
     for first, paths in path_chunks(system, length, seed, _MEASURE_INDEX_BASE, samples):
         lo = first - _MEASURE_INDEX_BASE
-        means[lo : lo + len(paths)] = target.indicators(paths).mean(axis=1)
+        means[lo : lo + len(paths)] = hits(paths, target, length - w).mean(axis=1)
     value = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(samples))
     if value <= 0.0:
@@ -425,8 +402,18 @@ def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
 def measure(target, system, samples: int = 100_000, seed: int = 0) -> TargetMeasure:
     """Exact measure for a pair of the pair table, Monte Carlo otherwise.
 
-    Monte Carlo runs only for pairs the table does not list; errors of an
-    exact rule propagate.
+    Monte Carlo runs only for pairs the table does not list.  Every listed
+    pair's rule is total: its errors propagate, and a zero measure is refused.
     """
-    exact = _exact_measure(target, system)
-    return exact if exact is not None else measure_mc(target, system, samples, seed)
+    from .predictions import PAIRS  # predictions imports this module
+
+    pair = PAIRS.get((type(system), type(target)))
+    if pair is None:
+        return measure_mc(target, system, samples, seed)
+    value = pair.measure(system, target)
+    if not value > 0.0:
+        raise StructureError(
+            f"the target has zero stationary measure ({pair.method} gives {value}); "
+            "no trajectory can ever visit it"
+        )
+    return TargetMeasure(value, 0.0, pair.method)

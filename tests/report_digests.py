@@ -19,6 +19,9 @@ the artifact's sha256 (``-`` for a run that wrote no report).  The cases are
   map and one sign word;
 * all five verbs on ``_LONG_CLUSTER_CASES``, a regenerative half-line whose
   compound law has clusters of up to 51 steps;
+* all five verbs on the pairs of ``_MONTE_CARLO_CASES``, which the pair table
+  does not list: their targets and outer sets are measured by Monte Carlo,
+  and only ``simulate`` and ``bound`` write a report;
 * ``compare --jobs 1`` on each benchmark workload in ``perfbench/workloads``,
   which it only reads;
 * all five verbs on every config file named on the command line.
@@ -100,6 +103,33 @@ _LONG_CLUSTER_CASES = {
 }
 
 
+# case -> (system section, target section) of a pair the pair table does not list
+_MONTE_CARLO_CASES = {
+    "markov + run-length": (
+        "{kind: markov, matrix: [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]}",
+        "{kind: run-length, level: 2, sweep: [2]}",
+    ),
+    "house-of-cards + cylinder": (
+        "{kind: house-of-cards, reset: 0.5}",
+        "{kind: cylinder, word: [0, 1, 2, 3], sweep: [3]}",
+    ),
+    "house-of-cards + half-line": ("{kind: house-of-cards, reset: 0.3}", "{kind: half-line, sweep: [4]}"),
+    "interval-map + run-length": (
+        "{kind: interval-map, breaks: [0, 1/3, 2/3, 1], slopes: [3, -2, 3], "
+        "intercepts: [0, 5/3, -2]}",
+        "{kind: run-length, level: 2, sweep: [2]}",
+    ),
+    "sign-product + run-length": (
+        "{kind: sign-product, plus_prob: 0.3}",
+        "{kind: run-length, level: 1, sweep: [3]}",
+    ),
+    "product-chain + geo-diagonal": (
+        "{kind: product-chain, components: [[[0.2, 0.8], [0.3, 0.7]], [[0.8, 0.2], [0.1, 0.9]]]}",
+        "{kind: geo-diagonal, sweep: [0.5]}",
+    ),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -148,9 +178,12 @@ def all_digests(extra_configs):
                 + _STEIN
             )
             yield from digests(name, config, VERBS)
-        for name, (system, target) in {**_ISOLATED_CASES, **_LONG_CLUSTER_CASES}.items():
+        cases = {**_ISOLATED_CASES, **_LONG_CLUSTER_CASES, **_MONTE_CARLO_CASES}
+        for name, (system, target) in cases.items():
             config = Path(tmp) / f"{name}.yaml"
-            config.write_text(_EXPERIMENT + f"system: {system}\ntarget: {target}\n" + _STEIN)
+            # a geo-diagonal target refuses a stein section
+            stein = "" if "geo-diagonal" in target else _STEIN
+            config.write_text(_EXPERIMENT + f"system: {system}\ntarget: {target}\n" + stein)
             yield from digests(name, config, VERBS)
     for workload in sorted((HERE.parent / "perfbench" / "workloads").glob("*.yaml")):
         yield from digests(workload.stem, workload, ["compare"], "--jobs", "1")

@@ -28,7 +28,6 @@ from visitlab import (
     HouseOfCardsSpec,
     IntervalMapSpec,
     MixingProfile,
-    PolyaAeppliSpec,
     SteinBracketInputs,
     config_from_mapping,
     coupling_sync_rate,
@@ -36,7 +35,6 @@ from visitlab import (
     cp_sample,
     doeblin_alpha2_bound,
     empirical_pmf,
-    geometric_alpha,
     geometric_alpha_sequence,
     pa_pmf,
     predict_furstenberg,
@@ -74,6 +72,11 @@ TRIPLING_MAP = IntervalMapSpec(
 def _line(tag: str, ok: bool, detail: str) -> bool:
     print(f"[criterion {tag}] {'PASS' if ok else 'FAIL'} {detail}", flush=True)
     return ok
+
+
+def _polya_aeppli(t: float, p: float, length: int) -> CompoundPoissonSpec:
+    """The Polya-Aeppli law's first ``length`` geometric rates (1-p)^2 p^(l-1)."""
+    return CompoundPoissonSpec(t, (1.0 - p) ** 2 * p ** np.arange(length))
 
 
 def _geometric_probs(count: int) -> list:
@@ -146,8 +149,8 @@ def test_criterion_03_geometric_alpha_exactness():
     qw = [sum(q[a][b] ** 2 * w[b] for b in range(3)) for a in range(3)]
     a3_oracle = sum(h[a] ** 2 * qw[a] for a in range(3)) / d
     exact_ok = (
-        geometric_alpha(EXAMPLE_MAP, 1) == a2_oracle == F(11, 27)
-        and geometric_alpha(EXAMPLE_MAP, 2) == a3_oracle == F(40, 243)
+        geometric_alpha_sequence(EXAMPLE_MAP, 1)[1] == a2_oracle == F(11, 27)
+        and geometric_alpha_sequence(EXAMPLE_MAP, 2)[2] == a3_oracle == F(40, 243)
     )
     seq = geometric_alpha_sequence(EXAMPLE_MAP, 30)
     certificate_ok = seq[1] ** 2 != seq[0] * seq[2]
@@ -168,7 +171,7 @@ def test_criterion_10_distribution_engine():
     for t in (0.5, 1.0, 2.0):
         for p in (0.0, 0.3, 0.5, 0.8):
             length = 220 if p > 0 else 8
-            cp = cp_pmf(PolyaAeppliSpec(t, p).to_compound(length), 100)
+            cp = cp_pmf(_polya_aeppli(t, p, length), 100)
             pa = pa_pmf(t, p, 100)
             worst = max(worst, float(np.abs(cp.probs - pa.probs).max()))
             worst_norm = max(
@@ -176,7 +179,7 @@ def test_criterion_10_distribution_engine():
                 abs(float(cp.probs.sum()) + cp.tail_mass - 1.0),
                 abs(float(pa.probs.sum()) + pa.tail_mass - 1.0),
             )
-    spec = PolyaAeppliSpec(2.0, 0.5).to_compound(64)
+    spec = _polya_aeppli(2.0, 0.5, 64)
     draws = cp_sample(spec, seed=1001, size=1_000_000)
     emp = empirical_pmf(WSampleSet(0, draws))
     tv = tv_distance(emp, cp_pmf(spec, int(draws.max()) + 1))

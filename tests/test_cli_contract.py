@@ -5,10 +5,12 @@ size, valid, large or absurd, plus a stein section with a geometric
 mixing profile.  Its first example runs that config as it is; the others
 overwrite one more leaf of the document, stein leaves included, with a value
 from a pool of extreme and malformed values, and run one of the five verbs
-on at most 64 trajectories.
+on at most 64 trajectories.  A second test runs every (system kind, target
+kind) pair of the config schema, listed in the pair table or not.
 """
 
 import copy
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 from test_cli import _PAIR_CONFIGS
 from visitlab.cli import main
+from visitlab.config import SYSTEM_KINDS, TARGET_KINDS
 
 _EXPERIMENT = {"t": 1.0, "seed": 2, "tolerance": 0.1, "workers": 1,
                "window_forward": 3, "window_two_sided": 3}
@@ -73,3 +76,36 @@ def test_cli_exit_codes_hold_for_mutated_configs(name, size, data):
         cfg.write_text(yaml.safe_dump(doc))
         code = main([verb, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
     assert code in (0, 2, 3, 4), (code, doc)
+
+
+# the system kinds whose paths hold several components per step, and the
+# target kinds that read such paths; the other targets read one symbol per step
+_COMPONENT_SYSTEMS = {"product-chain", "doeblin"}
+_COMPONENT_TARGETS = {"sync-cylinder", "geo-diagonal"}
+
+
+def _sections(part):
+    """One small valid section per kind, from the pair configs."""
+    docs = (yaml.safe_load(body)[part] for body in _PAIR_CONFIGS.values())
+    return {sec["kind"]: sec for sec in docs}
+
+
+@pytest.mark.parametrize("system_kind, target_kind", itertools.product(SYSTEM_KINDS, TARGET_KINDS))
+def test_every_kind_pair_keeps_the_exit_contract(system_kind, target_kind, tmp_path, capsys):
+    systems, targets = _sections("system"), _sections("target")
+    assert system_kind in systems and target_kind in targets, "a kind has no section"
+    doc = {"experiment": dict(_EXPERIMENT, samples=64),
+           "system": systems[system_kind], "target": targets[target_kind]}
+    if target_kind != "geo-diagonal":  # a geo-diagonal target refuses a stein section
+        doc["stein"] = _STEIN
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    mismatched = (system_kind in _COMPONENT_SYSTEMS) != (target_kind in _COMPONENT_TARGETS)
+    for verb in ("simulate", "bound"):
+        code = main([verb, "--config", str(cfg), "--out-dir", str(tmp_path / verb)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err, (verb, code, err)
+        if mismatched:
+            assert code == 3, (verb, err)
+        if system_kind in _COMPONENT_SYSTEMS and target_kind not in _COMPONENT_TARGETS:
+            assert "reads one symbol per step and cannot read paths of 2 components" in err

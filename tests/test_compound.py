@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -7,17 +8,17 @@ import pytest
 from visitlab import (
     CompoundPoissonSpec,
     DiscretePMF,
-    PolyaAeppliSpec,
     PredictionResult,
     SpecError,
     cluster_law_from_alphas,
     cp_pmf,
     cp_sample,
     pa_pmf,
-    poisson_pmf,
     tv_distance,
 )
-from visitlab.compound import pmf_from_csv, pmf_to_csv
+from visitlab.compound import pmf_to_csv
+
+from test_acceptance import _polya_aeppli
 
 # grid shared by the recursion-vs-closed-form and sampler checks
 T_GRID = (0.5, 1.0, 2.0)
@@ -27,7 +28,7 @@ P_GRID = (0.0, 0.3, 0.5, 0.8)
 def test_cp_pmf_worked_value():
     # t = 2, p = 0.5, k = 1: only a single cluster of size 1 contributes,
     # P(W = 1) = exp(-t(1-p)) * t(1-p)^2 = 0.5 * exp(-1)
-    spec = PolyaAeppliSpec(2.0, 0.5).to_compound(64)
+    spec = _polya_aeppli(2.0, 0.5, 64)
     pmf = cp_pmf(spec, 8)
     assert np.isclose(pmf[1], 0.5 * np.exp(-1.0), atol=1e-12)
 
@@ -36,7 +37,7 @@ def test_cp_matches_pa_on_grid():
     for t in T_GRID:
         for p in P_GRID:
             length = 1 if p == 0.0 else int(np.ceil(np.log(1e-15) / np.log(p))) + 120
-            cp = cp_pmf(PolyaAeppliSpec(t, p).to_compound(length), 100)
+            cp = cp_pmf(_polya_aeppli(t, p, length), 100)
             pa = pa_pmf(t, p, 100)
             assert np.max(np.abs(cp.probs - pa.probs)) <= 1e-12, (t, p)
 
@@ -47,7 +48,6 @@ def test_pa_zero_p_is_poisson():
         for kmax in (0, 1, 5, 16, 64, 300):
             unit = cp_pmf(CompoundPoissonSpec(t, np.array([1.0])), kmax)
             assert pa_pmf(t, 0.0, kmax) == unit, (t, kmax)
-            assert poisson_pmf(t, kmax) == unit, (t, kmax)
 
 
 def _pa_exact(t, p, kmax):
@@ -77,10 +77,19 @@ def test_pa_long_table_stays_a_law(t, p):
 
 
 def test_poisson_pmf_exact_entries():
-    pmf = poisson_pmf(3.0, 12)
+    pmf = pa_pmf(3.0, 0.0, 12)
     k = np.arange(13)
     direct = np.exp(-3.0) * 3.0**k / np.array([math.factorial(i) for i in k])
     assert np.allclose(pmf.probs, direct, rtol=1e-12)
+
+
+def test_pa_pmf_refuses_bad_parameters():
+    for t in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(SpecError, match="time budget must be finite and >= 0"):
+            pa_pmf(t, 0.5, 10)
+    for p in (-0.1, 1.0, float("nan")):
+        with pytest.raises(SpecError, match=r"aggregation parameter must lie in \[0, 1\)"):
+            pa_pmf(1.0, p, 10)
 
 
 def test_pmf_normalization():
@@ -98,7 +107,7 @@ def test_cp_pmf_mean_matches_rate_sum():
 
 
 def test_cp_sample_agrees_with_pmf():
-    spec = PolyaAeppliSpec(2.0, 0.5).to_compound(64)
+    spec = _polya_aeppli(2.0, 0.5, 64)
     draws = cp_sample(spec, seed=2024, size=200_000)
     counts = np.bincount(draws, minlength=61)[:61]
     emp = DiscretePMF(counts / draws.size, tail_mass=1.0 - counts.sum() / draws.size)
@@ -106,7 +115,7 @@ def test_cp_sample_agrees_with_pmf():
 
 
 def test_cp_sample_deterministic():
-    spec = PolyaAeppliSpec(1.0, 0.3).to_compound(32)
+    spec = _polya_aeppli(1.0, 0.3, 32)
     a = cp_sample(spec, seed=5, size=1000)
     b = cp_sample(spec, seed=5, size=1000)
     assert np.array_equal(a, b)
@@ -140,7 +149,12 @@ def test_pmf_csv_roundtrip(tmp_path):
     pmf = pa_pmf(2.0, 0.5, 30)
     path = tmp_path / "pmf.csv"
     pmf_to_csv(pmf, path)
-    assert pmf_from_csv(path) == pmf
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["k", "probability"] and rows[-1][0] == "tail"
+    assert [int(k) for k, _ in rows[1:-1]] == list(range(31))
+    back = DiscretePMF(np.array([float(v) for _, v in rows[1:-1]]), float(rows[-1][1]))
+    assert back == pmf
 
 
 def test_cluster_law_polya_aeppli_correspondence():

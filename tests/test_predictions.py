@@ -26,10 +26,8 @@ from visitlab import (
     cluster_law_from_alphas,
     coupling_sync_rate,
     doeblin_alpha2_bound,
-    furstenberg_ratio,
-    geometric_alpha,
     geometric_alpha_sequence,
-    poisson_pmf,
+    pa_pmf,
     predict_furstenberg,
     predict_house_of_cards,
     predict_periodic_cylinder,
@@ -221,8 +219,8 @@ def test_bipartite_sync_kernel_without_oscillation_keeps_its_law(name):
 
 def test_geometric_alpha_exact_fractions():
     # index k returns the (k+1)-st tail value; k = 0 is the trivial 1
-    assert geometric_alpha(EXAMPLE_MAP, 1) == F(11, 27)
-    assert geometric_alpha(EXAMPLE_MAP, 2) == F(40, 243)
+    assert geometric_alpha_sequence(EXAMPLE_MAP, 1)[1] == F(11, 27)
+    assert geometric_alpha_sequence(EXAMPLE_MAP, 2)[2] == F(40, 243)
     seq = geometric_alpha_sequence(EXAMPLE_MAP, 2)
     assert seq == [F(1), F(11, 27), F(40, 243)]
     # failure of the pure-geometry certificate: a2^2 != a1 * a3
@@ -348,9 +346,10 @@ def test_furstenberg_validation():
 
 
 def test_furstenberg_ratio_exact_rational():
-    got = furstenberg_ratio(F(3, 10), (1,))
-    assert got["measure"] == F(29, 50)
-    assert got["prepend_ratio"] == F(37, 58)
+    # the cylinder measure and the one-symbol ratio of prepending +1
+    nu = sign_cylinder_measure(F(3, 10), (1,))
+    assert nu == F(29, 50)
+    assert sign_cylinder_measure(F(3, 10), (1, 1)) / nu == F(37, 58)
 
 
 def _sign_cycle_target(cycle, n) -> CylinderTarget:
@@ -433,7 +432,7 @@ def test_periodic_cylinder_cycle_product():
 def test_poisson_prediction_family():
     got = predict_poisson(2.0)
     assert got.family == "poisson"
-    assert np.allclose(got.pmf(20).probs, poisson_pmf(2.0, 20).probs, atol=1e-15)
+    assert np.allclose(got.pmf(20).probs, pa_pmf(2.0, 0.0, 20).probs, atol=1e-15)
     assert got.mean_cluster == 1.0
 
 

@@ -793,7 +793,7 @@ def test_report_gate_runs_every_case(monkeypatch):
     expected = {w["name"]: w["expected_exit"] for w in workloads["workloads"]}
     cases = {
         **gate._PAIR_CONFIGS, **gate._SIGN_CASES, **gate._RUN_LENGTH_CASES,
-        **gate._ISOLATED_CASES, **gate._LONG_CLUSTER_CASES,
+        **gate._ISOLATED_CASES, **gate._LONG_CLUSTER_CASES, **gate._MONTE_CARLO_CASES,
     }
     bodies = {}
     for case, verb, artifact, code, _ in lines:

@@ -21,9 +21,8 @@ from visitlab import (
     SpecError,
     StructureError,
     SyncCylinderTarget,
-    measure_exact,
+    measure,
     predict_for,
-    sample_path,
     sample_paths,
     sync_kernel,
     trajectory_rng,
@@ -259,12 +258,12 @@ def test_every_spec_computes_its_laws_once(spec, target, laws, monkeypatch):
     monkeypatch.setattr(systems, "_CHUNK_ELEMS", 64)
     chunks = list(systems.path_chunks(spec, 16, 5, 0, 12))
     # the target and every outer set of its Stein bracket, then the prediction
-    mus = [measure_exact(target.outer(j), spec).value for j in range(4)]
+    mus = [measure(target.outer(j), spec).value for j in range(4)]
     pred = predict_for(spec, target, 2.0).as_dict()
     assert len(chunks) == 3 and calls == laws
     # a pickled copy (a worker's) carries the laws with it
     sent = pickle.loads(pickle.dumps(spec))
-    assert [measure_exact(target.outer(j), sent).value for j in range(4)] == mus
+    assert [measure(target.outer(j), sent).value for j in range(4)] == mus
     assert predict_for(sent, target, 2.0).as_dict() == pred
     again = list(systems.path_chunks(sent, 16, 5, 0, 12))
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(chunks, again))
@@ -334,18 +333,18 @@ def test_regenerative_residual_laws():
 
 def test_sample_path_values_and_shapes():
     rng = trajectory_rng(11, 0)
-    hoc = sample_path(HouseOfCardsSpec.constant(0.5), 50, rng)
+    hoc = sample_paths(HouseOfCardsSpec.constant(0.5), 50, [rng])[0]
     assert hoc.shape == (50,) and hoc.min() >= 0
-    d = sample_path(DoeblinChainSpec(0.5), 40, trajectory_rng(11, 1))
+    d = sample_paths(DoeblinChainSpec(0.5), 40, [trajectory_rng(11, 1)])[0]
     assert d.shape == (40, 2) and d.min() >= 0.0 and d.max() < 1.0
-    z = sample_path(FactorProductSpec(0.3), 60, trajectory_rng(11, 2))
+    z = sample_paths(FactorProductSpec(0.3), 60, [trajectory_rng(11, 2)])[0]
     assert set(np.unique(z)).issubset({-1, 1})
 
 
 def test_factor_product_plus_fraction():
     # P(z = +1) = eps^2 + (1-eps)^2 = 0.58 at eps = 0.3
     rng = trajectory_rng(3, 0)
-    z = sample_path(FactorProductSpec(0.3), 200_000, rng)
+    z = sample_paths(FactorProductSpec(0.3), 200_000, [rng])[0]
     assert abs((z == 1).mean() - 0.58) < 0.005
 
 
@@ -592,7 +591,7 @@ def test_sample_paths_matches_sample_path_rowwise():
         rngs = [trajectory_rng(5, i) for i in range(4)]
         batch = sample_paths(spec, 25, rngs)
         rngs2 = [trajectory_rng(5, i) for i in range(4)]
-        rows = np.stack([sample_path(spec, 25, r) for r in rngs2])
+        rows = np.stack([sample_paths(spec, 25, [r])[0] for r in rngs2])
         assert np.array_equal(batch, rows), type(spec).__name__
 
 

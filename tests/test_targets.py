@@ -22,7 +22,6 @@ from visitlab import (
     SyncCylinderTarget,
     hits,
     measure,
-    measure_exact,
     measure_mc,
     sign_cylinder_measure,
 )
@@ -51,10 +50,10 @@ def test_run_length_measure_halves_per_step():
     # geometric age law: mu = 2^-(n+1) for level 1 resets at rate 1/2
     hoc = HouseOfCardsSpec.constant(0.5)
     for n in (0, 3, 10):
-        got = measure_exact(RunLengthTarget(n, level=1), hoc)
+        got = measure(RunLengthTarget(n, level=1), hoc)
         assert got.value == 2.0 ** -(n + 1)
         assert got.se == 0.0 and got.method.startswith("exact")
-    lvl2 = measure_exact(RunLengthTarget(0, level=2), hoc)
+    lvl2 = measure(RunLengthTarget(0, level=2), hoc)
     assert lvl2.value == 0.25
 
 
@@ -129,32 +128,32 @@ def test_certain_reset_cuts_the_survival_products():
     spec = HouseOfCardsSpec.alternating(0.5, 1.0)
     assert run_length_measure(spec, RunLengthTarget(0, 1)) == pytest.approx(1 / 3, rel=1e-15)
     with pytest.raises(StructureError, match="zero stationary measure"):
-        measure_exact(RunLengthTarget(1, 1), spec)
+        measure(RunLengthTarget(1, 1), spec)
 
 
 def test_half_line_measure_smith_symbols():
     spec = RegenerativeSpec.smith([1, 2, 5], [0.2, 0.3, 0.5])
-    got = measure_exact(HalfLineTarget(2), spec)
+    got = measure(HalfLineTarget(2), spec)
     # every smith symbol has mean block length 2, so the bias cancels
     assert np.isclose(got.value, 0.8, atol=1e-12)
 
 
 def test_markov_cylinder_path_product():
     chain = FiniteMarkovSpec(np.array([[0.6, 0.4], [0.3, 0.7]]))
-    got = measure_exact(CylinderTarget((0, 1, 1)), chain)
+    got = measure(CylinderTarget((0, 1, 1)), chain)
     # pi = (3/7, 4/7); 3/7 * 0.4 * 0.7 = 0.12
     assert np.isclose(got.value, 0.12, atol=1e-12)
     with pytest.raises(StructureError):
-        measure_exact(CylinderTarget((0, 2)), chain)
+        measure(CylinderTarget((0, 2)), chain)
     # a negative letter would read pi[-1]; the sign-product's -1 is no state
     with pytest.raises(StructureError):
-        measure_exact(CylinderTarget((1, -1)), chain)
+        measure(CylinderTarget((1, -1)), chain)
 
 
 def test_interval_cylinder_exact_fractions():
     assert interval_cylinder_measure(EXAMPLE_MAP, (0,)) == F(1, 5)
     assert interval_cylinder_measure(EXAMPLE_MAP, (0, 1)) == F(1, 15)
-    got = measure_exact(CylinderTarget((0,)), EXAMPLE_MAP)
+    got = measure(CylinderTarget((0,)), EXAMPLE_MAP)
     assert np.isclose(got.value, 0.2, atol=1e-15)
     # the middle branch never returns to the first cell
     with pytest.raises(StructureError):
@@ -171,14 +170,14 @@ def test_sync_measure_independent_product():
     )
     # stationary product (3/11, 8/11) x (1/3, 2/3): diagonal mass 19/33,
     # then two agreement steps through [[0.16, 0.16], [0.03, 0.63]]
-    got1 = measure_exact(SyncCylinderTarget(1), spec)
+    got1 = measure(SyncCylinderTarget(1), spec)
     assert np.isclose(got1.value, 19.0 / 33.0, atol=1e-12)
-    got3 = measure_exact(SyncCylinderTarget(3), spec)
+    got3 = measure(SyncCylinderTarget(3), spec)
     assert np.isclose(got3.value, 7.2768 / 33.0, atol=1e-12)
 
 
 def test_geo_diagonal_strip_area():
-    got = measure_exact(GeoDiagonalTarget(0.1), DoeblinChainSpec(0.5))
+    got = measure(GeoDiagonalTarget(0.1), DoeblinChainSpec(0.5))
     assert np.isclose(got.value, 0.19, atol=1e-15)
     # two chains: 2 d - d * d bit for bit, also where d ** 2 rounds differently
     deltas = np.random.default_rng(7).uniform(1e-6, 1.0 - 1e-6, 20_000)
@@ -210,7 +209,7 @@ def test_sign_cylinder_measure_exact():
     assert sign_cylinder_measure(F(3, 10), (-1, 1, -1)) == sign_cylinder_measure(
         F(3, 10), (1, -1, 1)
     )
-    via_dispatch = measure_exact(CylinderTarget((1,) * 8), FactorProductSpec(0.3))
+    via_dispatch = measure(CylinderTarget((1,) * 8), FactorProductSpec(0.3))
     assert np.isclose(via_dispatch.value, float(got), atol=1e-15)
 
 
@@ -276,6 +275,18 @@ def test_tiled_hits_equal_whole_batch_indicators():
         assert empty.shape == (0, windows)
         with pytest.raises(SpecError, match=f"support {windows} windows"):
             hits(paths[:0], target, windows)
+
+
+def test_one_symbol_targets_refuse_component_paths():
+    # product-chain and doeblin paths hold a component axis that these targets
+    # would keep; hits, and with it the Monte-Carlo measure, refuses them
+    pairs = np.zeros((3, 20, 2), dtype=np.uint8)
+    message = "reads one symbol per step and cannot read paths of 2 components"
+    for target in (RunLengthTarget(2), HalfLineTarget(1), CylinderTarget((0, 1)), CylinderTarget((1, -1))):
+        with pytest.raises(SpecError, match=f"{type(target).__name__} {message}"):
+            hits(pairs, target, 10)
+    with pytest.raises(SpecError, match=message):
+        measure_mc(RunLengthTarget(2), DoeblinChainSpec(0.5), samples=64, seed=1)
 
 
 def test_hits_peak_is_the_output_and_a_tile():
@@ -345,9 +356,9 @@ def test_sync_indicators_need_components():
 def test_outer_family_nests():
     hoc = HouseOfCardsSpec.constant(0.5)
     target = RunLengthTarget(6, level=1)
-    mus = [measure_exact(target.outer(j), hoc).value for j in range(0, 7)]
+    mus = [measure(target.outer(j), hoc).value for j in range(0, 7)]
     assert all(a >= b - 1e-15 for a, b in zip(mus, mus[1:]))
-    assert np.isclose(mus[-1], measure_exact(target, hoc).value, atol=1e-15)
+    assert np.isclose(mus[-1], measure(target, hoc).value, atol=1e-15)
     # truncation families, one per target class
     assert RunLengthTarget(6, level=2).outer(9) == RunLengthTarget(6, level=2)
     assert RunLengthTarget(6, level=2).outer(0) == RunLengthTarget(0, level=2)
