@@ -114,9 +114,6 @@ class DiscretePMF:
     def kmax(self) -> int:
         return self.probs.size - 1
 
-    def __len__(self) -> int:
-        return self.probs.size
-
     def __getitem__(self, k: int) -> float:
         return float(self.probs[k])
 

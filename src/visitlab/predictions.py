@@ -87,7 +87,7 @@ class PredictionResult:
         return 1.0 / (1.0 - self.params["p"])
 
     def as_dict(self) -> dict:
-        """The prediction as a report entry; ``runner._jsonable`` maps what JSON lacks."""
+        """The prediction as a report entry, of values that ``json`` writes as they are."""
         return {
             "family": self.family,
             "t": self.t,

@@ -15,7 +15,6 @@ import json
 import os
 import time
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import numpy as np
 
@@ -219,20 +218,6 @@ def _stein_for(cfg: ExperimentConfig, system, target, n, mu_value: float):
         return {"error": str(exc), "k_window": k_w}
 
 
-def _jsonable(node):
-    if isinstance(node, dict):
-        return {k: _jsonable(v) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_jsonable(v) for v in node]
-    if isinstance(node, (np.floating, np.integer, np.bool_)):
-        return node.item()
-    if isinstance(node, np.ndarray):
-        return [_jsonable(v) for v in node]
-    if isinstance(node, Fraction):
-        return str(node)
-    return node
-
-
 VERBS = ("predict", "simulate", "compare", "bound", "sweep")
 
 
@@ -338,12 +323,12 @@ def _without_artifacts(report: dict) -> dict:
 def report_body(report: dict) -> str:
     """Canonical JSON of everything except the volatile meta block and the artifacts."""
     body = {k: v for k, v in _without_artifacts(report).items() if k != "meta"}
-    return json.dumps(_jsonable(body), sort_keys=True)
+    return json.dumps(body, sort_keys=True)
 
 
 def _write_json(report: dict, path: str) -> None:
     with _atomic_open(path) as fh:
-        json.dump(_jsonable(report), fh, sort_keys=True, indent=1)
+        json.dump(report, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 

@@ -578,6 +578,15 @@ def test_mixing_profile_values_and_tails():
     poly = MixingProfile("polynomial", 1.0, 2.0)
     brute = sum(poly.value(k) for k in range(3, 2_000_000))
     assert poly.tail(3) == pytest.approx(brute, abs=1e-5)
+    # scale 10 clamps value(k) at 1 up to k = 3; tail sums the clamped head
+    # up to ceil(sqrt(10)) = 4 and the Hurwitz zeta from there
+    clamped = MixingProfile("polynomial", 10.0, 2.0)
+    assert [clamped.value(k) for k in range(1, 5)] == [1.0, 1.0, 1.0, 0.625]
+    for j in range(1, 8):
+        assert clamped.tail(j) - clamped.tail(j + 1) == pytest.approx(clamped.value(j), rel=1e-12), j
+    k = np.arange(2.0, 1e6)
+    brute = float(np.minimum(1.0, 10.0 / k**2).sum()) + 10.0 * (1 / 1e6 + 1 / (2 * 1e6**2))
+    assert clamped.tail(2) == pytest.approx(brute, rel=1e-12)
     with pytest.raises(SpecError):
         MixingProfile("polynomial", 1.0, 1.0)
     with pytest.raises(SpecError):

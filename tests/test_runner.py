@@ -2,7 +2,6 @@ import concurrent.futures
 import copy
 import csv
 import functools
-import hashlib
 import importlib.util
 import json
 import subprocess
@@ -65,6 +64,29 @@ HOC_DOC = {
 
 def _cfg(doc=None, **overrides):
     return config_from_mapping(copy.deepcopy(doc or HOC_DOC), overrides or None)
+
+
+def _load_gate():
+    # tests/report_digests.py, the report-body gate, is named so that pytest does
+    # not collect it; it prepends src and tests to sys.path, which is restored
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("report_digests", Path(__file__).with_name("report_digests.py"))
+    gate = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(gate)
+    finally:
+        sys.path[:] = path
+    return gate
+
+
+_GATE = _load_gate()
+_GATE_CASES = {case[0]: case for case in _GATE.cases()}
+# the digests of every case, recorded by `python3 tests/report_digests.py`
+_DIGESTS = Path(__file__).with_name("report_digests.txt")
+_WORKLOAD_EXITS = {
+    w["name"]: w["expected_exit"]
+    for w in json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())["workloads"]
+}
 
 
 def test_predict_for_dispatch():
@@ -583,141 +605,13 @@ def test_write_report_leaves_the_report_intact(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-# the cluster tables (values, bootstrap SEs, extras) of three compares, pinned
-# by the sha256 of their canonical JSON: forward and two-sided windows that
-# differ, a run where only alpha has enough counted hits, and the smith
-# regenerative system, whose alpha and alpha_hat share one window
-_TABLE_PINS = {
-    "run-length, L != K": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 5, "tolerance": 0.1,
-                           "window_forward": 4, "window_two_sided": 9},
-            "system": {"kind": "house-of-cards", "reset": 0.5},
-            "target": {"kind": "run-length", "level": 1, "sweep": [5]},
-        },
-        "25bbe70f98f237686df0ee4c770ed5d3791961dcbe066e430d620319aa9f1de4",
-    ),
-    "some tables insufficient": (
-        {
-            "experiment": {"t": 2.0, "samples": 40, "seed": 8, "tolerance": 0.5,
-                           "window_forward": 2, "window_two_sided": 16},
-            "system": {"kind": "house-of-cards", "reset": 0.5},
-            "target": {"kind": "run-length", "level": 1, "sweep": [4]},
-        },
-        "ef705fc9a967c0dbccc1babc59af8f5e71e1f152ab6db12cbdfc76c19341401b",
-    ),
-    "smith regenerative": (
-        {
-            "experiment": {"t": 2.0, "samples": 2000, "seed": 6, "tolerance": 0.1,
-                           "window_forward": 10, "window_two_sided": 10},
-            "system": {"kind": "regenerative", "symbols": [1, 2, 3, 4, 5, 6, 7, 8],
-                       "probs": [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625,
-                                 0.0078125, 0.0078125],
-                       "lengths": {"model": "two-point"}},
-            "target": {"kind": "half-line", "sweep": [5]},
-        },
-        "704d2903ea60c9adf00fc1f4c25f1ee2be7c030342b8e37cbe82eeea45f9b204",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(_TABLE_PINS))
-def test_cluster_tables_are_pinned(name):
-    doc, digest = _TABLE_PINS[name]
-    body = json.loads(report_body(run_experiment(_cfg(doc), "compare")))
-    tables = body["results"][0]["tables"]
-    if name == "some tables insufficient":
-        assert [tables[k].get("insufficient_data", False) for k in sorted(tables)] == [
-            False, True, True,
-        ]
-    canonical = json.dumps(tables, sort_keys=True).encode()
-    assert hashlib.sha256(canonical).hexdigest() == digest
-
-
-# the empirical entry (W pmf, moments, cluster summaries) of compares on each
-# finite-chain sampler route and on the constant-reset house-of-cards scan,
-# pinned by the sha256 of its canonical JSON: a change of how chains are
-# stepped must leave every drawn path unchanged
-_CHAIN_PINS = {
-    "house-of-cards + run-length": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1,
-                           "window_forward": 20, "window_two_sided": 20},
-            "system": {"kind": "house-of-cards", "reset": 0.5},
-            "target": {"kind": "run-length", "level": 1, "sweep": [6]},
-        },
-        "f0824520053f1baf4f503e0ee8a65818455c222bf42ea896f2803698a803df44",
-    ),
-    "markov + cylinder, criterion 07's chain": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
-            "system": {"kind": "markov",
-                       "matrix": [[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]]},
-            "target": {"kind": "cylinder", "word_cycle": [1], "sweep": [6]},
-        },
-        "5d232056495d75c8630638b5cf81d8713b875e955b85e0ab0ab403044d30b891",
-    ),
-    "markov + cylinder, dense 6-state chain": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
-            "system": {"kind": "markov",
-                       "matrix": [[0.3, 0.1, 0.2, 0.1, 0.2, 0.1],
-                                  [0.15, 0.25, 0.05, 0.2, 0.1, 0.25],
-                                  [0.1, 0.1, 0.4, 0.1, 0.15, 0.15],
-                                  [0.05, 0.3, 0.1, 0.35, 0.1, 0.1],
-                                  [0.2, 0.05, 0.15, 0.1, 0.45, 0.05],
-                                  [0.1, 0.2, 0.1, 0.25, 0.05, 0.3]]},
-            "target": {"kind": "cylinder", "word_cycle": [4], "sweep": [3]},
-        },
-        "fbfa96f4100a386cdcd9c3f51c4f4c187049cf8b7e8e0c6cc8654f9c7beae738",
-    ),
-    "interval-map + cylinder": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
-            "system": {"kind": "interval-map", "breaks": [0, "1/3", "2/3", 1],
-                       "slopes": [3, -2, 3], "intercepts": [0, "5/3", -2]},
-            "target": {"kind": "cylinder", "word_cycle": [2], "sweep": [4]},
-        },
-        "2cc79947db56217c287183107742ff6181c7cf8d61115f2edaee68f464d82df3",
-    ),
-    "product-chain + sync-cylinder, maximal coupling": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
-            "system": {"kind": "product-chain", "coupling": "maximal",
-                       "components": [[[0.2, 0.8], [0.3, 0.7]], [[0.8, 0.2], [0.1, 0.9]]]},
-            "target": {"kind": "sync-cylinder", "sweep": [4]},
-        },
-        "ca668a4352eba39d0fe4537cb5978c9a5f5afec2cff3d17b6a6c71771bb99e8a",
-    ),
-    "product-chain + sync-cylinder, parametrized coupling": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
-            "system": {"kind": "product-chain", "coupling": "parametrized", "gamma": 0.25,
-                       "components": [[[0.2, 0.8], [0.3, 0.7]], [[0.8, 0.2], [0.1, 0.9]]]},
-            "target": {"kind": "sync-cylinder", "sweep": [4]},
-        },
-        "2f3c03dd003cbc062d610e363d481df67c3bf0c3734fd580f553b5adeae1ef0c",
-    ),
-    "product-chain + sync-cylinder, 3-chain independent product": (
-        {
-            "experiment": {"t": 2.0, "samples": 3000, "seed": 7, "tolerance": 0.1},
-            "system": {"kind": "product-chain",
-                       "components": [[[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]],
-                                      [[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.25, 0.25, 0.5]],
-                                      [[0.7, 0.2, 0.1], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]]]},
-            "target": {"kind": "sync-cylinder", "sweep": [3]},
-        },
-        "214a21e1f254c49e84cf94888639cb4cc09ba2d184837f7ee9262328d05f49e4",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(_CHAIN_PINS))
-def test_chain_compares_are_pinned(name):
-    doc, digest = _CHAIN_PINS[name]
-    body = json.loads(report_body(run_experiment(_cfg(doc), "compare")))
-    canonical = json.dumps(body["results"][0]["empirical"], sort_keys=True).encode()
-    assert hashlib.sha256(canonical).hexdigest() == digest
+def test_few_hits_leave_only_alpha_tabulated():
+    # 40 trajectories with windows 2 and 16: alpha counts enough hits, the others do not
+    doc = _GATE._COMPARE_CASES["cluster tables, some insufficient"]
+    tables = run_experiment(_cfg(doc), "compare")["results"][0]["tables"]
+    assert {k: v.get("insufficient_data", False) for k, v in tables.items()} == {
+        "alpha": False, "alpha_hat": True, "lambda_tilde": True,
+    }
 
 
 # two blocks (4096 + 4 trajectories) of 1116-step paths (horizon 1077, the
@@ -771,52 +665,47 @@ def test_setup_probe_runs_from_a_checkout():
     )
 
 
-def _report_gate(monkeypatch):
-    # tests/report_digests.py, the report-body gate, is named so that pytest does
-    # not collect it; it prepends src and tests to sys.path, which is restored
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location(
-        "report_digests", Path(__file__).with_name("report_digests.py")
+def test_report_gate_names_every_case():
+    names = list(_GATE_CASES)
+    assert len(set(names)) == len(names)
+    tables = (
+        _GATE._PAIR_CONFIGS, _GATE._SIGN_CASES, _GATE._RUN_LENGTH_CASES, _GATE._ISOLATED_CASES,
+        _GATE._LONG_CLUSTER_CASES, _GATE._ROUTE_CASES, _GATE._MONTE_CARLO_CASES,
+        _GATE._COMPARE_CASES, _WORKLOAD_EXITS,
     )
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
-    return gate
+    assert sorted(names) == sorted(name for table in tables for name in table)
+    # the committed digests hold the same cases, in the gate's order
+    saved = [line.split("\t")[0] for line in _DIGESTS.read_text().splitlines()]
+    assert list(dict.fromkeys(saved)) == names
 
 
-def test_report_gate_runs_every_case(monkeypatch):
-    gate = _report_gate(monkeypatch)
-    lines = list(gate.all_digests([]))
-    keys = [line[:3] for line in lines]
+@pytest.mark.parametrize("case", list(_GATE_CASES))
+def test_report_gate_runs_every_case(case):
+    lines = list(_GATE.digests(*_GATE_CASES[case]))
+    keys = [line[1:3] for line in lines]
     assert len(set(keys)) == len(keys)
     assert {code for *_, code, _ in lines} <= {0, 2, 3}
-    workloads = json.loads((Path(__file__).parents[1] / "perfbench" / "workloads.json").read_text())
-    expected = {w["name"]: w["expected_exit"] for w in workloads["workloads"]}
-    cases = {
-        **gate._PAIR_CONFIGS, **gate._SIGN_CASES, **gate._RUN_LENGTH_CASES,
-        **gate._ISOLATED_CASES, **gate._LONG_CLUSTER_CASES, **gate._MONTE_CARLO_CASES,
-    }
-    bodies = {}
-    for case, verb, artifact, code, _ in lines:
-        if artifact == "report_body":
-            bodies.setdefault(case, {})[verb] = code
-    assert set(bodies) == set(cases) | set(expected)
-    for case in cases:
-        assert set(bodies[case]) == set(runner.VERBS), case
-    for name, code in expected.items():
-        assert bodies[name] == {"compare": code}
+    bodies = {verb: code for _, verb, artifact, code, _ in lines if artifact == "report_body"}
+    if case in _WORKLOAD_EXITS:
+        assert bodies == {"compare": _WORKLOAD_EXITS[case]}
+    else:
+        assert tuple(bodies) == (("compare",) if case in _GATE._COMPARE_CASES else runner.VERBS)
+    saved = [line for line in _DIGESTS.read_text().splitlines() if line.split("\t")[0] == case]
+    moved = _GATE.differ(saved, [_GATE.line(digest) for digest in lines])
+    # a change that moves report bodies on purpose records the file again
+    assert not moved, "report digests moved from tests/report_digests.txt:\n" + "\n".join(moved)
 
 
 def test_report_gate_prints_the_lines_that_differ(monkeypatch, tmp_path, capsys):
-    gate = _report_gate(monkeypatch)
     lines = [("case", "predict", "report_body", 0, "ab"), ("case", "compare", "report_body", 2, "cd")]
-    monkeypatch.setattr(gate, "all_digests", lambda configs: iter(lines))
-    assert gate.run([]) == 0
+    monkeypatch.setattr(_GATE, "all_digests", lambda configs: iter(lines))
+    assert _GATE.run([]) == 0
     saved = tmp_path / "digests.txt"
     saved.write_text(capsys.readouterr().out)
-    assert gate.run(["--against", str(saved)]) == 0
+    assert _GATE.run(["--against", str(saved)]) == 0
     assert capsys.readouterr().out == f"all 2 lines match {saved}\n"
     lines[1] = ("case", "compare", "report_body", 0, "cd")
-    assert gate.run(["--against", str(saved)]) == 1
+    assert _GATE.run(["--against", str(saved)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "- case\tcompare\treport_body\t2\tcd",
         "+ case\tcompare\treport_body\t0\tcd",

@@ -78,6 +78,23 @@ def test_hoc_reset_families():
         HouseOfCardsSpec.constant(1.5)
 
 
+def test_hoc_negative_drift_bounds_its_tail():
+    # r_i = r_limit + c / (i + 1) rises to r_limit, clipped at 0 for the first
+    # states, so sup_{i >= j} (1 - r_i) is 1 - r_j
+    spec = HouseOfCardsSpec.drifting(0.2, -0.5)
+    for j in range(40):
+        assert spec._decay_sup(j) >= (1.0 - spec.reset_probs(np.arange(j, j + 10_000))).max(), j
+    assert spec._decay_sup(0) == spec._decay_sup(1) == 1.0
+    # 0.01 - 0.5/(i + 1) leaves a weight above 0 after the first 4096 states,
+    # so the table ends on the geometric bound; it bounds the mass left out
+    slow = HouseOfCardsSpec.drifting(0.01, -0.5)
+    law = hoc_stationary(slow)
+    weights = np.concatenate(([1.0], np.cumprod(1.0 - slow.reset_probs(np.arange(20_000)))))
+    size = law.probs.size
+    assert np.allclose(law.probs, weights[:size] / weights[:size].sum(), rtol=1e-12, atol=0.0)
+    assert 0.0 < weights[size:].sum() / weights[:size].sum() <= law.tail_bound <= 1e-12
+
+
 def test_hoc_no_reset_has_no_stationary_law():
     with pytest.raises(NonStationaryError):
         hoc_stationary(HouseOfCardsSpec.constant(0.0))
