@@ -665,32 +665,30 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, chain: FiniteMarkovSpec)
 
     Chains with few distinct thresholds (:func:`_bucket_table`) bucket the
     uniforms as they are drawn, one cached row tile (:func:`_uniform_tiles`)
-    at a time, into uint8 codes; after one transpose of the codes each
-    column costs two uint8 passes: add the previous states to its codes,
-    look the sums up.  Other chains copy the uniforms, tile by tile, into a
-    time-major float64 buffer and compare each of its columns with the
-    thresholds of the previous states.  On the array route the uniforms, and
-    so the codes, are time-major already, and the codes' transpose does not
-    copy.
+    at a time, into uint8 codes (:func:`_bucket_codes`); after one transpose
+    of the codes each column costs two uint8 passes: add the previous states
+    to its codes, look the sums up.  Other chains copy the uniforms, tile by
+    tile, into a time-major float64 buffer and compare each of its columns
+    with the thresholds of the previous states (:func:`_float_steps`).  On
+    the array route the uniforms, and so the codes, are time-major already,
+    and the codes' transpose does not copy.
+
+    Each array of the chunk's size is freed, or reused, once its last
+    reader is done, so besides the generators of ``rngs`` a route's peak
+    holds, on the per-row route: for the lookup, two uint8 arrays of the
+    paths' size, the codes and the states, whose transpose is written back
+    into the codes; for the float routes, the float64 buffer, the states
+    and one uniform tile while they step, then the states and the result.
     """
     cdf = np.cumsum(stationary)
     cdf[-1] = 1.0
     cum, table = chain.step_tables
-    k = cum.shape[1]
-    if table is not None:
+    if table is None:
+        states = _float_steps(rngs, n, cdf, cum)
+    else:
         breaks, lut = table
-        # time-major on the array route, where the transpose below is a view
-        codes = np.zeros((len(rngs), n), np.uint8, order="F" if _array_route(rngs, n) else "C")
-        start = np.empty(len(rngs), dtype=np.intp)
-        for lo, block in _uniform_tiles(rngs, n):
-            part = codes[lo : lo + len(block)]
-            flags = np.empty_like(block, dtype=bool)
-            start[lo : lo + len(block)] = np.searchsorted(cdf, block[:, 0], side="right")
-            for brk in breaks:
-                part += np.less_equal(brk, block, out=flags).view(np.uint8)
-            part *= k
+        codes, start = _bucket_codes(rngs, n, cdf, breaks, cum.shape[1])
         states = np.ascontiguousarray(codes.T)
-        del codes
         # column t holds its bucket code times k until it is overwritten by
         # the state that lut gives for that code and the state at t - 1
         # (the sums are valid indices, so "clip" only skips a bounds check)
@@ -699,7 +697,43 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, chain: FiniteMarkovSpec)
             col = states[t]
             np.add(col, states[t - 1], out=col)
             lut.take(col, out=col, mode="clip")
-        return np.ascontiguousarray(states.T)
+        if not np.may_share_memory(codes, states):
+            # the per-row route: the dead codes take the result, since freeing
+            # them and allocating it hands pages back to the system only to
+            # fault them in again (a quarter more minor faults in
+            # markov-pool's workers)
+            np.copyto(codes, states.T)
+            return codes
+    return np.ascontiguousarray(states.T)
+
+
+def _bucket_codes(rngs, n: int, cdf: np.ndarray, breaks: np.ndarray, k: int) -> tuple:
+    """``(codes, start)`` of the lookup route: ``codes[i, t]`` is k times the
+    bucket of row i's uniform t, ``start[i]`` the state its uniform 0 picks.
+
+    The loop's tile and its views die when this returns, so the caller's
+    transpose of ``codes`` allocates beside ``codes`` alone.
+    """
+    # time-major on the array route, where the caller's transpose is a view
+    codes = np.zeros((len(rngs), n), np.uint8, order="F" if _array_route(rngs, n) else "C")
+    start = np.empty(len(rngs), dtype=np.intp)
+    for lo, block in _uniform_tiles(rngs, n):
+        part = codes[lo : lo + len(block)]
+        flags = np.empty_like(block, dtype=bool)
+        start[lo : lo + len(block)] = np.searchsorted(cdf, block[:, 0], side="right")
+        for brk in breaks:
+            part += np.less_equal(brk, block, out=flags).view(np.uint8)
+        part *= k
+    return codes, start
+
+
+def _float_steps(rngs, n: int, cdf: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """Time-major ``(n, rows)`` states of the threshold and row-gather routes.
+
+    The float64 buffer of the uniforms, 8 B per step, dies when this
+    returns, before the caller's transpose allocates the result.
+    """
+    k = cum.shape[1]
     buf = np.empty((n, len(rngs)))
     for lo, tile in _uniform_tiles(rngs, n):
         buf[:, lo : lo + len(tile)] = tile.T
@@ -720,7 +754,7 @@ def _step_columns(rngs, n: int, stationary: np.ndarray, chain: FiniteMarkovSpec)
         for t in range(1, n):
             s = (cum[s] <= buf[t][:, None]).sum(axis=1)
             states[t] = s
-    return np.ascontiguousarray(states.T)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +923,7 @@ class RegenerativeSpec:
         symbols = tuple(int(a) for a in self.symbols)
         if len(symbols) == 0 or len(set(symbols)) != len(symbols):
             raise SpecError("symbols must be distinct and nonempty")
-        # paths hold the symbols as int64
+        # the sampler reads the symbols, and computes block lengths, in int64
         if not all(-(2**63) <= a < 2**63 for a in symbols):
             raise SpecError("symbols must fit in int64")
         if any(symbols[i] >= symbols[i + 1] for i in range(len(symbols) - 1)):
@@ -965,7 +999,12 @@ class RegenerativeSpec:
 
 
 def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
-    """Stationary paths of n symbols, a C-contiguous ``(rows, n)`` int64 array.
+    """Stationary paths of n symbols, a C-contiguous ``(rows, n)`` array.
+
+    The dtype is the first of uint8, int8, uint16, int16, uint32, int32 and
+    int64 that holds the first and the last symbol, and so every one, as
+    symbols increase; block lengths are computed in int64, where a smith
+    symbol's ``a + 1`` cannot wrap.
 
     Row i draws 2n doubles u from rngs[i]: u[0] picks the stationary first
     block's length-biased symbol and u[1] its residual length; u[2 : n + 1]
@@ -986,7 +1025,10 @@ def sample_regenerative(spec: RegenerativeSpec, n: int, rngs) -> np.ndarray:
     if spec.length_model == "shared":
         cdf_len = np.cumsum(spec.shared_q)
         cdf_len[-1] = 1.0
-    out = np.empty((len(rngs), n), dtype=np.int64)
+    low, high = spec.symbols[0], spec.symbols[-1]
+    dtype = next(t for t in map(np.dtype, ("u1", "i1", "u2", "i2", "u4", "i4", "i8"))
+                 if np.iinfo(t).min <= low and high <= np.iinfo(t).max)
+    out = np.empty((len(rngs), n), dtype=dtype)
     for lo, tile in _uniform_tiles(rngs, 2 * n):
         for row, u in zip(out[lo : lo + len(tile)], tile):
             ai = int(np.searchsorted(cdf_first, u[0], side="right"))
@@ -1286,8 +1328,10 @@ def sample_paths(spec, n: int, rngs) -> np.ndarray:
     smallest unsigned dtype that fits them (uint8 up to 256 states), product
     chains their components likewise (:func:`decode_states`),
     house-of-cards chains the smallest one that holds every state a path of
-    n steps can reach (:func:`sample_house_of_cards`), and sign products
-    their +-1 symbols as int8.  The system's sampler in ``_SAMPLERS`` steps
+    n steps can reach (:func:`sample_house_of_cards`), regenerative
+    processes the smallest integer one that holds every symbol
+    (:func:`sample_regenerative`), and sign products their +-1 symbols as
+    int8.  The system's sampler in ``_SAMPLERS`` steps
     all rows of a uniform tile at once, or each row in turn (drifting and
     alternating house-of-cards chains, regenerative processes).
     """

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -486,6 +487,34 @@ def test_benchmark_sized_runs_pool_by_their_work(monkeypatch, workload, steps, p
     assert _SerialPool.sizes == ([] if pool_size is None else [pool_size])
     assert report["meta"]["workers"] == 2
     assert report["meta"]["pool_workers"] == [pool_size or 1]
+
+
+class _Task(Exception):
+    pass
+
+
+def test_markov_pool_block_peak_stays_bounded(monkeypatch):
+    # the first 4096-row block of a serial markov-pool run, as the runner hands it out
+    simulate = runner._simulate_block
+
+    def first_task(args):
+        raise _Task(args)
+
+    monkeypatch.setattr(runner, "_simulate_block", first_task)
+    path = Path(__file__).parents[1] / "perfbench" / "workloads" / "markov-pool.yaml"
+    with pytest.raises(_Task) as task:
+        run_experiment(load_config(str(path), {"workers": 1}), "simulate")
+    args = task.value.args[0]
+    assert args[3:6] == (0, 4096, 2156)
+    tracemalloc.start()
+    try:
+        simulate(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # chunks of 1945 rows, 4.0 MB of uint8 paths: two such arrays at once,
+    # one uniform tile and the chunk's generators, 1.4 MB
+    assert peak < 11 << 20, peak / 2**20
 
 
 class _BrokenPool(_SerialPool):

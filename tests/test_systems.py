@@ -1,6 +1,7 @@
 import collections
 import itertools
 import pickle
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from visitlab import (
     DoeblinChainSpec,
     FactorProductSpec,
     FiniteMarkovSpec,
+    HalfLineTarget,
     HouseOfCardsSpec,
     IntervalMapSpec,
     ProductChainSpec,
@@ -21,6 +23,7 @@ from visitlab import (
     SpecError,
     StructureError,
     SyncCylinderTarget,
+    hits,
     measure,
     predict_for,
     sample_paths,
@@ -348,6 +351,59 @@ def test_regenerative_residual_laws():
     assert "residual_laws" in vars(sent) and all(map(np.array_equal, sent.residual_laws, laws))
 
 
+@pytest.mark.parametrize("symbols, dtype", [
+    ((1, 2, 5), np.uint8),
+    ((1, 2, 255), np.uint8),
+    ((1, 256), np.uint16),
+    ((-3, 4), np.int8),
+    ((-3, 200), np.int16),
+    ((0, 2**31), np.uint32),
+    ((-1, 2**31 - 1), np.int32),
+    ((-1, 2**40), np.int64),
+    ((0, 2**63 - 1), np.int64),
+])
+def test_regenerative_paths_take_the_smallest_dtype(symbols, dtype):
+    probs = np.full(len(symbols), 1 / len(symbols))
+    spec = RegenerativeSpec.with_shared_lengths(symbols, probs, [0.5, 0.5])
+    paths = sample_paths(spec, 40, trajectory_rngs(3, 0, 4))
+    assert paths.dtype == dtype and paths.flags.c_contiguous
+    assert set(np.unique(paths).tolist()) == set(symbols)
+
+
+def _smith_reference(spec, n, rng):
+    """One smith path in Python ints, block by block, from the sampler's 2n doubles."""
+    u = rng.random(2 * n)
+
+    def pick(cdf, x):
+        cdf = np.cumsum(cdf)
+        cdf[-1] = max(cdf[-1], 1.0)
+        return int(np.searchsorted(cdf, x, side="right"))
+
+    first = pick(spec.stationary_symbol_probs(), u[0])
+    path = [spec.symbols[first]] * (1 + pick(spec.residual_laws[first], u[1]))
+    for j in range(n - 1):
+        a = spec.symbols[pick(spec.symbol_probs, u[2 + j])]
+        path += [a] * (1 if u[n + 1 + j] < 1.0 - 1.0 / a else a + 1)
+    return path[:n]
+
+
+def test_smith_symbol_255_keeps_its_long_blocks_in_uint8():
+    # symbol 255 takes blocks of 256 with probability 1/255; a uint8 a + 1
+    # would wrap to 0 and drop them
+    spec = RegenerativeSpec.smith([1, 2, 255], [0.2, 0.2, 0.6])
+    n, rows = 1200, 8
+    paths = sample_paths(spec, n, trajectory_rngs(3, 0, rows))
+    assert paths.dtype == np.uint8
+    ref = [_smith_reference(spec, n, trajectory_rng(3, i)) for i in range(rows)]
+    assert paths.tolist() == ref
+    # some run of 255 holds a 256-step block
+    gaps = [np.diff(np.flatnonzero(np.r_[True, row != 255, True])) for row in paths]
+    assert max(g.max() for g in gaps) - 1 >= 256
+    # a half-line threshold above uint8's range is never reached, 255 is
+    assert not hits(paths, HalfLineTarget(256), n - 1).any()
+    assert np.array_equal(hits(paths, HalfLineTarget(255), n - 1), paths == 255)
+
+
 def test_sample_path_values_and_shapes():
     rng = trajectory_rng(11, 0)
     hoc = sample_paths(HouseOfCardsSpec.constant(0.5), 50, [rng])[0]
@@ -502,6 +558,58 @@ def test_step_columns_fill_their_buffer_tile_by_tile(monkeypatch):
         assert np.array_equal(batch, _reference_rows(stationary, spec.matrix, n, rows)), route
 
 
+# one chain for each stepper route of _step_columns
+_ROUTE_CHAINS = {
+    "lookup": FiniteMarkovSpec(CRITERION_07),
+    "threshold": _ring_chain(7),
+    "rows": _ring_chain(systems._THRESHOLD_STATES + 6),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTE_CHAINS))
+def test_step_columns_peak_holds_only_what_the_route_needs(route):
+    # 256 rows of 4096 steps: 16 uniform tiles of 16 rows, 1 MB of uint8 paths
+    spec = _ROUTE_CHAINS[route]
+    assert _route(spec.matrix) == route
+    rows, n = 256, 4096
+    rngs = trajectory_rngs(7, 0, rows)
+    assert not systems._array_route(rngs, n) and rows * n >= 2 * systems._BLOCK_UNIFORMS
+    # the step tables and the generators are built before the trace starts
+    spec.step_tables, rngs[0]
+    tracemalloc.start()
+    try:
+        paths = sample_paths(spec, n, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths.dtype == np.uint8
+    stationary = markov_stationary(spec)
+    assert np.array_equal(paths[:2], _reference_rows(stationary, spec.matrix, n, 2))
+    # the lookup holds two arrays of the paths' size at once, the codes and
+    # the states, whose transpose goes back into the codes; the float routes
+    # hold the float64 buffer, the states and one tile while they step
+    tile = systems._BLOCK_UNIFORMS * 8
+    buf = 0 if route == "lookup" else 8 * rows * n
+    need = max(2 * paths.nbytes, buf + paths.nbytes + tile)
+    # 256 kB for the lookup's flags and the steps' row vectors
+    assert peak <= need + (256 << 10), (peak, need)
+
+
+@pytest.mark.parametrize("route", list(_ROUTE_CHAINS))
+def test_step_columns_take_one_step_and_empty_chunks(route):
+    spec = _ROUTE_CHAINS[route]
+    stationary = markov_stationary(spec)
+    # 16 streams of one uniform take the array route, 5 the per-row one
+    for rows, n in ((16, 1), (5, 1), (0, 1), (0, 40)):
+        for rngs in (trajectory_rngs(7, 0, rows), [trajectory_rng(7, i) for i in range(rows)]):
+            paths = sample_paths(spec, n, rngs)
+            assert paths.shape == (rows, n) and paths.dtype == np.uint8
+            assert paths.flags.c_contiguous
+            if rows:
+                ref = _reference_rows(stationary, spec.matrix, n, rows)
+                assert np.array_equal(paths, ref), (rows, n)
+
+
 def test_chain_step_tables_are_built_once_per_spec(monkeypatch):
     built = []
     bucket_table = systems._bucket_table
@@ -645,8 +753,9 @@ _ROW_STEPPED_PINS = [
 @pytest.mark.parametrize("spec, rows", _ROW_STEPPED_PINS, ids=["drifting", "alternating", "smith"])
 def test_row_stepped_streams_are_pinned(spec, rows):
     paths = sample_paths(spec, 24, trajectory_rngs(9, 0, 3))
-    # house-of-cards tables of 4,097 and 1,172 states: top + 24 needs uint16
-    assert paths.dtype == (np.int64 if isinstance(spec, RegenerativeSpec) else np.uint16)
+    # house-of-cards tables of 4,097 and 1,172 states: top + 24 needs uint16;
+    # smith symbols up to 5 fit uint8
+    assert paths.dtype == (np.uint8 if isinstance(spec, RegenerativeSpec) else np.uint16)
     assert paths.tolist() == rows
 
 
