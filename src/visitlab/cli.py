@@ -3,9 +3,9 @@
 Verbs:
   predict    closed-form visit law only (JSON report + predicted PMF CSV)
   simulate   empirical visit statistics only
-  compare    prediction vs simulation with TV pass/fail
+  compare    prediction vs simulation with TV pass/fail, plus a summary CSV
+             with one row per sweep value
   bound      error-bracket table over n (needs a stein config section)
-  sweep      compare across the sweep list plus a consolidated summary CSV
 
 Exit codes: 0 pass, 2 tolerance fail, 3 config or usage error, 4 resource guard.
 """

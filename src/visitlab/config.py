@@ -11,7 +11,7 @@ Schema (all numeric scalars accept decimal literals or rational strings like
                               # min(workers, usable CPUs, 4096-row blocks, one
                               # per 0.03 s of the run's projected in-process
                               # simulation), and 1 runs in-process
-      tolerance: 0.03         # TV pass threshold for compare/sweep
+      tolerance: 0.03         # TV pass threshold for compare
       window_forward: 200     # L, forward cluster window (optional)
       window_two_sided: 48    # K, two-sided cluster window (optional)
       cluster_cap: 48         # histogram cap for cluster sizes (optional)
@@ -26,7 +26,7 @@ Schema (all numeric scalars accept decimal literals or rational strings like
       sweep: [10, 12]         # target sizes n (deltas for geo-diagonal)
       ... kind-specific keys ...
     stein:                    # optional, needed by the bound verb; not for geo-diagonal
-      profile: {kind: geometric, scale: 1.0, rate: 0.5}
+      profile: {kind: geometric, scale: 1.0, rate: 0.5}   # geometric is the only kind
       mode: phi | psi
       window_policy: half     # K = n // 2, or an integer for fixed K
       sweep: [20, 30, 40]     # defaults to target sweep
@@ -275,8 +275,8 @@ def config_from_mapping(doc, overrides: dict | None = None) -> ExperimentConfig:
         if prof is None:
             _fail("stein.profile", "mixing profile is required for bound runs")
         kind = prof.get("kind")
-        if kind not in ("geometric", "polynomial"):
-            _fail("stein.profile.kind", f"unknown profile kind {kind!r}")
+        if kind != "geometric":
+            _fail("stein.profile.kind", f"unknown profile kind {kind!r}; only geometric is supported")
         try:
             profile = MixingProfile(
                 kind,

@@ -408,57 +408,12 @@ def predict_furstenberg(
 # ---------------------------------------------------------------------------
 
 
-# (2j)! / B_2j for j = 1..12, as Cephes' zeta writes them
-_EM_DIVISORS = (
-    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9, 7.47242496e10,
-    -2.950130727918164224e12, 1.1646782814350067249e14, -4.5979787224074726105e15,
-    1.8152105401943546773e17, -7.1661652561756670113e18,
-)
-_EPS = 2.0**-53
-
-
-def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{k >= 0} (a + k)^(-s), for s > 1 and a > 0.
-
-    Euler-Maclaurin summation in the order of Cephes' ``zeta`` (S. Moshier),
-    which ``scipy.special.zeta`` runs, so it gives scipy's doubles: the
-    terms (a + k)^(-s) for k up to 9 and at least until a + k > 9, then the
-    integral, minus half the last term, and up to 12 Bernoulli corrections;
-    each sum stops once a term falls below 2^-53 of the total.  Above
-    a = 1e8 it is the two-term expansion of DLMF 25.11.43.
-    """
-    if a > 1e8:
-        return (1.0 / (s - 1.0) + 1.0 / (2.0 * a)) * a ** (1.0 - s)
-    total, x, i, b = a**-s, a, 0, 0.0
-    while i < 9 or x <= 9.0:
-        i += 1
-        x += 1.0
-        b = x**-s
-        total += b
-        if total and abs(b / total) < _EPS:
-            return total
-    total += b * x / (s - 1.0)
-    total -= 0.5 * b
-    # the j-th correction is B_2j / (2j)! * s (s + 1) ... (s + 2j - 2) * x^(1 - s - 2j)
-    rising = 1.0
-    for j, divisor in enumerate(_EM_DIVISORS):
-        rising *= s + 2 * j
-        b /= x
-        term = rising * b / divisor
-        total += term
-        if total and abs(term / total) < _EPS:
-            break
-        rising *= s + (2 * j + 1)
-        b /= x
-    return total
-
-
 @dataclass(frozen=True)
 class MixingProfile:
-    """Parametric correlation-decay sequence, clamped at 1.
+    """Geometric correlation-decay sequence c * rate^k, clamped at 1.
 
-    ``geometric``: c * rate^k; ``polynomial``: c * k^(-rate) with rate > 1 so
-    tails are summable.
+    ``geometric`` is the only kind: every system visitlab builds mixes
+    geometrically.
     """
 
     kind: str
@@ -466,37 +421,27 @@ class MixingProfile:
     rate: float
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "polynomial"):
+        if self.kind != "geometric":
             raise SpecError(f"unknown mixing profile {self.kind!r}")
         if self.c <= 0.0:
             raise SpecError("profile scale must be positive")
-        if self.kind == "geometric" and not (0.0 < self.rate < 1.0):
+        if not (0.0 < self.rate < 1.0):
             raise SpecError("geometric decay rate must lie in (0, 1)")
-        if self.kind == "polynomial" and self.rate <= 1.0:
-            raise SpecError("polynomial decay exponent must exceed 1")
 
     def value(self, k) -> float:
         if k <= 0:
             return 1.0
-        if self.kind == "geometric":
-            return min(1.0, self.c * self.rate**k)
-        return min(1.0, self.c * float(k) ** (-self.rate))
+        return min(1.0, self.c * self.rate**k)
 
     def tail(self, j: int) -> float:
         """sum_{i >= j} value(i), exact through the clamped head."""
         j = max(j, 1)
-        if self.kind == "geometric":
-            # clamp region: c * rate^i >= 1  <=>  i <= log(1/c)/log(rate)
-            head_end = j
-            if self.c > 1.0:
-                head_end = max(j, int(math.floor(math.log(1.0 / self.c) / math.log(self.rate))) + 1)
-            head = sum(self.value(i) for i in range(j, head_end))
-            return head + self.c * self.rate**head_end / (1.0 - self.rate)
+        # clamp region: c * rate^i >= 1  <=>  i <= log(1/c)/log(rate)
         head_end = j
         if self.c > 1.0:
-            head_end = max(j, int(math.ceil(self.c ** (1.0 / self.rate))))
+            head_end = max(j, int(math.floor(math.log(1.0 / self.c) / math.log(self.rate))) + 1)
         head = sum(self.value(i) for i in range(j, head_end))
-        return head + self.c * hurwitz_zeta(self.rate, head_end)
+        return head + self.c * self.rate**head_end / (1.0 - self.rate)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: the five verbs, simulation across workers, reports.
+"""Experiment orchestration: the four verbs, simulation across workers, reports.
 
 A run is a pure function of (config, seed): trajectories are generated from a
 counter-based seed schedule in fixed blocks, worker results are merged in
@@ -218,7 +218,7 @@ def _stein_for(cfg: ExperimentConfig, system, target, n, mu_value: float):
         return {"error": str(exc), "k_window": k_w}
 
 
-VERBS = ("predict", "simulate", "compare", "bound", "sweep")
+VERBS = ("predict", "simulate", "compare", "bound")
 
 
 def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
@@ -238,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
     for index, sweep_value in enumerate(cfg.stein.sweep if mode == "bound" else cfg.sweep):
         target = cfg.build_target(sweep_value)
         # the pair's rule is looked up first: an unsupported pair is refused before any measure
-        pair = pair_for(system, target) if mode in ("predict", "compare", "sweep") else None
+        pair = pair_for(system, target) if mode in ("predict", "compare") else None
         try:
             mu = _measure(cfg, target, system)
             horizon = kac_horizon(cfg.t, mu.value)
@@ -268,7 +268,7 @@ def run_experiment(cfg: ExperimentConfig, mode: str) -> dict:
         if pair is not None:
             pred = pair.predict(system, target, cfg.t)
             entry["prediction"] = pred.as_dict()
-        if mode in ("simulate", "compare", "sweep"):
+        if mode in ("simulate", "compare"):
             w_all, stats_all, path_len, workers = _run_simulation(cfg, system, target, horizon)
             pool_workers.append(workers)
             entry["simulated_steps"] = path_len * cfg.samples
@@ -351,7 +351,7 @@ def write_report(report: dict, out_dir: str, mode: str) -> list:
     path = os.path.join(out_dir, f"{mode}_report.json")
     _write_json(_without_artifacts(report), path)
     written.append(path)
-    if mode == "sweep":
+    if mode == "compare":
         path = os.path.join(out_dir, "sweep_summary.csv")
         with _atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)

@@ -4,31 +4,31 @@ Prints one tab-separated line per case, verb and artifact: the case, the
 verb, the artifact (``report_body`` or a CSV file name), the exit code and
 the artifact's sha256 (``-`` for a run that wrote no report).  The cases are
 
-* every pair config of ``test_cli._PAIR_CONFIGS`` under all five verbs, at
+* every pair config of ``test_cli._PAIR_CONFIGS`` under every verb, at
   400 samples, seed 2, with ``test_cli._STEIN`` where the target takes it;
-* all five verbs on the sign cylinders of ``_SIGN_CASES`` at depth 8, which
+* every verb on the sign cylinders of ``_SIGN_CASES`` at depth 8, which
   run both branches of the exact sign checks: the all-plus word at two plus
   probabilities, a steady cycle and a cycle whose law is refused;
-* all five verbs on the run-length targets of ``_RUN_LENGTH_CASES``, with the
+* every verb on the run-length targets of ``_RUN_LENGTH_CASES``, with the
   stein section, so the outer sets down to n = 0 are measured too: dyadic
   resets, where the measure and the Kac horizon are exact, and others, down
   to reset 0.05, whose stated mean cluster 20 a 32-term alpha table cuts to
   16.13, and alternating resets, which have no limiting law to predict;
-* all five verbs on the non-self-overlapping words of ``_ISOLATED_CASES``,
+* every verb on the non-self-overlapping words of ``_ISOLATED_CASES``,
   whose visit law is Poisson(t): one on a Markov chain, one on an interval
   map and one sign word;
-* all five verbs on ``_LONG_CLUSTER_CASES``, a regenerative half-line whose
+* every verb on ``_LONG_CLUSTER_CASES``, a regenerative half-line whose
   compound law has clusters of up to 51 steps;
-* all five verbs on ``_ROUTE_CASES``: the two-point length model and the
+* every verb on ``_ROUTE_CASES``: the two-point length model and the
   threshold route of the finite-chain sampler;
-* all five verbs on the pairs of ``_MONTE_CARLO_CASES``, which the pair table
+* every verb on the pairs of ``_MONTE_CARLO_CASES``, which the pair table
   does not list: their targets and outer sets are measured by Monte Carlo,
   and only ``simulate`` and ``bound`` write a report;
 * ``compare`` on each config of ``_COMPARE_CASES``, with its own experiment
   block: cluster windows, so the bootstrap's tables, and the sampler routes;
 * ``compare --jobs 1`` on each benchmark workload in ``perfbench/workloads``,
   which it only reads;
-* all five verbs on every config file named on the command line.
+* every verb on every config file named on the command line.
 
 ``tests/report_digests.txt`` holds the lines of every case but the command
 line's, and tier-1 compares each case with it
@@ -82,7 +82,7 @@ _RUN_LENGTH_CASES = {
     "run-length at drifting reset (0.5, 0.3)": (
         "{kind: house-of-cards, reset_limit: 0.5, reset_drift: 0.3}", [4],
     ),
-    # predict, compare and sweep refuse it: no limiting visit law
+    # predict and compare refuse it: no limiting visit law
     "run-length at alternating reset (0.3, 0.7)": (
         "{kind: house-of-cards, reset_even: 0.3, reset_odd: 0.7}", [4],
     ),
@@ -315,7 +315,7 @@ def differ(saved, now) -> list:
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("configs", nargs="*", help="further config files, run under all five verbs")
+    parser.add_argument("configs", nargs="*", help="further config files, run under every verb")
     parser.add_argument("--against", metavar="FILE", help="a saved run to compare with")
     args = parser.parse_args(argv)
     lines = map(line, all_digests(args.configs))

@@ -58,8 +58,12 @@ def test_parser_exposes_all_verbs():
         "simulate",
         "compare",
         "bound",
-        "sweep",
     }
+
+
+def test_sweep_is_no_longer_a_verb(config_path, capsys):
+    assert main(["sweep", "--config", str(config_path)]) == 3
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
 
 def test_predict_writes_report(config_path, tmp_path, capsys):
@@ -183,9 +187,11 @@ def test_sweep_and_bound_outputs(config_path, tmp_path):
         + "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n"
         "  mode: phi\n  window_policy: half\n"
     )
-    out = tmp_path / "sweep-out"
-    assert main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 0
-    assert (out / "sweep_summary.csv").exists()
+    out = tmp_path / "compare-out"
+    assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    summary = (out / "sweep_summary.csv").read_text().splitlines()
+    assert summary[0] == "sweep_value,mu,tv,tolerance,pass,bracket"
+    assert [row.split(",")[0] for row in summary[1:]] == ["5", "6"]
     bout = tmp_path / "bound-out"
     assert main(["bound", "--config", str(cfg), "--out-dir", str(bout)]) == 0
     table = (bout / "bound_table.csv").read_text().splitlines()
@@ -222,7 +228,7 @@ def test_zero_measure_target_exits_three_without_monte_carlo(tmp_path, capsys, m
     assert err.startswith("configuration error: sweep value 6: ") and "zero stationary measure" in err
 
 
-@pytest.mark.parametrize("verb", ["predict", "compare", "sweep"])
+@pytest.mark.parametrize("verb", ["predict", "compare"])
 def test_unsupported_pair_exits_three_before_measuring(verb, tmp_path, capsys, monkeypatch):
     def no_monte_carlo(*args, **kwargs):
         raise AssertionError("Monte Carlo ran for a pair that has no prediction rule")
@@ -517,7 +523,7 @@ def _assert_refused_without_limit(config, verb, code, tmp_path, capsys, says="no
         assert (tmp_path / "out" / "simulate_report.json").exists()
 
 
-_REFUSALS = [("predict", 3), ("compare", 3), ("sweep", 3), ("simulate", 0)]
+_REFUSALS = [("predict", 3), ("compare", 3), ("simulate", 0)]
 
 
 @pytest.mark.parametrize("verb, code", _REFUSALS)

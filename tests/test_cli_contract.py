@@ -4,7 +4,7 @@ Each case takes the tiny config of one pair of the pair table at one target
 size, valid, large or absurd, plus a stein section with a geometric
 mixing profile.  Its first example runs that config as it is; the others
 overwrite one more leaf of the document, stein leaves included, with a value
-from a pool of extreme and malformed values, and run one of the five verbs
+from a pool of extreme and malformed values, and run one of ``runner.VERBS``
 on at most 64 trajectories.  A second test runs every (system kind, target
 kind) pair of the config schema, listed in the pair table or not.
 """
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_cli import _PAIR_CONFIGS
+from visitlab import runner
 from visitlab.cli import main
 from visitlab.config import SYSTEM_KINDS, TARGET_KINDS
 
@@ -62,7 +63,7 @@ def _mutations(draw, name, size):
     leaves = [p for p in _leaves(doc) if p[-1] not in _FIXED]
     if draw(st.booleans()):
         _put(doc, draw(st.sampled_from(leaves)), draw(st.sampled_from(_VALUES)))
-    return draw(st.sampled_from(("predict", "simulate", "compare", "bound", "sweep"))), doc
+    return draw(st.sampled_from(runner.VERBS)), doc
 
 
 @pytest.mark.parametrize("size", _SIZES)

@@ -269,6 +269,21 @@ def test_stein_section_window_policy():
         config_from_mapping(_doc(stein={"profile": {"kind": "nope"}}))
 
 
+def test_polynomial_profile_exits_three(tmp_path, capsys):
+    from visitlab.cli import main
+
+    cfg = tmp_path / "poly.yaml"
+    cfg.write_text(
+        "experiment: {t: 2.0, samples: 100, seed: 7}\n"
+        "system: {kind: house-of-cards, reset: 0.5}\n"
+        "target: {kind: run-length, level: 1, sweep: [4]}\n"
+        "stein: {profile: {kind: polynomial, scale: 1.0, rate: 2.0}}\n"
+    )
+    assert main(["bound", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: stein.profile.kind: unknown profile kind 'polynomial'")
+
+
 def test_defaults_are_recorded():
     cfg = config_from_mapping(_doc())
     assert cfg.workers == 1

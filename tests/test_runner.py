@@ -323,12 +323,14 @@ def test_write_report_inventory(tmp_path):
 def test_sweep_writes_summary_csv(tmp_path):
     doc = copy.deepcopy(HOC_DOC)
     doc["target"]["sweep"] = [5, 6]
-    report = run_experiment(_cfg(doc), "sweep")
-    write_report(report, tmp_path, "sweep")
+    report = run_experiment(_cfg(doc), "compare")
+    paths = write_report(report, tmp_path, "compare")
+    assert "sweep_summary.csv" in {Path(p).name for p in paths}
     lines = (tmp_path / "sweep_summary.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("sweep_value,")
+    assert lines[0] == "sweep_value,mu,tv,tolerance,pass,bracket"
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "5"
+    assert lines[2].split(",")[1] == repr(report["results"][1]["measure"]["value"])
 
 
 def test_bound_command_rows(tmp_path):
