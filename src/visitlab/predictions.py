@@ -30,6 +30,7 @@ from .systems import (
     ProductChainSpec,
     RegenerativeSpec,
     _diagonal_codes,
+    _distinct_sorted,
     sync_kernel,
 )
 from .targets import (
@@ -482,7 +483,7 @@ def stein_bracket(inputs: SteinBracketInputs, mode: str = "phi") -> dict:
     lo = k_w + 1
     if hi < lo:
         raise SpecError("empty Delta range: need K < t/mu with room to spare")
-    grid = np.unique(np.round(np.geomspace(lo, hi, 512)).astype(np.int64))
+    grid = _distinct_sorted(np.round(np.geomspace(lo, hi, 512)).astype(np.int64))
     grid = grid[(grid >= lo) & (grid <= hi)]
     half = (k_w + 1) // 2
     outer_sum = float(np.sum(inputs.outer[half : n + 1]))

@@ -42,7 +42,7 @@ from .stats import (
 # the chunk rule's _CHUNK_ELEMS sizes a timed first chunk; perfbench/traced.py
 # reads it from this module
 from .systems import _CHUNK_ELEMS, _STEP_GUARD, path_chunks
-from .targets import hits, measure
+from .targets import hits, measure, tile_rows
 
 _BLOCK = 4096
 # CPU seconds of in-process simulation each forked worker must take over:
@@ -68,15 +68,26 @@ def _merge_ranges(parts):
 
 
 def _simulate_block(args):
+    """W samples and cluster stats (or None) of one range of trajectories.
+
+    Each chunk of :func:`~visitlab.systems.path_chunks` is post-processed one
+    row tile at a time (:func:`~visitlab.targets.tile_rows`): indicators, W
+    and cluster stats of a tile's rows, whose ranges merge end to end with
+    every other tile's.  A row's results depend on that row alone, so they
+    equal the whole chunk's, and the block holds one chunk's paths and one
+    tile's indicators at a time.
+    """
     (system, target, seed, start, count, path_len, ext_horizon, horizon,
      window_f, window_k, cap) = args
     parts = []
     for first, paths in path_chunks(system, path_len, seed, start, count):
-        ind = hits(paths, target, ext_horizon)
-        stats = None if window_f is None else collect_cluster_stats(
-            ind, window_f, window_k, cap=cap, start_index=first
-        )
-        parts.append((collect_w(ind, horizon, start_index=first), stats))
+        per = tile_rows(paths)
+        for lo in range(0, len(paths), per):
+            ind = hits(paths[lo : lo + per], target, ext_horizon)
+            stats = None if window_f is None else collect_cluster_stats(
+                ind, window_f, window_k, cap=cap, start_index=first + lo
+            )
+            parts.append((collect_w(ind, horizon, start_index=first + lo), stats))
         # free this chunk's arrays before the next chunk is sampled
         del paths, ind
     return _merge_ranges(parts)
@@ -159,6 +170,27 @@ def _pmf_for_tv(pred: PredictionResult, w_max: int) -> DiscretePMF:
     return pmf
 
 
+def _percentiles(values: np.ndarray, percents) -> np.ndarray:
+    """``np.percentile(values, percents)`` of values without NaN, bit for bit.
+
+    numpy's linear rule restated: the virtual index v = (n - 1) q of each
+    fraction q = percent / 100 falls between the sorted values a and b at
+    floor(v) and floor(v) + 1 (both the last value where v >= n - 1, from
+    index -1), blended with weight t = v - floor(v) as ``a + (b - a) t``, or
+    ``b - (b - a)(1 - t)`` where t >= 0.5.  ``np.percentile`` itself imports
+    ``numpy.ma`` on its first call, 1-2 MB of every process that calls it.
+    """
+    ordered = np.sort(values)
+    v = (ordered.size - 1) * (np.asarray(percents, dtype=np.float64) / 100)
+    below = np.floor(v)
+    below[v >= ordered.size - 1] = -1
+    t = v - below
+    a = ordered[below.astype(np.intp)]
+    b = ordered[np.where(below < 0, -1, below + 1).astype(np.intp)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def _tv_with_band(w_all: WSampleSet, pred: PredictionResult, seed: int, index: int):
     values = w_all.values
     w_max = int(values.max()) if values.size else 0
@@ -173,7 +205,7 @@ def _tv_with_band(w_all: WSampleSet, pred: PredictionResult, seed: int, index: i
     draws = rng.multinomial(m, counts / m, size=200)
     tvs = 0.5 * np.abs(draws / m - pred_pmf.probs[None, : draws.shape[1]]).sum(axis=1)
     tvs += 0.5 * pred_pmf.tail_mass
-    lo, hi = np.percentile(tvs, [2.5, 97.5])
+    lo, hi = _percentiles(tvs, [2.5, 97.5])
     return {
         "value": float(point),
         "bootstrap_se": float(tvs.std()),

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -154,8 +153,7 @@ def trajectory_rngs(root_seed: int, start: int, count: int) -> "TrajectoryStream
     the number of entropy words, not with their values, so the whole index
     range is hashed at once with array arithmetic (split where the index
     gains a uint32 word) into each PCG64's four state words; the generators
-    themselves are built only when they are asked for
-    (:class:`TrajectoryStreams`).
+    themselves are built only as each row draws (:class:`TrajectoryStreams`).
     """
     root = _uint32_words(root_seed)
     if start < 0 or count < 0:
@@ -174,13 +172,13 @@ def trajectory_rngs(root_seed: int, start: int, count: int) -> "TrajectoryStream
     return TrajectoryStreams(states)
 
 
-class TrajectoryStreams(Sequence):
-    """The generators of :func:`trajectory_rngs`, built on first use.
+class TrajectoryStreams:
+    """The streams of :func:`trajectory_rngs`, held as PCG64 state words.
 
-    Indexing builds every generator once, from its four PCG64 state words,
-    and keeps them, so a generator that has drawn stays where it is.
-    :meth:`uniforms` computes the streams' first draws without building any
-    generator.
+    Iterating builds each row's generator from its four state words as the
+    iteration reaches it and keeps none (a generator costs some 750 B), so
+    every pass starts every stream afresh.  :meth:`uniforms` computes the
+    streams' first draws without building any generator.
     """
 
     def __init__(self, words: np.ndarray):
@@ -189,15 +187,12 @@ class TrajectoryStreams(Sequence):
     def __len__(self) -> int:
         return len(self._words)
 
-    @functools.cached_property
-    def _generators(self) -> list:
-        return [np.random.Generator(np.random.PCG64(_PCG64Words(w))) for w in self._words]
-
-    def __getitem__(self, index):
-        return self._generators[index]
+    def __iter__(self):
+        for w in self._words:
+            yield np.random.Generator(np.random.PCG64(_PCG64Words(w)))
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Time-major ``(n, rows)`` float64: column i is a fresh ``self[i].random(n)``.
+        """Time-major ``(n, rows)`` float64: column i is stream i's first n draws.
 
         PCG64 (O'Neill, HMC-CS-2014-0905) run as array arithmetic over every
         stream at once, seeded as numpy's ``pcg64_set_seed`` seeds it: a
@@ -292,22 +287,26 @@ _BLOCK_UNIFORMS = 1 << 16
 
 
 def _uniform_tiles(rngs, n: int):
-    """Yield ``(lo, tile)``: row i of ``tile`` is ``rngs[lo + i].random(n)``.
+    """Yield ``(lo, tile)``: row i of ``tile`` is the (lo + i)-th stream's ``random(n)``.
 
-    Every fixed-draw sampler draws its uniforms here.  On the array route one
-    tile covers every row, and its transpose is the C-contiguous time-major
-    array.  Otherwise the tiles cover the rows in order, ``_BLOCK_UNIFORMS //
-    n`` rows each (at least one), and all are views of one buffer that the
-    next tile overwrites.
+    Every fixed-draw sampler draws its uniforms here, from a
+    :class:`TrajectoryStreams` or a list of generators.  On the array route
+    one tile covers every row, and its transpose is the C-contiguous
+    time-major array.  Otherwise the tiles cover the rows in order,
+    ``_BLOCK_UNIFORMS // n`` rows each (at least one), and all are views of
+    one buffer that the next tile overwrites; each row's generator is taken
+    from ``rngs`` as the row draws, so streams keep none.
     """
     if _array_route(rngs, n):
         yield 0, rngs.uniforms(n).T
         return
     rows, per = len(rngs), max(1, _BLOCK_UNIFORMS // n)
     buf = np.empty((min(per, rows), n))
+    streams = iter(rngs)
     for lo in range(0, rows, per):
         tile = buf[: min(per, rows - lo)]
-        for row, rng in zip(tile, rngs[lo : lo + per]):
+        # zip stops at the tile's end without taking the next tile's stream
+        for row, rng in zip(tile, streams):
             rng.random(out=row)
         yield lo, tile
 
@@ -630,6 +629,19 @@ def sample_chain(spec, n: int, rngs) -> np.ndarray:
 _THRESHOLD_STATES = 24
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for values without NaN: the sorted values, each once.
+
+    A sort and a drop of equal neighbours; ``np.unique`` itself imports
+    ``numpy.ma`` on its first call, 1-2 MB of every process that calls it.
+    """
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _bucket_table(cum: np.ndarray):
     """``(breaks, lut)`` for stepping by table lookup, or None if it does not fit.
 
@@ -643,7 +655,7 @@ def _bucket_table(cum: np.ndarray):
     is the faster route for every such chain (timed up to 16 states).
     """
     k = cum.shape[0]
-    breaks = np.unique(cum[:, : k - 1])
+    breaks = _distinct_sorted(cum[:, : k - 1])
     if (breaks.size + 1) * k > 256:
         return None
     lower = np.concatenate(([-np.inf], breaks))

@@ -202,20 +202,27 @@ def _match_word(paths: np.ndarray, word: tuple) -> np.ndarray:
     return out
 
 
+def tile_rows(paths: np.ndarray) -> int:
+    """Rows of ``paths`` per row tile: 512 kB of them, as in
+    :func:`~visitlab.systems.sample_house_of_cards`, and at least one row."""
+    return max(1, _BLOCK_UNIFORMS * 8 // max(paths[:1].nbytes, 1))
+
+
 def hits(paths, target, horizon: int) -> np.ndarray:
     """Indicator rows I_0 .. I_horizon (window start times) for each path.
 
     Paths must hold at least ``horizon + target.window`` time steps; windows
     that would run past the simulated data are never counted.  The target
-    tests one row tile of paths at a time, 512 kB of them as in
-    :func:`~visitlab.systems.sample_house_of_cards`, and the tiles' rows go
-    into one C-contiguous ``(rows, horizon + 1)`` bool array, so no target's
-    temporaries outgrow a tile.  Indicators that are not one row of windows
+    tests one row tile of paths at a time (:func:`tile_rows`), and the tiles'
+    rows go into one C-contiguous ``(rows, horizon + 1)`` bool array, so no
+    target's temporaries outgrow a tile.  Callers that hand ``hits`` one tile
+    at a time, as the runner and :func:`measure_mc` do, hold no indicator
+    array larger than a tile's.  Indicators that are not one row of windows
     per path raise SpecError: a one-symbol target keeps the component axis of
     product-chain and doeblin paths.
     """
     paths = np.atleast_2d(np.asarray(paths))
-    per = max(1, _BLOCK_UNIFORMS * 8 // max(paths[:1].nbytes, 1))
+    per = tile_rows(paths)
 
     def tile(lo: int) -> np.ndarray:
         ind = target.indicators(paths[lo : lo + per])
@@ -375,7 +382,11 @@ def sync_measure(system: ProductChainSpec, target: SyncCylinderTarget) -> float:
 
 
 def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
-    """Monte Carlo window frequency with a trajectory-clustered standard error."""
+    """Monte Carlo window frequency with a trajectory-clustered standard error.
+
+    Each trajectory's window mean is taken one row tile of paths at a time
+    (:func:`tile_rows`), so besides a chunk's paths no array outgrows a tile.
+    """
     if samples < 2:
         raise InsufficientDataError("need at least two trajectories", count=samples)
     w = target.window
@@ -387,8 +398,11 @@ def measure_mc(target, system, samples: int, seed: int) -> TargetMeasure:
         )
     means = np.empty(samples)
     for first, paths in path_chunks(system, length, seed, _MEASURE_INDEX_BASE, samples):
-        lo = first - _MEASURE_INDEX_BASE
-        means[lo : lo + len(paths)] = hits(paths, target, length - w).mean(axis=1)
+        per = tile_rows(paths)
+        for lo in range(0, len(paths), per):
+            tile = paths[lo : lo + per]
+            row = first - _MEASURE_INDEX_BASE + lo
+            means[row : row + len(tile)] = hits(tile, target, length - w).mean(axis=1)
     value = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(samples))
     if value <= 0.0:

@@ -449,6 +449,45 @@ def test_compare_does_not_import_scipy(tmp_path):
     assert [r["meta"]["pool_workers"] for r in reports] == [[1], [1], [1]]
 
 
+_IMPORT_SET = """\
+import sys
+from pathlib import Path
+
+import visitlab.cli
+
+unused = ("concurrent.futures", "multiprocessing", "numpy.ma", "scipy")
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m in unused or m.startswith(tuple(u + "." for u in unused)))
+
+
+assert not loaded(), ("import", loaded())
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+for workload in ("runlength-long", "sign-short", "markov-pool"):
+    cfg = root / "perfbench" / "workloads" / (workload + ".yaml")
+    args = ["compare", "--config", str(cfg), "--jobs", "1", "--out-dir", str(out / workload)]
+    assert visitlab.cli.main(args) in (0, 2), workload
+    assert not loaded(), (workload, loaded())
+"""
+
+
+def test_serial_benchmark_compares_load_no_unused_module(tmp_path):
+    # setup_s, the benchmark's cold start, is almost all import: importing the
+    # CLI loads no pool, no scipy and no numpy.ma, and a serial compare of each
+    # workload loads none of them either (np.unique and np.percentile would
+    # import numpy.ma, 1-2 MB of RSS and about 15 ms, on their first call)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SET, str(root), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    for workload in ("runlength-long", "sign-short", "markov-pool"):
+        assert (tmp_path / workload / "compare_report.json").exists()
+
+
 _STEIN = "stein:\n  profile: {kind: geometric, scale: 1.0, rate: 0.5}\n  mode: phi\n  window_policy: half\n"
 
 

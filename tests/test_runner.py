@@ -495,28 +495,92 @@ class _Task(Exception):
     pass
 
 
-def test_markov_pool_block_peak_stays_bounded(monkeypatch):
-    # the first 4096-row block of a serial markov-pool run, as the runner hands it out
+def _first_block_peak(monkeypatch, workload, path_len):
+    """Traced peak of the first 4096-row block of a serial benchmark run, as
+    the runner hands it out."""
     simulate = runner._simulate_block
 
     def first_task(args):
         raise _Task(args)
 
     monkeypatch.setattr(runner, "_simulate_block", first_task)
-    path = Path(__file__).parents[1] / "perfbench" / "workloads" / "markov-pool.yaml"
+    path = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{workload}.yaml"
     with pytest.raises(_Task) as task:
         run_experiment(load_config(str(path), {"workers": 1}), "simulate")
     args = task.value.args[0]
-    assert args[3:6] == (0, 4096, 2156)
+    assert args[3:6] == (0, 4096, path_len)
     tracemalloc.start()
     try:
         simulate(args)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_markov_pool_block_peak_stays_bounded(monkeypatch):
+    peak = _first_block_peak(monkeypatch, "markov-pool", 2156)
     # chunks of 1945 rows, 4.0 MB of uint8 paths: two such arrays at once,
-    # one uniform tile and the chunk's generators, 1.4 MB
+    # one uniform tile and one row tile's indicators (8.1 MiB measured)
+    assert peak < 9 << 20, peak / 2**20
+
+
+def test_runlength_long_block_peak_stays_bounded(monkeypatch):
+    peak = _first_block_peak(monkeypatch, "runlength-long", 4307)
+    # chunks of 973 rows, 8.4 MB of uint16 paths, and one row tile's
+    # indicators and cluster windows (9.4 MiB measured; 13.0 when a chunk's
+    # indicators were held whole)
     assert peak < 11 << 20, peak / 2**20
+
+
+def test_tiled_post_processing_equals_the_whole_chunk(monkeypatch):
+    # one chunk of 700 rows of 2000 steps: uint8 paths, 262 rows per tile,
+    # so two whole tiles and a partial one of 176 rows
+    system = FiniteMarkovSpec(np.array(MATRIX))
+    target = CylinderTarget((1, 1, 1))
+    start, count, path_len, horizon, window_f, window_k, cap = 5000, 700, 2000, 1985, 8, 6, 4
+    ext_horizon = path_len - target.window
+    [(first, paths)] = systems.path_chunks(system, path_len, 3, start, count)
+    per = targets.tile_rows(paths)
+    assert first == start and len(paths) == count and 2 * per < count and count % per
+    ind = targets.hits(paths, target, ext_horizon)
+    w_whole = collect_w(ind, horizon, start_index=first)
+    st_whole = collect_cluster_stats(ind, window_f, window_k, cap=cap, start_index=first)
+    rows = []
+
+    def recorded(tile, *args):
+        rows.append(len(tile))
+        return targets.hits(tile, *args)
+
+    monkeypatch.setattr(runner, "hits", recorded)
+    w_tiled, st_tiled = runner._simulate_block(
+        (system, target, 3, start, count, path_len, ext_horizon, horizon,
+         window_f, window_k, cap)
+    )
+    assert rows == [per, per, count - 2 * per]
+    assert (w_tiled.start, st_tiled.start) == (start, start)
+    assert w_tiled.values.dtype == w_whole.values.dtype
+    assert np.array_equal(w_tiled.values, w_whole.values)
+    assert st_whole.after_l.sum() > 0 and st_whole.around.sum() > 0
+    for name in ("after_l", "after_k", "around"):
+        whole, tiled = getattr(st_whole, name), getattr(st_tiled, name)
+        assert tiled.dtype == whole.dtype and np.array_equal(tiled, whole), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 200])
+def test_percentiles_equal_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        rng.random(n),
+        0.5 * rng.integers(0, 3, n),  # ties
+        np.full(n, 0.1),
+        np.round(rng.normal(size=n), 2),
+    ]
+    for values in cases:
+        for percents in ([2.5, 97.5], [0, 50, 100]):
+            ref = np.percentile(values, percents)
+            out = runner._percentiles(values, percents)
+            assert out.dtype == ref.dtype
+            assert np.array_equal(out.view(np.int64), ref.view(np.int64)), (values, percents)
 
 
 class _BrokenPool(_SerialPool):

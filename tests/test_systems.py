@@ -574,8 +574,9 @@ def test_step_columns_peak_holds_only_what_the_route_needs(route):
     rows, n = 256, 4096
     rngs = trajectory_rngs(7, 0, rows)
     assert not systems._array_route(rngs, n) and rows * n >= 2 * systems._BLOCK_UNIFORMS
-    # the step tables and the generators are built before the trace starts
-    spec.step_tables, rngs[0]
+    # the step tables are built before the trace starts; each row's generator
+    # is built as the row draws and dropped after it
+    spec.step_tables
     tracemalloc.start()
     try:
         paths = sample_paths(spec, n, rngs)
@@ -848,13 +849,36 @@ def test_trajectory_rngs_equal_trajectory_rng(root):
     assert empty.uniforms(4).shape == (4, 0)
 
 
-def test_trajectory_streams_keep_their_generators():
+def test_trajectory_streams_build_each_generator_afresh():
     streams = trajectory_rngs(3, 0, 4)
-    first = streams[1].random(2)
-    # the same generator again, advanced by its draws
-    assert streams[1] is list(streams)[1]
-    assert np.array_equal(streams[1].random(2), trajectory_rng(3, 1).random(4)[2:])
-    assert np.array_equal(streams.uniforms(2)[:, 1], first)
+    first = list(streams)
+    first[1].random(2)
+    # a second pass builds new generators, from the start of every stream,
+    # and the streams keep no reference to the first pass's
+    again = list(streams)
+    assert again[1] is not first[1] and not vars(streams).keys() - {"_words"}
+    assert np.array_equal(again[1].random(4), trajectory_rng(3, 1).random(4))
+    assert np.array_equal(streams.uniforms(2)[:, 1], trajectory_rng(3, 1).random(2))
+    # the per-row route draws each row from a generator built for it
+    [(lo, tile)] = systems._uniform_tiles(streams, 3)
+    assert lo == 0 and np.array_equal(tile, [trajectory_rng(3, i).random(3) for i in range(4)])
+
+
+def test_distinct_sorted_equals_unique_on_cumulative_tables():
+    rng = np.random.default_rng(11)
+    for k in (2, 3, 7, 16, 40):
+        for digits in (None, 1, 2):
+            q = rng.random((k, k)) ** 3
+            q /= q.sum(axis=1, keepdims=True)
+            if digits is not None:
+                # rounded rows: ties within and across the rows, zeros too
+                q = np.round(q, digits)
+            cum = np.cumsum(q, axis=1)
+            ref = np.unique(cum[:, : k - 1])
+            out = systems._distinct_sorted(cum[:, : k - 1])
+            assert out.dtype == ref.dtype and np.array_equal(out, ref), (k, digits)
+    grid = np.round(np.geomspace(3, 5000, 512)).astype(np.int64)
+    assert np.array_equal(systems._distinct_sorted(grid), np.unique(grid))
 
 
 def test_trajectory_rngs_reject_negative_seeds():
